@@ -20,8 +20,11 @@ Matrix = list[list[int]]
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Positive divisors of n >= 1 in ascending order, built from its factorisation."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -301,7 +304,11 @@ def smith_normal_form(a: Matrix):
 
 
 def quotient(module: PresentedModule, sub: Subobject) -> PresentedModule:
-    if sub.ambient is not module and sub.ambient != module:
+    # the embedding is in the ambient's generator coordinates, so the ambient
+    # must be the same presentation, not merely an isomorphic module
+    amb = sub.ambient
+    if amb is not module and (amb.ring, amb.gens, amb.relations) != (
+            module.ring, module.gens, module.relations):
         raise InputError("subobject does not live in the given module")
     return PresentedModule(module.ring, module.gens,
                            la.hstack(module.relations, sub.embedding))

@@ -81,12 +81,11 @@ def cmd_check(payload: dict, options: dict) -> dict:
     handle, obj, canonical = _parse_object(payload)
     report = eng.is_torsion_simple(handle, obj, method=options.get("method", "auto"),
                                    prune=not options.get("no_prune", False))
-    type_tag = eng.type_of(handle, obj) if report.verdict else None
     return {
         "object": canonical,
         "verdict": report.verdict,
         "method": report.method,
-        "type": list(type_tag) if type_tag else None,
+        "type": list(report.type_tag) if report.type_tag else None,
         "witness": _sub_to_json(report.witness) if report.witness is not None else None,
     }
 

@@ -344,11 +344,12 @@ def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> Si
                 if not w.is_zero() and not w.is_full():
                     witness = w
                     break
-        return SimplicityReport(verdict, "brute-force", witness)
+        return SimplicityReport(verdict, "brute-force", witness,
+                                _type_tag(handle, x) if verdict else None)
     if method == "ass-criterion":
         ass = handle.associated_primes(x)
         if len(ass) == 1:
-            return SimplicityReport(True, "ass-criterion", None)
+            return SimplicityReport(True, "ass-criterion", None, _type_tag(handle, x))
         # witness: the p-primary torsion part for a maximal associated prime
         p = min(ass.primes)
         witness = ab.primary_component_of_torsion(x, p)
@@ -366,7 +367,8 @@ def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> Si
                 if not w.is_zero() and not w.is_full():
                     witness = w
                     break
-        return SimplicityReport(verdict, "single-vertex-criterion", witness)
+        return SimplicityReport(verdict, "single-vertex-criterion", witness,
+                                _type_tag(handle, x) if verdict else None)
     raise InputError(f"unknown simplicity method {method!r}")
 
 
@@ -480,20 +482,39 @@ def unique_simple_factor(handle, x):
     return False, None
 
 
-def type_of(handle, x) -> tuple:
-    """Canonical type tag of a torsion-simple object (prime or vertex)."""
-    report = is_torsion_simple(handle, x)
-    if not report.verdict:
-        raise InputError(
-            f"object is not torsion-simple; witness part {report.witness!r}")
+def _type_tag(handle, x) -> tuple:
+    """Type tag of an object already known to be torsion-simple."""
     if isinstance(handle, AbelianHandle):
         ass = handle.associated_primes(x)
         return ("prime", 0 if ass.includes_zero else ass.primes[0])
     return ("vertex", x.support()[0])
 
 
+def type_of(handle, x) -> tuple:
+    """Canonical type tag of a torsion-simple object (prime or vertex)."""
+    report = is_torsion_simple(handle, x)
+    if not report.verdict:
+        raise InputError(
+            f"object is not torsion-simple; witness part {report.witness!r}")
+    return report.type_tag
+
+
 def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult]:
-    """For each sample object: orthogonality, largest-subobject maximality, idempotence."""
+    """For each sample object: orthogonality, largest-subobject maximality, idempotence.
+
+    Maximality asks whether some subobject w of x is torsion (its own radical
+    is all of w) without lying inside t = t(x).  Two things keep this cheap:
+
+    - a w with t.contains(w) cannot break maximality, so its radical is
+      never computed;
+    - "is w torsion" is memoised for the duration of one call, keyed by the
+      object sub_as_object(w).  Torsion classes are closed under isomorphism,
+      so any key equality that implies isomorphism is sound.  The memo relies
+      on the objects' __eq__/__hash__: PresentedModule compares by (ring,
+      canonical decomposition), so each isomorphism class costs one radical;
+      QuiverRep compares by (quiver, p, dims, maps), so only identical
+      representations share an entry.
+    """
     results = []
     for x in sample:
         t = torsion_radical_generated(handle, sources, x, check=False)
@@ -501,10 +522,16 @@ def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult
         orthogonal = handle.hom_is_zero(handle.sub_as_object(t), q)
         idempotent = trace(handle, sources, q).is_zero()
         maximal = True
+        is_torsion: dict = {}
         for w in handle.subobjects(x):
+            if t.contains(w):
+                continue
             wobj = handle.sub_as_object(w)
-            tw = torsion_radical_generated(handle, sources, wobj, check=False)
-            if tw.is_full() and not t.contains(w):
+            torsion = is_torsion.get(wobj)
+            if torsion is None:
+                tw = torsion_radical_generated(handle, sources, wobj, check=False)
+                torsion = is_torsion[wobj] = tw.is_full()
+            if torsion:
                 maximal = False
                 break
         results.append(AxiomCheckResult(handle.describe(x), orthogonal, maximal, idempotent))

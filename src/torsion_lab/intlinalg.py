@@ -51,11 +51,9 @@ def mat_vec(a: Matrix, v: list[int]) -> list[int]:
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return copy_matrix(b)
-    if not b:
-        return copy_matrix(a)
-    return [a[i] + b[i] for i in range(len(a))]
+    if len(a) != len(b):
+        raise ValueError(f"hstack needs equal row counts, got {len(a)} and {len(b)}")
+    return [ra + rb for ra, rb in zip(a, b)]
 
 
 def columns(a: Matrix) -> list[list[int]]:

@@ -267,8 +267,7 @@ def type_closure_suite(options) -> SuiteResult:
                         res.check(True, "")
                         continue
                     rep = eng.is_torsion_simple(handle, img.as_module())
-                    tag = eng.type_of(handle, img.as_module()) if rep.verdict else None
-                    res.check(rep.verdict and tag == ("prime", p),
+                    res.check(rep.type_tag == ("prime", p),
                               f"image of {x.describe()} -> {y.describe()} not "
                               f"torsion-simple of type {p}")
         for x in universe:
@@ -283,8 +282,7 @@ def type_closure_suite(options) -> SuiteResult:
                     if not is_ext:
                         continue
                     repz = eng.is_torsion_simple(handle, z)
-                    tag = eng.type_of(handle, z) if repz.verdict else None
-                    res.check(repz.verdict and tag == ("prime", p),
+                    res.check(repz.type_tag == ("prime", p),
                               f"extension {z.describe()} of {y.describe()} by "
                               f"{x.describe()} not torsion-simple of type {p}")
     quiver, reps = _all_a2_reps(2)
@@ -299,8 +297,7 @@ def type_closure_suite(options) -> SuiteResult:
                         res.check(True, "")
                         continue
                     rep = eng.is_torsion_simple(qhandle, img.as_rep())
-                    tag = eng.type_of(qhandle, img.as_rep()) if rep.verdict else None
-                    res.check(rep.verdict and tag == ("vertex", v),
+                    res.check(rep.type_tag == ("vertex", v),
                               f"image between vertex-{v} reps not simple of that type")
         for x in universe:
             for y in universe:
@@ -317,8 +314,7 @@ def type_closure_suite(options) -> SuiteResult:
                     if not found:
                         continue
                     repz = eng.is_torsion_simple(qhandle, z)
-                    tag = eng.type_of(qhandle, z) if repz.verdict else None
-                    res.check(repz.verdict and tag == ("vertex", v),
+                    res.check(repz.type_tag == ("vertex", v),
                               f"extension dims={z.dims} not simple of vertex type {v}")
     return res
 

@@ -208,3 +208,22 @@ def test_finite_abelian_catalogue():
     assert len(finite_abelian_modules(1)) == 1
     for mod in finite_abelian_modules(24):
         assert mod.order() == 24
+
+
+def test_large_prime_cyclic_module_enumerates_fast():
+    import time
+    start = time.perf_counter()
+    subs = enumerate_submodules(cyclic_module(Z, 1000000007))
+    assert len(subs) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_quotient_refuses_isomorphic_but_different_ambient():
+    z6 = cyclic_module(Z, 6)
+    split = PresentedModule(Z, 2, [[2, 0], [0, 3]])
+    z2 = [w for w in enumerate_submodules(split) if w.order() == 2][0]
+    assert split == z6  # isomorphic, yet a different presentation
+    with pytest.raises(InputError):
+        quotient(z6, z2)
+    same = PresentedModule(Z, 2, [[2, 0], [0, 3]])
+    assert quotient(same, z2).canonical_decomposition() == (0, [3])

@@ -22,6 +22,26 @@ def test_check_simple_module(capsys):
     assert report["result"]["type"] == ["prime", 2]
 
 
+def test_check_runs_simplicity_once(capsys, monkeypatch):
+    from torsion_lab import engine
+    real = engine.is_torsion_simple
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "is_torsion_simple", counting)
+    rep = json.dumps({"quiver": {"vertices": 2, "arrows": [[0, 1]]},
+                      "p": 2, "dims": [0, 2], "maps": [[[], []]]})
+    for flag, obj, tag in (("--module", Z8, ["prime", 2]), ("--rep", rep, ["vertex", 1])):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "--json", "check", flag, obj)
+        assert code == 0
+        assert json.loads(out)["result"]["type"] == tag
+        assert len(calls) == 1
+
+
 def test_check_witness_for_non_simple(capsys):
     code, out, _ = run_cli(capsys, "--json", "check", "--module", Z6)
     assert code == 0

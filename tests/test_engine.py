@@ -1,6 +1,11 @@
 """Torsion parts, simplicity verdicts, radicals, coradicals, criterion checks."""
-import pytest
+import random
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from torsion_lab import engine
 from torsion_lab.abelian import (PresentedModule, Subobject, cyclic_module,
                                  direct_sum_module, finite_abelian_modules,
                                  hom_is_zero, primary_component, quotient)
@@ -12,6 +17,7 @@ from torsion_lab.engine import (AbelianHandle, QuiverHandle,
                                 type_of, unique_simple_factor,
                                 verify_torsion_pair_axioms)
 from torsion_lab.errors import InputError
+from torsion_lab.intlinalg import matmul
 from torsion_lab.quiver import QuiverRep, a_n_quiver, simple_rep
 from torsion_lab.rings import Ring
 
@@ -256,6 +262,93 @@ def test_simplicity_methods_agree_on_quiver():
             rep = QuiverRep(A2, 2, (d1, d2), [mat])
             if rep.is_zero():
                 continue
-            brute = is_torsion_simple(QH, rep, method="brute-force").verdict
-            crit = is_torsion_simple(QH, rep, method="single-vertex-criterion").verdict
-            assert brute == crit
+            brute = is_torsion_simple(QH, rep, method="brute-force")
+            crit = is_torsion_simple(QH, rep, method="single-vertex-criterion")
+            assert (brute.verdict, brute.type_tag) == (crit.verdict, crit.type_tag)
+
+
+def _radical_zero_on(target):
+    """Patch in a broken radical: 0 on `target`, the true radical elsewhere."""
+    def broken(handle, sources, x, check=True):
+        if x is target:
+            return handle.zero_sub(x)
+        return torsion_radical_generated(handle, sources, x, check=check)
+
+    return mock.patch.object(engine, "torsion_radical_generated", broken)
+
+
+@pytest.mark.parametrize("handle, sources, sample", [
+    (H, [cyclic_module(Z, 2)], cyclic_module(Z, 4)),
+    # three Z/2 lines share one memo entry (a miss, then hits) before Z/3 is torsion
+    (H, [cyclic_module(Z, 3)], direct_sum_module(Z, [2, 2, 3])),
+    (QH, [simple_rep(A2, 2, 1)], P1),
+])
+def test_axioms_detect_a_radical_that_is_too_small(handle, sources, sample):
+    with _radical_zero_on(sample):
+        [result] = verify_torsion_pair_axioms(handle, sources, [sample])
+    assert not result.maximal
+
+
+def test_axioms_compute_one_radical_per_iso_class(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return torsion_radical_generated(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "torsion_radical_generated", counting)
+    x = direct_sum_module(Z, [2] * 5)
+    [result] = verify_torsion_pair_axioms(H, [cyclic_module(Z, 3)], [x])
+    assert result.passed
+    # one for t(x) = 0, then one per class (Z/2)^k, k = 1..5; the zero
+    # subobject lies inside t(x) and costs nothing
+    assert len(calls) == 6
+    assert sorted(m.canonical_decomposition() for m in calls[1:]) == [
+        (0, [2] * k) for k in range(1, 6)]
+
+
+def _unimodular(rng, n):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-3, 3)
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        if rng.random() < 0.3:
+            m[i] = [-a for a in m[i]]
+    return m
+
+
+def _dense_presentation(rng, orders):
+    """The module of `orders` presented as U diag(d) V, with unit factors padding d."""
+    d = list(orders) + [1] * rng.randint(0, 1)
+    rng.shuffle(d)
+    n = len(d)
+    diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    rels = matmul(matmul(_unimodular(rng, n), diag), _unimodular(rng, n))
+    return PresentedModule(Z, n, rels)
+
+
+def _unmemoised_maximal(sources, x, t):
+    for w in H.subobjects(x):
+        if (torsion_radical_generated(H, sources, w.as_module(), check=False).is_full()
+                and not t.contains(w)):
+            return False
+    return True
+
+
+_GROUPS = [mod.invariant_factors for n in range(2, 33) for mod in finite_abelian_modules(n)]
+_SOURCE_SETS = [(2,), (3,), (2, 3), (4,), (2, 5), ()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(orders=st.sampled_from(_GROUPS), primes=st.sampled_from(_SOURCE_SETS),
+       seed=st.integers(0, 2 ** 32), broken=st.booleans())
+def test_memoised_maximality_matches_unmemoised_loop(orders, primes, seed, broken):
+    x = _dense_presentation(random.Random(seed), orders)
+    assert x.canonical_decomposition() == (0, orders)
+    sources = [cyclic_module(Z, q) for q in primes]
+    with _radical_zero_on(x if broken else None):
+        [result] = verify_torsion_pair_axioms(H, sources, [x])
+    t = H.zero_sub(x) if broken else torsion_radical_generated(H, sources, x, check=False)
+    assert result.maximal == _unmemoised_maximal(sources, x, t)

@@ -1,7 +1,9 @@
 """Smith form soundness and lattice canonical forms."""
 import random
 
-from torsion_lab.intlinalg import (ColumnEchelonLattice, identity,
+import pytest
+
+from torsion_lab.intlinalg import (ColumnEchelonLattice, hstack, identity,
                                    kernel_basis, mat_vec, matmul,
                                    smith_normal_form, smith_with_inverses,
                                    solve, diagonal_of)
@@ -78,3 +80,13 @@ def test_lattice_membership_spans_generators():
     assert lat.contains([-4, 9])
     assert not lat.contains([1, 0])
     assert lat.determinant_index() == 6
+
+
+def test_hstack_joins_rows_and_refuses_mismatch():
+    assert hstack([[1], [2]], [[3, 4], [5, 6]]) == [[1, 3, 4], [2, 5, 6]]
+    assert hstack([[], []], [[1], [2]]) == [[1], [2]]
+    assert hstack([], []) == []
+    with pytest.raises(ValueError):
+        hstack([[1], [2]], [[3]])
+    with pytest.raises(ValueError):
+        hstack([], [[3]])
