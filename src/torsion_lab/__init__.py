@@ -14,7 +14,7 @@ from .engine import (AbelianHandle, Morph, QuiverHandle, SimplicityReport,
                      torsionfree_coradical_cogenerated, trace, type_of,
                      unique_simple_factor, verify_torsion_pair_axioms)
 from .errors import (ContradictionError, InputError, TorsionLabError,
-                     UnsupportedRingError)
+                     UnsupportedRingError, WorkBudgetError)
 from .mccoy import (ConormalReport, DeterminantalProfile, RingMatrix,
                     check_radical_lemma, conormal_presentation,
                     determinantal_ideal, hom_I_to_quotient, mccoy_rank,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 from . import intlinalg as la
 from .errors import InputError
@@ -168,16 +169,6 @@ class PresentedModule:
         for (idx, _), c in zip(coords, coeffs):
             vec[idx] = c
         return la.mat_vec(ui, vec)
-
-    def element_vectors(self):
-        """Iterate generator-coordinate vectors of all elements (finite modules)."""
-        from itertools import product as iproduct
-        _, _, coords = self._decomposition()
-        if any(delta == 0 for _, delta in coords):
-            raise InputError("cannot enumerate an infinite module")
-        ranges = [range(delta) for _, delta in coords]
-        for combo in iproduct(*ranges):
-            yield self.coords_to_generators(list(combo))
 
     def __eq__(self, other) -> bool:
         # equality of modules, not of presentations
@@ -363,18 +354,46 @@ def _subgroup_matrices(deltas: list[int]):
     return results
 
 
-def enumerate_submodules(module: PresentedModule) -> list[Subobject]:
-    """Every submodule exactly once, sorted by (order, canonical lattice key)."""
+def _finite_deltas(module: PresentedModule) -> list[int]:
+    """The cyclic orders delta_i of a finite module; infinite modules are refused."""
     if not module.is_finite():
         raise InputError(
             "submodule enumeration needs a finite module; for infinite modules "
             "use the associated-prime criterion instead")
     _, _, coords = module._decomposition()
-    deltas = [delta for _, delta in coords]
+    return [delta for _, delta in coords]
+
+
+def enumerate_submodules(module: PresentedModule) -> list[Subobject]:
+    """Every submodule exactly once, sorted by (order, canonical lattice key)."""
+    deltas = _finite_deltas(module)
     subs = []
     for t_mat in _subgroup_matrices(deltas):
         cols = [module.coords_to_generators([t_mat[r][c] for r in range(len(deltas))])
                 for c in range(len(deltas))]
+        subs.append(Subobject(module, la.from_columns(cols, module.gens)))
+    subs.sort(key=lambda s: s.sort_token())
+    return subs
+
+
+def split_submodules(module: PresentedModule) -> list[Subobject]:
+    """The split submodules, sorted like `enumerate_submodules`.
+
+    A split submodule is  <t_1 e_1> + ... + <t_k e_k>  with t_i | delta_i, where
+    module = Z/delta_1 + ... + Z/delta_k is the decomposition of
+    `_decomposition()` and e_i generates the i-th summand, so there are
+    prod_i d(delta_i) of them, d counting divisors.  Every endomorphism-stable
+    (fully invariant) submodule W is among them: the projection pi_i onto
+    summand i is an endomorphism (the hom basis generator (i, i, delta_i, 1)),
+    so pi_i(W) lies in W and hence W = sum_i pi_i(W), while
+    pi_i(W) = W meet Z/delta_i is a subgroup <t_i e_i> of a cyclic group.
+    """
+    deltas = _finite_deltas(module)
+    units = [module.coords_to_generators([int(i == j) for j in range(len(deltas))])
+             for i in range(len(deltas))]
+    subs = []
+    for ts in product(*(_divisors(delta) for delta in deltas)):
+        cols = [[t * x for x in unit] for t, unit in zip(ts, units)]
         subs.append(Subobject(module, la.from_columns(cols, module.gens)))
     subs.sort(key=lambda s: s.sort_token())
     return subs
@@ -475,18 +494,6 @@ def primary_component(module: PresentedModule, p: int) -> Subobject:
 def primary_component_of_torsion(module: PresentedModule, p: int) -> Subobject:
     """p-primary part of the torsion submodule; defined for any f.g. module."""
     return Subobject(module, la.from_columns(_p_primary_columns(module, p), module.gens))
-
-
-def torsion_submodule(module: PresentedModule) -> Subobject:
-    """The full torsion part (finite factors) of a f.g. module over Z."""
-    _, _, coords = module._decomposition()
-    cols = []
-    for pos, (idx, delta) in enumerate(coords):
-        if delta >= 2:
-            coeffs = [0] * len(coords)
-            coeffs[pos] = 1
-            cols.append(module.coords_to_generators(coeffs))
-    return Subobject(module, la.from_columns(cols, module.gens))
 
 
 def multiplication_endo(module: PresentedModule, c: int) -> Matrix:

@@ -1,8 +1,9 @@
 """Command-line surface: JSON in, deterministic reports out.
 
 Exit codes: 0 verdict delivered, 1 property violation found, 2 input error,
-3 unsupported ring operation.  `--json` reports are themselves valid input for
-the `replay` command, which re-runs the embedded job and compares results.
+3 unsupported ring operation or exhausted work budget.  `--json` reports are
+themselves valid input for the `replay` command, which re-runs the embedded
+job and compares results.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from . import engine as eng
 from . import jsonio as io
 from . import mccoy as mc
 from . import suites as su
-from .errors import ContradictionError, InputError, UnsupportedRingError
+from .errors import (ContradictionError, InputError, UnsupportedRingError,
+                     WorkBudgetError)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -417,6 +419,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except UnsupportedRingError as exc:
         print(f"unsupported ring operation: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except WorkBudgetError as exc:
+        print(f"work budget exhausted: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ContradictionError as exc:
         print(f"verified statement violated: {exc}", file=sys.stderr)

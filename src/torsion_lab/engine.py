@@ -99,6 +99,9 @@ class AbelianHandle:
     def subobjects(self, x):
         return ab.enumerate_submodules(x)
 
+    def stable_candidates(self, x):
+        return ab.split_submodules(x)
+
     def zero_sub(self, x):
         return ab.Subobject.zero(x)
 
@@ -202,6 +205,9 @@ class QuiverHandle:
 
     def subobjects(self, x):
         return qv.enumerate_subreps(x, dim_bound=self.dim_bound)
+
+    def stable_candidates(self, x):
+        return self.subobjects(x)
 
     def zero_sub(self, x):
         return qv.SubRep.zero(x)
@@ -314,18 +320,23 @@ class QuiverHandle:
 # ---------------------------------------------------------------------------
 
 
-def endo_stable_subobjects(handle, x, subs=None):
-    """Subobjects stable under every endomorphism (a necessary torsion-part test)."""
-    subs = handle.subobjects(x) if subs is None else subs
+def endo_stable_subobjects(handle, x):
+    """Subobjects stable under every endomorphism (a necessary torsion-part test).
+
+    Only the handle's `stable_candidates` are tested.  For a finite module over
+    Z or Z/n these are the split submodules  <t_1 e_1> + ... + <t_k e_k>  of its
+    cyclic decomposition Z/delta_1 + ... + Z/delta_k: the projection pi_i onto
+    summand i is an endomorphism, so a stable W equals the sum of the
+    pi_i(W) = W meet Z/delta_i, each a subgroup of a cyclic group.  For quiver
+    representations the candidates are all subrepresentations.
+    """
     endos = handle.endo_basis(x)
-    return [w for w in subs if handle.sub_stable(x, w, endos)]
+    return [w for w in handle.stable_candidates(x) if handle.sub_stable(x, w, endos)]
 
 
 def torsion_parts(handle, x, prune: bool = True) -> TorsionPartSet:
     """All subobjects w with Hom(w, x/w) = 0, in canonical order."""
-    subs = handle.subobjects(x)
-    if prune:
-        subs = endo_stable_subobjects(handle, x, subs)
+    subs = endo_stable_subobjects(handle, x) if prune else handle.subobjects(x)
     parts = [w for w in subs if handle.part_test(x, w)]
     return TorsionPartSet(x, parts, prune)
 

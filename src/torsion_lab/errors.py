@@ -13,6 +13,10 @@ class UnsupportedRingError(TorsionLabError):
     """An exact computation is not available for this ring/ideal shape (exit code 3)."""
 
 
+class WorkBudgetError(TorsionLabError):
+    """A computation used up its fixed work budget without an answer (exit code 3)."""
+
+
 class ContradictionError(TorsionLabError):
     """A verified mathematical statement failed on a concrete instance (exit code 1).
 

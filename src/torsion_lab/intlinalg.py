@@ -32,6 +32,9 @@ def transpose(a: Matrix) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     ra, ca = len(a), len(a[0]) if a else 0
+    # a matrix without rows carries no column count, so it matches any b
+    if a and len(b) != ca:
+        raise ValueError(f"matmul needs {ca} rows in the right factor, got {len(b)}")
     cb = len(b[0]) if b else 0
     out = zeros(ra, cb)
     for i in range(ra):
@@ -63,6 +66,9 @@ def columns(a: Matrix) -> list[list[int]]:
 
 
 def from_columns(cols: list[list[int]], rows: int) -> Matrix:
+    if any(len(c) != rows for c in cols):
+        raise ValueError(f"from_columns needs columns of length {rows}, "
+                         f"got {sorted({len(c) for c in cols})}")
     if not cols:
         return [[] for _ in range(rows)]
     return [[c[i] for c in cols] for i in range(rows)]

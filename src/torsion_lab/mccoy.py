@@ -220,17 +220,6 @@ def quotient_ring(s: Ring, ideal: Ideal) -> Ring:
         f"conormal pipeline does not materialise quotients of {s.describe()}")
 
 
-def _to_quotient(e: RingElem, s: Ring, q: Ring) -> RingElem:
-    """Image of an S-element in the materialised quotient ring."""
-    if s.kind == KIND_Z:
-        return q.from_int(e.payload)
-    if s.kind == KIND_POLY:
-        return q.poly(list(e.payload))
-    if s.kind == KIND_BIPOLY:
-        return q.bipoly(list(e.payload))
-    raise UnsupportedRingError("unsupported base ring for the quotient map")
-
-
 def conormal_generators(s: Ring, ideal: Ideal) -> list[RingElem]:
     """The generator list of I used to present I/I^2 (rows of M)."""
     if s.kind == KIND_BIPOLY:

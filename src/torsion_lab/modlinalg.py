@@ -11,15 +11,6 @@ Vec = tuple[int, ...]
 Rows = tuple[Vec, ...]
 
 
-def vec_add(u: Vec, v: Vec, p: int) -> Vec:
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
-def vec_scale(c: int, v: Vec, p: int) -> Vec:
-    c %= p
-    return tuple((c * a) % p for a in v)
-
-
 def mat_vec_mod(mat, v: Vec, p: int) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) % p for row in mat)
 
@@ -65,10 +56,6 @@ def rref(rows_in, p: int) -> tuple[list[list[int]], list[int]]:
         if r == nrows:
             break
     return mat[:r], pivots
-
-
-def rank_mod(rows_in, p: int) -> int:
-    return len(rref(rows_in, p)[0])
 
 
 def kernel_mod(mat, p: int) -> list[Vec]:

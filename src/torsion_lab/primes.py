@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import WorkBudgetError
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Witness set proven sufficient for n < 3.317e24.
@@ -39,23 +41,51 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Brent-rho steps allowed per composite cofactor: enough for any prime factor
+# below about 1e11, and about a second of work on a 128-bit cofactor.
+_RHO_BUDGET = 1_000_000
+
+# rho steps whose differences are multiplied together before one gcd
+_GCD_BATCH = 128
+
+
 def _pollard_rho(n: int) -> int:
-    # n is odd, composite, not a prime power of a small prime
-    if n % 2 == 0:
-        return 2
-    seed = 1
+    """A non-trivial factor of the odd composite n, by Brent's rho (BIT 20, 1980).
+
+    Raises WorkBudgetError naming n when _RHO_BUDGET steps, counted over every
+    polynomial x^2 + c tried, find no factor.
+    """
+    steps = 0
+    c = 1
     while True:
-        seed += 1
-        x = y = 2
-        c = seed
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps > _RHO_BUDGET:
+                raise WorkBudgetError(
+                    f"could not split the composite cofactor {n} within "
+                    f"{_RHO_BUDGET} Pollard rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_GCD_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _GCD_BATCH
+            steps += 2 * r
+            r *= 2
+        if g == n:
+            # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -284,10 +284,6 @@ class Ring:
             return bool(self.rels) and _in_mono_ideal((1, 0), self.rels) and _in_mono_ideal((0, 1), self.rels)
         return False
 
-    @property
-    def characteristic_modulus(self) -> Optional[int]:
-        return self.n if self.kind == KIND_ZMOD else None
-
     # -- element construction ----------------------------------------------
 
     def from_int(self, k: int) -> "RingElem":
@@ -606,9 +602,6 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def is_unit_ideal(self) -> bool:
-        return self.contains(self.ring.one)
-
     def _pid_generator(self) -> RingElem:
         """Single generator on the principal-ideal rings (Z, Z/n, F_p, F_p[x], F_p[x]/f)."""
         r = self.ring
@@ -727,9 +720,6 @@ class Ideal:
         """Ann(I) = {r : r*I = 0}, exact on the supported shapes."""
         gens = annihilator_payloads(self)
         return Ideal(self.ring, [RingElem(self.ring, g) for g in gens])
-
-    def has_zero_annihilator(self) -> bool:
-        return not annihilator_payloads(self)
 
     # -- sums, products, colon -------------------------------------------------
 

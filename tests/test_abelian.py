@@ -8,7 +8,7 @@ from torsion_lab.abelian import (PresentedModule, Subobject, associated_primes,
                                  cyclic_module, direct_sum_module,
                                  enumerate_submodules, finite_abelian_modules,
                                  hom_group, hom_is_zero, primary_component,
-                                 quotient)
+                                 quotient, split_submodules)
 from torsion_lab.errors import InputError
 from torsion_lab.rings import Ring
 
@@ -63,8 +63,9 @@ def test_submodules_are_deduplicated_and_ordered():
 
 
 def test_infinite_module_rejects_enumeration():
-    with pytest.raises(InputError):
-        enumerate_submodules(PresentedModule(Z, 1, [[]]))
+    for enumerate_ in (enumerate_submodules, split_submodules):
+        with pytest.raises(InputError):
+            enumerate_(PresentedModule(Z, 1, [[]]))
 
 
 def test_quotient_examples():

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report schema, replay, determinism."""
 import json
+import time
 
 from torsion_lab.cli import main
 
@@ -180,6 +181,27 @@ def test_unsupported_ring_exit_code(capsys):
     code, _, err = run_cli(capsys, "hom-conormal", payload)
     assert code == 3
     assert "unsupported" in err.lower()
+
+
+def test_unsplittable_cofactor_exits_3_quickly(capsys):
+    mod = json.dumps({"ring": {"kind": "Z"}, "generators": 1,
+                      "relations": [[str(2 ** 128 + 1)]]})
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "ass", "--module", mod)
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert str(2 ** 128 + 1) in err
+
+
+def test_torsion_parts_of_elementary_2_group_rank_8(capsys):
+    mod = json.dumps({"ring": {"kind": "Z"}, "generators": 8,
+                      "relations": [[2 if i == j else 0 for j in range(8)]
+                                    for i in range(8)]})
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--json", "torsion-parts", "--module", mod)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out)["result"]["count"] == 2
 
 
 def test_zero_object_input_error(capsys):

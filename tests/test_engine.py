@@ -1,15 +1,18 @@
 """Torsion parts, simplicity verdicts, radicals, coradicals, criterion checks."""
+import math
 import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsion_lab import engine
+from torsion_lab import abelian, engine
 from torsion_lab.abelian import (PresentedModule, Subobject, cyclic_module,
-                                 direct_sum_module, finite_abelian_modules,
-                                 hom_is_zero, primary_component, quotient)
+                                 direct_sum_module, enumerate_submodules,
+                                 finite_abelian_modules, hom_is_zero,
+                                 primary_component, quotient, split_submodules)
 from torsion_lab.engine import (AbelianHandle, QuiverHandle,
+                                endo_stable_subobjects,
                                 injective_criterion_check, is_essential,
                                 is_torsion_simple, torsion_parts,
                                 torsion_radical_generated,
@@ -319,14 +322,14 @@ def _unimodular(rng, n):
     return m
 
 
-def _dense_presentation(rng, orders):
+def _dense_presentation(rng, orders, ring=Z):
     """The module of `orders` presented as U diag(d) V, with unit factors padding d."""
     d = list(orders) + [1] * rng.randint(0, 1)
     rng.shuffle(d)
     n = len(d)
     diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
     rels = matmul(matmul(_unimodular(rng, n), diag), _unimodular(rng, n))
-    return PresentedModule(Z, n, rels)
+    return PresentedModule(ring, n, rels)
 
 
 def _unmemoised_maximal(sources, x, t):
@@ -352,3 +355,47 @@ def test_memoised_maximality_matches_unmemoised_loop(orders, primes, seed, broke
         [result] = verify_torsion_pair_axioms(H, sources, [x])
     t = H.zero_sub(x) if broken else torsion_radical_generated(H, sources, x, check=False)
     assert result.maximal == _unmemoised_maximal(sources, x, t)
+
+
+_ZMOD_ORDERS = {n: [d for d in range(1, n + 1) if n % d == 0] for n in (4, 6, 8, 9, 12, 36)}
+
+
+@st.composite
+def _dense_modules(draw):
+    """A dense presentation over Z (order <= 32) or over Z/n (at most two factors)."""
+    n = draw(st.sampled_from([0, *_ZMOD_ORDERS]))
+    if n:
+        ring = Ring.integers_mod(n)
+        orders = draw(st.lists(st.sampled_from(_ZMOD_ORDERS[n]), min_size=1, max_size=2))
+    else:
+        ring, orders = Z, draw(st.sampled_from(_GROUPS))
+    m = _dense_presentation(random.Random(draw(st.integers(0, 2 ** 32))), orders, ring)
+    assert m.order() == math.prod(orders)
+    return m
+
+
+def _divisor_count(d):
+    return sum(1 for k in range(1, d + 1) if d % k == 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=_dense_modules())
+def test_stable_subobjects_match_filtered_full_enumeration(m):
+    handle = AbelianHandle(m.ring)
+    endos = handle.endo_basis(m)
+    want = [w.key() for w in enumerate_submodules(m) if handle.sub_stable(m, w, endos)]
+    assert [w.key() for w in endo_stable_subobjects(handle, m)] == want
+    assert len(split_submodules(m)) == math.prod(map(_divisor_count, m.invariant_factors))
+
+
+def test_pruned_path_never_enumerates_every_submodule(monkeypatch):
+    def refuse(module):
+        raise AssertionError("the pruned path enumerated every submodule")
+
+    monkeypatch.setattr(abelian, "enumerate_submodules", refuse)
+    rng = random.Random(5)
+    for orders, parts, simple in (([6], 4, False), ([8], 2, True), ([2] * 8, 2, True),
+                                  ([2, 4, 3, 9], 4, False), ([5, 25, 125], 2, True)):
+        m = _dense_presentation(rng, orders)
+        assert len(torsion_parts(H, m)) == parts
+        assert is_torsion_simple(H, m).verdict is simple

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from torsion_lab.intlinalg import (ColumnEchelonLattice, hstack, identity,
-                                   kernel_basis, mat_vec, matmul,
+from torsion_lab.intlinalg import (ColumnEchelonLattice, from_columns, hstack,
+                                   identity, kernel_basis, mat_vec, matmul,
                                    smith_normal_form, smith_with_inverses,
                                    solve, diagonal_of)
 
@@ -90,3 +90,22 @@ def test_hstack_joins_rows_and_refuses_mismatch():
         hstack([[1], [2]], [[3]])
     with pytest.raises(ValueError):
         hstack([], [[3]])
+
+
+def test_from_columns_builds_rows_and_refuses_wrong_lengths():
+    assert from_columns([[1, 2], [3, 4]], 2) == [[1, 3], [2, 4]]
+    assert from_columns([], 2) == [[], []]
+    with pytest.raises(ValueError):
+        from_columns([[1, 2, 3]], 2)
+    with pytest.raises(ValueError):
+        from_columns([[1, 2], [3]], 2)
+
+
+def test_matmul_refuses_inner_dimension_mismatch():
+    assert matmul([[1, 2]], [[3], [4]]) == [[11]]
+    assert matmul([[], []], []) == [[], []]
+    assert matmul([], [[1, 2]]) == []
+    with pytest.raises(ValueError):
+        matmul([[1, 2]], [[3], [4], [5]])
+    with pytest.raises(ValueError):
+        matmul([[1, 2]], [[3]])

@@ -1,0 +1,19 @@
+"""Primality and factorisation; the rho step budget is tested through the CLI."""
+import math
+
+from torsion_lab.primes import factorize, is_prime
+
+
+def test_factorize_small_numbers_into_primes():
+    for n in range(1, 2000):
+        factors = factorize(n)
+        assert math.prod(p ** e for p, e in factors.items()) == n
+        assert all(is_prime(p) for p in factors)
+
+
+def test_factorize_splits_large_semiprimes():
+    # every factor lies beyond trial division, so rho must split them
+    assert factorize(999999937 * 999999929) == {999999937: 1, 999999929: 1}
+    assert factorize(2 ** 64 + 1) == {274177: 1, 67280421310721: 1}
+    assert factorize(3 ** 4 * 998244353 * 1000000007) == {
+        3: 4, 998244353: 1, 1000000007: 1}
