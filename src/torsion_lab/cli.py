@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import abelian as ab
@@ -24,17 +23,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TORSIM_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputError(f"TORSIM_THREADS must be a positive integer, got {raw!r}") from exc
-    if value < 1:
-        raise InputError(f"TORSIM_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _load_payload(text: str) -> dict:
@@ -201,9 +189,7 @@ def cmd_radical_lemma(payload: dict, options: dict) -> dict:
 
 def cmd_verify(payload: dict, options: dict) -> dict:
     suite = payload.get("suite")
-    opts = dict(options)
-    opts.setdefault("threads", _thread_count())
-    result = su.run_suite(suite, opts)
+    result = su.run_suite(suite, options)
     return result.as_dict()
 
 

@@ -256,17 +256,7 @@ class QuiverHandle:
         spaces = []
         for v in range(f.src.quiver.vertex_count):
             d_src = f.src.dims[v]
-            d_dst = f.dst.dims[v]
-            sp = w.spaces[v]
-            # functionals cutting out w at this vertex
-            functionals = []
-            free_cols = [c for c in range(d_dst) if c not in sp.pivots]
-            for c in free_cols:
-                row = [0] * d_dst
-                row[c] = 1
-                for r, pc in enumerate(sp.pivots):
-                    row[pc] = (row[pc] - sp.rows[r][c]) % self.p
-                functionals.append(row)
+            functionals = w.spaces[v].quotient_functionals()
             if not functionals:
                 spaces.append(ml.Subspace.full(self.p, d_src))
                 continue
@@ -302,7 +292,7 @@ class QuiverHandle:
         return {("vertex", v): d for v, d in qv.composition_factors(x).items()}
 
     def part_test(self, x, w) -> bool:
-        q, _ = self.quotient(x, w)
+        q, _ = qv.quotient_rep(x, w)
         return self.hom_is_zero(self.sub_as_object(w), q)
 
     def sub_stable(self, x, w, endos) -> bool:
@@ -320,6 +310,21 @@ class QuiverHandle:
 # ---------------------------------------------------------------------------
 
 
+def _candidates(handle, x, prune: bool):
+    """The subobjects of x that may be torsion parts, lazily, in canonical order.
+
+    Without pruning these are all subobjects; with pruning, the handle's
+    `stable_candidates` that pass `sub_stable` (see endo_stable_subobjects).
+    """
+    if not prune:
+        yield from handle.subobjects(x)
+        return
+    endos = handle.endo_basis(x)
+    for w in handle.stable_candidates(x):
+        if handle.sub_stable(x, w, endos):
+            yield w
+
+
 def endo_stable_subobjects(handle, x):
     """Subobjects stable under every endomorphism (a necessary torsion-part test).
 
@@ -330,15 +335,26 @@ def endo_stable_subobjects(handle, x):
     pi_i(W) = W meet Z/delta_i, each a subgroup of a cyclic group.  For quiver
     representations the candidates are all subrepresentations.
     """
-    endos = handle.endo_basis(x)
-    return [w for w in handle.stable_candidates(x) if handle.sub_stable(x, w, endos)]
+    return list(_candidates(handle, x, prune=True))
 
 
 def torsion_parts(handle, x, prune: bool = True) -> TorsionPartSet:
     """All subobjects w with Hom(w, x/w) = 0, in canonical order."""
-    subs = endo_stable_subobjects(handle, x) if prune else handle.subobjects(x)
-    parts = [w for w in subs if handle.part_test(x, w)]
+    parts = [w for w in _candidates(handle, x, prune) if handle.part_test(x, w)]
     return TorsionPartSet(x, parts, prune)
+
+
+def _first_proper_part(handle, x, prune: bool):
+    """The first torsion part other than 0 and x in canonical order, or None.
+
+    0 and x are always torsion parts (Hom(0, -) = 0 and Hom(x, 0) = 0), so x is
+    torsion-simple exactly when this finds none, i.e. when torsion_parts has
+    two elements; the part test runs only up to the first proper part.
+    """
+    for w in _candidates(handle, x, prune):
+        if not w.is_zero() and not w.is_full() and handle.part_test(x, w):
+            return w
+    return None
 
 
 def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> SimplicityReport:
@@ -347,14 +363,8 @@ def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> Si
     if method == "auto":
         method = "brute-force" if handle.enumerable(x) else "ass-criterion"
     if method == "brute-force":
-        parts = torsion_parts(handle, x, prune=prune)
-        verdict = len(parts) == 2
-        witness = None
-        if not verdict:
-            for w in parts.parts:
-                if not w.is_zero() and not w.is_full():
-                    witness = w
-                    break
+        witness = _first_proper_part(handle, x, prune)
+        verdict = witness is None
         return SimplicityReport(verdict, "brute-force", witness,
                                 _type_tag(handle, x) if verdict else None)
     if method == "ass-criterion":
@@ -371,13 +381,7 @@ def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> Si
         return SimplicityReport(False, "ass-criterion", witness)
     if method == "single-vertex-criterion":
         verdict = qv.single_vertex_support(x)
-        witness = None
-        if not verdict:
-            parts = torsion_parts(handle, x, prune=prune)
-            for w in parts.parts:
-                if not w.is_zero() and not w.is_full():
-                    witness = w
-                    break
+        witness = None if verdict else _first_proper_part(handle, x, prune)
         return SimplicityReport(verdict, "single-vertex-criterion", witness,
                                 _type_tag(handle, x) if verdict else None)
     raise InputError(f"unknown simplicity method {method!r}")

@@ -78,20 +78,6 @@ def kernel_mod(mat, p: int) -> list[Vec]:
     return out
 
 
-def solve_mod(mat, b: Vec, p: int) -> Vec | None:
-    """One solution of mat @ x == b mod p, or None."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = [list(mat[i]) + [b[i] % p] for i in range(m)]
-    red, pivots = rref(aug, p)
-    x = [0] * n
-    for r, pc in enumerate(pivots):
-        if pc == n:
-            return None
-        x[pc] = red[r][n]
-    return tuple(x)
-
-
 class Subspace:
     """Subspace of F_p^dim held as a canonical RREF row basis."""
 
@@ -118,6 +104,25 @@ class Subspace:
 
     def key(self) -> Rows:
         return self.rows
+
+    def quotient_functionals(self) -> list[list[int]]:
+        """Rows e_c - sum_r rows[r][c] e_{pivots[r]}, one per non-pivot column c.
+
+        Together they cut out the subspace: a vector u lies in it iff every row
+        vanishes on u, and then u = sum_r u[pivots[r]] rows[r].  As a matrix
+        they are the projection onto F_p^dim / subspace in the coordinates of
+        the non-pivot columns.
+        """
+        out = []
+        for c in range(self.dim):
+            if c in self.pivots:
+                continue
+            row = [0] * self.dim
+            row[c] = 1
+            for r, pc in enumerate(self.pivots):
+                row[pc] = (-self.rows[r][c]) % self.p
+            out.append(row)
+        return out
 
     def contains(self, vec) -> bool:
         v = [x % self.p for x in vec]
@@ -150,13 +155,6 @@ class Subspace:
                         vec[r] = (vec[r] + c * a[i][r]) % self.p
             vecs.append(vec)
         return Subspace(self.p, self.dim, vecs)
-
-    def coordinates_of(self, vec) -> Vec | None:
-        """Coefficients of vec in the row basis, or None if outside."""
-        if not self.rows:
-            return () if not any(x % self.p for x in vec) else None
-        mat = [[self.rows[i][r] for i in range(len(self.rows))] for r in range(self.dim)]
-        return solve_mod(mat, tuple(x % self.p for x in vec), self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.rows == other.rows and self.dim == other.dim

@@ -7,10 +7,11 @@ deterministic enumeration order and cheap equality.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .errors import InputError
-from .modlinalg import Subspace, all_subspaces, kernel_mod, rref
+from .modlinalg import Subspace, all_subspaces, kernel_mod, mat_vec_mod, rref
 from .primes import is_prime
 
 ENUM_DIM_BOUND = 4
@@ -72,11 +73,18 @@ def a_n_quiver(n: int) -> Quiver:
     return Quiver(n, [(i, i + 1) for i in range(n - 1)])
 
 
+@lru_cache(maxsize=64)
+def _is_prime_field(p: int) -> bool:
+    """is_prime, once per characteristic: quotients and subrepresentations
+    built inside the torsion-part loop all share their ambient's p."""
+    return is_prime(p)
+
+
 class QuiverRep:
     __slots__ = ("quiver", "p", "dims", "maps")
 
     def __init__(self, quiver: Quiver, p: int, dims, maps):
-        if not is_prime(p):
+        if not _is_prime_field(p):
             raise InputError(f"representations need a prime field, got p={p!r}")
         dims = tuple(int(d) for d in dims)
         if len(dims) != quiver.vertex_count:
@@ -226,14 +234,16 @@ class SubRep:
         maps = []
         for k, (s, t) in enumerate(amb.quiver.arrows):
             mat = amb.maps[k]
+            target = self.spaces[t]
+            functionals = target.quotient_functionals()
             cols = []
             for vec in self.spaces[s].rows:
-                img = tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) % amb.p
-                            for i in range(amb.dims[t]))
-                coords = self.spaces[t].coordinates_of(img)
-                if coords is None:
+                img = mat_vec_mod(mat, vec, amb.p)
+                # img lies in the target iff the functionals vanish on it, and
+                # then its coordinates in the RREF basis are its pivot entries
+                if any(mat_vec_mod(functionals, img, amb.p)):
                     raise InputError("subspaces are not stable under the arrow maps")
-                cols.append(coords)
+                cols.append(tuple(img[c] for c in target.pivots))
             maps.append([[cols[j][i] for j in range(dims[s])] for i in range(dims[t])])
         return QuiverRep(amb.quiver, amb.p, dims, maps)
 
@@ -306,35 +316,25 @@ def enumerate_subreps(x: QuiverRep, dim_bound: int = ENUM_DIM_BOUND) -> list[Sub
             f"per-vertex dimension exceeds the enumeration bound {dim_bound}")
     per_vertex = [all_subspaces(x.p, d) for d in x.dims]
     order = x.quiver.topological_order
-    arrows_by_target_pos: dict[int, list[int]] = {}
-    pos_of = {v: i for i, v in enumerate(order)}
+    incoming: list[list[tuple[int, int]]] = [[] for _ in order]
     for k, (s, t) in enumerate(x.quiver.arrows):
-        key = max(pos_of[s], pos_of[t])
-        arrows_by_target_pos.setdefault(key, []).append(k)
+        incoming[t].append((k, s))
     chosen: list = [None] * x.quiver.vertex_count
     out = []
 
     def rec(pos: int):
         if pos == len(order):
-            out.append(SubRep(x, [chosen[v] for v in range(x.quiver.vertex_count)],
-                              check=False))
+            out.append(SubRep(x, chosen, check=False))
             return
         v = order[pos]
+        # in topological order every arrow into v starts at a chosen vertex, so
+        # the subspace at v must contain the span of the images of their choices
+        image = Subspace(x.p, x.dims[v], [mat_vec_mod(x.maps[k], vec, x.p)
+                                          for k, s in incoming[v]
+                                          for vec in chosen[s].rows])
         for sp in per_vertex[v]:
-            chosen[v] = sp
-            ok = True
-            for k in arrows_by_target_pos.get(pos, []):
-                s, t = x.quiver.arrows[k]
-                mat = x.maps[k]
-                for vec in chosen[s].rows:
-                    img = tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) % x.p
-                                for i in range(x.dims[t]))
-                    if not chosen[t].contains(img):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if sp.contains_space(image):
+                chosen[v] = sp
                 rec(pos + 1)
         chosen[v] = None
 
@@ -350,24 +350,10 @@ def quotient_rep(x: QuiverRep, sub: SubRep):
     if not sub.is_stable():
         raise InputError("cannot form the quotient by an unstable subspace tuple")
     p = x.p
-    projections = []
-    qdims = []
-    for v in range(x.quiver.vertex_count):
-        sp = sub.spaces[v]
-        d = x.dims[v]
-        free_cols = [c for c in range(d) if c not in sp.pivots]
-        qdims.append(len(free_cols))
-        proj = []
-        for c in free_cols:
-            row = [0] * d
-            row[c] = 1
-            # subtract the subspace contribution: e_c reduced by RREF rows
-            for r, pc in enumerate(sp.pivots):
-                row[pc] = (row[pc] - sp.rows[r][c]) % p
-            # row encodes the linear functional reading the c-coordinate of the
-            # reduction of a vector modulo the subspace
-            proj.append(row)
-        projections.append(proj)
+    # one functional per non-pivot column c, reading the c-coordinate of a
+    # vector reduced modulo the subspace
+    projections = [sp.quotient_functionals() for sp in sub.spaces]
+    qdims = [len(proj) for proj in projections]
     qmaps = []
     for k, (s, t) in enumerate(x.quiver.arrows):
         mat = x.maps[k]

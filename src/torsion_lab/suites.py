@@ -43,14 +43,6 @@ class SuiteResult:
         }
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _all_a2_reps(max_dim: int, p: int = 2):
     quiver = qv.a_n_quiver(2)
     reps = []
@@ -82,7 +74,7 @@ def finite_length_suite(options) -> SuiteResult:
         return (brute == predicate,
                 f"dims={rep.dims} maps={rep.maps}: brute={brute} predicate={predicate}")
 
-    for result in _pmap(check_one, reps, options.get("threads", 1)):
+    for result in map(check_one, reps):
         if result is not None:
             res.check(*result)
     return res
@@ -110,7 +102,7 @@ def ass_singleton_suite(options) -> SuiteResult:
                         f"{m.describe()}: parts={len(parts)} ass={ass.as_list()}"))
         return out
 
-    for chunk in _pmap(check_order, range(1, max_order + 1), options.get("threads", 1)):
+    for chunk in map(check_order, range(1, max_order + 1)):
         for item in chunk:
             res.check(*item)
     return res
@@ -143,7 +135,7 @@ def gabriel_split_suite(options) -> SuiteResult:
                 out.append((all(a.passed for a in axioms), f"{desc}: axioms failed"))
         return out
 
-    for chunk in _pmap(check_order, range(1, max_order + 1), options.get("threads", 1)):
+    for chunk in map(check_order, range(1, max_order + 1)):
         for item in chunk:
             res.check(*item)
     return res
@@ -233,7 +225,7 @@ def pruning_suite(options) -> SuiteResult:
             out.append((pruned == unpruned, f"{m.describe()}: pruning changed the parts"))
         return out
 
-    for chunk in _pmap(check_order, range(1, max_order + 1), options.get("threads", 1)):
+    for chunk in map(check_order, range(1, max_order + 1)):
         for item in chunk:
             res.check(*item)
     quiver, reps = _all_a2_reps(2)
@@ -367,7 +359,7 @@ def localisation_invariance_suite(options) -> SuiteResult:
     for n in (4, 6, 8, 9, 12):
         for orders in _zmod_module_orders(n, max_order):
             tasks.append((n, orders))
-    for item in _pmap(check_pair, tasks, options.get("threads", 1)):
+    for item in map(check_pair, tasks):
         res.check(*item)
     return res
 

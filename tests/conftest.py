@@ -6,8 +6,12 @@ arithmetic, so the cross-checks mean something.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 
 def brute_subgroups(deltas: list[int]) -> set[frozenset]:
@@ -152,3 +156,68 @@ def poly_matrix_rank(rows: list[list[list[int]]], p: int) -> int:
         if found:
             best = order
     return best
+
+
+# -- subrepresentations by exhaustive subset search (oracle for enumerate_subreps) --
+
+# small acyclic quivers for the property tests: (vertex count, (source, target) arrows)
+QUIVER_SHAPES = {
+    "A2": (2, ((0, 1),)),
+    "A3": (3, ((0, 1), (1, 2))),
+    "sink": (3, ((0, 2), (1, 2))),
+    "source": (3, ((2, 0), (2, 1))),
+    "double-arrow": (2, ((0, 1), (0, 1))),
+    "triangle": (3, ((0, 1), (1, 2), (0, 2))),
+}
+
+
+@st.composite
+def small_rep_data(draw, max_dim=None):
+    """(vertex count, arrows, p, dims, maps) of a random representation of one of
+    the QUIVER_SHAPES over F_2 or F_3; dims <= max_dim[p] (default 3 over F_2, 2 over F_3)."""
+    max_dim = max_dim or {2: 3, 3: 2}
+    vertex_count, arrows = draw(st.sampled_from(list(QUIVER_SHAPES.values())))
+    p = draw(st.sampled_from(sorted(max_dim)))
+    dims = draw(st.lists(st.integers(0, max_dim[p]),
+                         min_size=vertex_count, max_size=vertex_count))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    maps = [[[rng.randrange(p) for _ in range(dims[s])] for _ in range(dims[t])]
+            for s, t in arrows]
+    return vertex_count, arrows, p, dims, maps
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_subsets(p: int, d: int) -> tuple[frozenset, ...]:
+    """Every subset of F_p^d that contains 0 and is closed under + and scaling.
+
+    Checks all 2^(p^d - 1) candidate subsets, so only for p^d <= 9.
+    """
+    vectors = list(itertools.product(range(p), repeat=d))
+    zero, others = vectors[0], vectors[1:]
+    out = []
+    for mask in itertools.product((False, True), repeat=len(others)):
+        subset = frozenset([zero] + [v for v, keep in zip(others, mask) if keep])
+        sums = {tuple((a + b) % p for a, b in zip(u, v)) for u in subset for v in subset}
+        multiples = {tuple((c * a) % p for a in u) for u in subset for c in range(p)}
+        if sums <= subset and multiples <= subset:
+            out.append(subset)
+    return tuple(out)
+
+
+def brute_subreps(quiver, p: int, dims, maps) -> set[tuple[frozenset, ...]]:
+    """All subrepresentations as tuples of per-vertex vector sets.
+
+    Per vertex, every subset of F_p^d closed under addition and scaling; then
+    the tuples whose arrow maps send each vector of the source set into the
+    target set.  `quiver.arrows` lists (source, target) pairs and `maps[k]` is
+    the (dims[target] x dims[source]) matrix of arrow k.
+    """
+    def apply(mat, vec):
+        return tuple(sum(row[j] * vec[j] for j in range(len(vec))) % p for row in mat)
+
+    out = set()
+    for choice in itertools.product(*[_closed_subsets(p, d) for d in dims]):
+        if all(apply(maps[k], u) in choice[t]
+               for k, (s, t) in enumerate(quiver.arrows) for u in choice[s]):
+            out.add(choice)
+    return out

@@ -4,6 +4,7 @@ import random
 from unittest import mock
 
 import pytest
+from conftest import small_rep_data
 from hypothesis import given, settings, strategies as st
 
 from torsion_lab import abelian, engine
@@ -21,7 +22,7 @@ from torsion_lab.engine import (AbelianHandle, QuiverHandle,
                                 verify_torsion_pair_axioms)
 from torsion_lab.errors import InputError
 from torsion_lab.intlinalg import matmul
-from torsion_lab.quiver import QuiverRep, a_n_quiver, simple_rep
+from torsion_lab.quiver import Quiver, QuiverRep, a_n_quiver, simple_rep
 from torsion_lab.rings import Ring
 
 Z = Ring.integers()
@@ -399,3 +400,51 @@ def test_pruned_path_never_enumerates_every_submodule(monkeypatch):
         m = _dense_presentation(rng, orders)
         assert len(torsion_parts(H, m)) == parts
         assert is_torsion_simple(H, m).verdict is simple
+
+
+def _first_proper_key(parts):
+    proper = [w for w in parts.parts if not w.is_zero() and not w.is_full()]
+    return proper[0].key() if proper else None
+
+
+def _assert_brute_force_matches_torsion_parts(handle, x):
+    for prune in (False, True):
+        report = is_torsion_simple(handle, x, method="brute-force", prune=prune)
+        parts = torsion_parts(handle, x, prune=prune)
+        assert report.verdict == (len(parts) == 2)
+        assert (report.witness.key() if report.witness else None) == _first_proper_key(parts)
+
+
+def _handle_and_rep(data):
+    vertex_count, arrows, p, dims, maps = data
+    handle = QuiverHandle(Quiver(vertex_count, arrows), p)
+    return handle, QuiverRep(handle.quiver, p, dims, maps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=small_rep_data({2: 2, 3: 2}).filter(lambda d: any(d[3])).map(_handle_and_rep))
+def test_brute_force_stops_at_the_first_proper_part_of_a_rep(case):
+    _assert_brute_force_matches_torsion_parts(*case)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=_dense_modules().filter(lambda m: not m.is_zero()))
+def test_brute_force_stops_at_the_first_proper_part_of_a_module(m):
+    _assert_brute_force_matches_torsion_parts(AbelianHandle(m.ring), m)
+
+
+def test_brute_force_tests_parts_only_up_to_the_first_proper_one(monkeypatch):
+    handle = QuiverHandle(A2, 2)
+    calls = []
+
+    def counting(x, w):
+        calls.append(w.dims())
+        return QuiverHandle.part_test(handle, x, w)
+
+    monkeypatch.setattr(handle, "part_test", counting)
+    assert len(handle.subobjects(P1)) == 3
+    for prune in (False, True):
+        calls.clear()
+        report = is_torsion_simple(handle, P1, method="brute-force", prune=prune)
+        assert not report.verdict and report.witness.dims() == (0, 1)
+        assert calls == [(0, 1)]

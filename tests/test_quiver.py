@@ -2,6 +2,8 @@
 import itertools
 
 import pytest
+from conftest import brute_subreps, small_rep_data
+from hypothesis import given, settings
 
 from torsion_lab.errors import InputError
 from torsion_lab.quiver import (Quiver, QuiverRep, SubRep, a_n_quiver,
@@ -166,3 +168,42 @@ def test_a3_quiver_subreps():
     p = QuiverRep(a3, 2, [1, 1, 1], [[[1]], [[1]]])
     subs = enumerate_subreps(p)
     assert [s.dims() for s in subs] == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+def test_non_prime_fields_refused():
+    for p in (4, 1):
+        with pytest.raises(InputError):
+            QuiverRep(A2, p, [1, 1], [[[1]]])
+    # the cached field check still accepts primes after refusing
+    assert QuiverRep(A2, 3, [1, 1], [[[2]]]).p == 3
+
+
+def test_as_rep_refuses_unstable_subspaces():
+    with pytest.raises(InputError):
+        SubRep(P1, [[[1]], []], check=False).as_rep()
+    line = SubRep(P1, [[], [[1]]])
+    assert line.as_rep().dims == (0, 1)
+    assert SubRep.full(P1).as_rep() == P1
+
+
+def _rep(data):
+    vertex_count, arrows, p, dims, maps = data
+    return QuiverRep(Quiver(vertex_count, arrows), p, dims, maps)
+
+
+def _span(sp, p):
+    """All vectors of the row space of a subspace, by test-local linear combinations."""
+    return frozenset(
+        tuple(sum(c * row[i] for c, row in zip(coeffs, sp.rows)) % p for i in range(sp.dim))
+        for coeffs in itertools.product(range(p), repeat=len(sp.rows)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(x=small_rep_data().map(_rep))
+def test_subreps_match_exhaustive_subset_search(x):
+    subs = enumerate_subreps(x)
+    spans = [tuple(_span(sp, x.p) for sp in s.spaces) for s in subs]
+    assert set(spans) == brute_subreps(x.quiver, x.p, x.dims, x.maps)
+    assert len(set(spans)) == len(spans)
+    tokens = [s.sort_token() for s in subs]
+    assert tokens == sorted(tokens)
