@@ -5,8 +5,7 @@ for concrete finite-length module categories, with exact arithmetic throughout.
 from .abelian import (PresentedModule, PrimeSet, SpClosedSubset, Subobject,
                       associated_primes, cyclic_module, direct_sum_module,
                       enumerate_submodules, finite_abelian_modules, hom_group,
-                      hom_is_zero, primary_component, quotient,
-                      smith_normal_form)
+                      hom_is_zero, primary_component, quotient)
 from .engine import (AbelianHandle, Morph, QuiverHandle, SimplicityReport,
                      TorsionPartSet, injective_criterion_check, is_essential,
                      is_torsion_simple, torsion_parts,
@@ -15,14 +14,13 @@ from .engine import (AbelianHandle, Morph, QuiverHandle, SimplicityReport,
                      unique_simple_factor, verify_torsion_pair_axioms)
 from .errors import (ContradictionError, InputError, TorsionLabError,
                      UnsupportedRingError, WorkBudgetError)
+from .intlinalg import smith_normal_form
 from .mccoy import (ConormalReport, DeterminantalProfile, RingMatrix,
                     check_radical_lemma, conormal_presentation,
                     determinantal_ideal, hom_I_to_quotient, mccoy_rank,
                     nilpotent_minors_check, nullvector_exhaustive)
 from .quiver import (Quiver, QuiverRep, SubRep, a_n_quiver, composition_factors,
                      enumerate_subreps, hom_space, quotient_rep, simple_rep)
-from .rings import (Ideal, Ring, RingElem, ann_element, annihilator,
-                    ideal_membership, ideal_ops, is_nilpotent,
-                    radical_membership, ring_arith)
+from .rings import Ideal, Ring, RingElem, annihilator, is_nilpotent
 
 __version__ = "0.1.0"

@@ -289,11 +289,6 @@ class Subobject:
 # -----------------------------------------------------------------------------
 
 
-def smith_normal_form(a: Matrix):
-    """Re-export of the exact Smith form (U, D, V) with U @ a @ V = D."""
-    return la.smith_normal_form(a)
-
-
 def quotient(module: PresentedModule, sub: Subobject) -> PresentedModule:
     # the embedding is in the ambient's generator coordinates, so the ambient
     # must be the same presentation, not merely an isomorphic module
@@ -323,7 +318,7 @@ def _subgroup_matrices(deltas: list[int]):
             row = [0] * k
             row[i] = t
 
-            def pick(j: int, chosen: dict):
+            def pick(j: int):
                 if j < 0:
                     new_rows = rows + [row[:]]
                     new_sols = []
@@ -345,10 +340,10 @@ def _subgroup_matrices(deltas: list[int]):
                 base = (c_red * pow(a_red, -1, m)) % m if m > 1 else 0
                 for step in range(g):
                     row[j] = base + step * m
-                    pick(j - 1, chosen)
+                    pick(j - 1)
                 row[j] = 0
 
-            pick(i - 1, {})
+            pick(i - 1)
 
     extend(0, [], [])
     return results
@@ -485,14 +480,7 @@ def _p_primary_columns(module: PresentedModule, p: int) -> list[list[int]]:
 
 
 def primary_component(module: PresentedModule, p: int) -> Subobject:
-    """Largest submodule annihilated by a power of p (finite modules)."""
-    if not module.is_finite():
-        raise InputError("primary components are computed for finite modules")
-    return Subobject(module, la.from_columns(_p_primary_columns(module, p), module.gens))
-
-
-def primary_component_of_torsion(module: PresentedModule, p: int) -> Subobject:
-    """p-primary part of the torsion submodule; defined for any f.g. module."""
+    """Largest submodule annihilated by a power of p: the p-primary torsion part."""
     return Subobject(module, la.from_columns(_p_primary_columns(module, p), module.gens))
 
 

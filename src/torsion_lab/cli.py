@@ -109,7 +109,7 @@ def cmd_radical(payload: dict, options: dict) -> dict:
         raise InputError("mode must be 'generated' or 'cogenerated'")
     handle, obj, canonical = _parse_object(payload["object"])
     sources = []
-    for src in payload["sources"]:
+    for src in io.parse_array(payload["sources"], "sources"):
         shandle, sobj, _ = _parse_object(src)
         if type(shandle) is not type(handle):
             raise InputError("sources and object must live in the same category")
@@ -376,30 +376,19 @@ def main(argv=None) -> int:
             _emit(report, "replay", args.json, args.out)
             return EXIT_OK if match else EXIT_VIOLATION
 
-        if args.command == "check":
-            payload = _load_payload(args.module or args.rep)
-            options["method"] = args.method
-            report = _run_command("check", payload, options)
-        elif args.command == "torsion-parts":
-            payload = _load_payload(args.module or args.rep)
-            report = _run_command("torsion-parts", payload, options)
-        elif args.command == "ass":
-            report = _run_command("ass", _load_payload(args.module), options)
-        elif args.command == "radical":
-            report = _run_command("radical", _load_payload(args.payload), options)
-        elif args.command == "mccoy":
+        name = args.command
+        if name == "mccoy":
             if not args.mccoy_command:
                 raise InputError("mccoy needs a subcommand: rank or nullvector")
             name = f"mccoy-{args.mccoy_command}"
-            report = _run_command(name, _load_payload(args.payload), options)
-        elif args.command == "hom-conormal":
-            report = _run_command("hom-conormal", _load_payload(args.payload), options)
-        elif args.command == "radical-lemma":
-            report = _run_command("radical-lemma", _load_payload(args.payload), options)
-        elif args.command == "verify":
-            report = _run_command("verify", {"suite": args.suite}, options)
-        else:  # pragma: no cover
-            raise InputError(f"unknown command {args.command!r}")
+        if name == "check":
+            options["method"] = args.method
+        if name == "verify":
+            payload = {"suite": args.suite}
+        else:
+            given = [getattr(args, key, None) for key in ("payload", "module", "rep")]
+            payload = _load_payload(next(text for text in given if text is not None))
+        report = _run_command(name, payload, options)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

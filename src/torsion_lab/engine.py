@@ -90,9 +90,6 @@ class AbelianHandle:
 
     # objects are PresentedModule, subobjects are ab.Subobject
 
-    def is_zero_object(self, x) -> bool:
-        return x.is_zero()
-
     def enumerable(self, x) -> bool:
         return x.is_finite()
 
@@ -122,20 +119,11 @@ class AbelianHandle:
     def hom_is_zero(self, a, b) -> bool:
         return ab.hom_is_zero(a, b)
 
-    def endo_basis(self, x):
-        return self.hom_basis(x, x)
-
-    def identity_morph(self, x):
-        return Morph(x, x, la.identity(x.gens))
-
     def multiplication_morph(self, x, c: int):
         return Morph(x, x, ab.multiplication_endo(x, c))
 
     def image(self, f: Morph):
         return ab.Subobject(f.dst, f.data)
-
-    def push_sub(self, f: Morph, w):
-        return ab.Subobject(f.dst, la.matmul(f.data, w.embedding))
 
     def pull_sub(self, f: Morph, w):
         src_g = f.src.gens
@@ -144,18 +132,9 @@ class AbelianHandle:
         cols = [k[:src_g] for k in la.kernel_basis(stacked)]
         return ab.Subobject(f.src, la.from_columns(cols, src_g))
 
-    def kernel(self, f: Morph):
-        return self.pull_sub(f, ab.Subobject.zero(f.dst))
-
     def compose_sub(self, x, w, inner):
         emb = la.matmul(w.embedding, inner.embedding)
         return ab.Subobject(x, emb)
-
-    def sum_subs(self, x, ws):
-        acc = ab.Subobject.zero(x)
-        for w in ws:
-            acc = acc.sum(w)
-        return acc
 
     def part_test(self, x, w) -> bool:
         """Hom(w, x/w) = 0, using the coprime-order rule on finite modules."""
@@ -197,9 +176,6 @@ class QuiverHandle:
         self.p = p
         self.dim_bound = dim_bound
 
-    def is_zero_object(self, x) -> bool:
-        return x.is_zero()
-
     def enumerable(self, x) -> bool:
         return True
 
@@ -227,14 +203,6 @@ class QuiverHandle:
 
     def hom_is_zero(self, a, b) -> bool:
         return not qv.hom_space(a, b)
-
-    def endo_basis(self, x):
-        return self.hom_basis(x, x)
-
-    def identity_morph(self, x):
-        mats = tuple(tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-                     for d in x.dims)
-        return Morph(x, x, mats)
 
     def image(self, f: Morph):
         spaces = []
@@ -265,9 +233,6 @@ class QuiverHandle:
             spaces.append(ml.Subspace(self.p, d_src, vecs))
         return qv.SubRep(f.src, spaces, check=False)
 
-    def kernel(self, f: Morph):
-        return self.pull_sub(f, qv.SubRep.zero(f.dst))
-
     def compose_sub(self, x, w, inner):
         spaces = []
         for v in range(x.quiver.vertex_count):
@@ -281,12 +246,6 @@ class QuiverHandle:
                 vecs.append(vec)
             spaces.append(ml.Subspace(self.p, x.dims[v], vecs))
         return qv.SubRep(x, spaces, check=False)
-
-    def sum_subs(self, x, ws):
-        acc = qv.SubRep.zero(x)
-        for w in ws:
-            acc = acc.sum(w)
-        return acc
 
     def composition_tags(self, x) -> dict:
         return {("vertex", v): d for v, d in qv.composition_factors(x).items()}
@@ -319,7 +278,7 @@ def _candidates(handle, x, prune: bool):
     if not prune:
         yield from handle.subobjects(x)
         return
-    endos = handle.endo_basis(x)
+    endos = handle.hom_basis(x, x)
     for w in handle.stable_candidates(x):
         if handle.sub_stable(x, w, endos):
             yield w
@@ -358,7 +317,7 @@ def _first_proper_part(handle, x, prune: bool):
 
 
 def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> SimplicityReport:
-    if handle.is_zero_object(x):
+    if x.is_zero():
         raise InputError("torsion-simplicity is defined for non-zero objects")
     if method == "auto":
         method = "brute-force" if handle.enumerable(x) else "ass-criterion"
@@ -368,18 +327,23 @@ def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> Si
         return SimplicityReport(verdict, "brute-force", witness,
                                 _type_tag(handle, x) if verdict else None)
     if method == "ass-criterion":
+        if not isinstance(handle, AbelianHandle):
+            raise InputError("the ass-criterion method applies to modules only")
         ass = handle.associated_primes(x)
         if len(ass) == 1:
             return SimplicityReport(True, "ass-criterion", None, _type_tag(handle, x))
         # witness: the p-primary torsion part for a maximal associated prime
         p = min(ass.primes)
-        witness = ab.primary_component_of_torsion(x, p)
+        witness = ab.primary_component(x, p)
         q, _ = handle.quotient(x, witness)
         if not handle.hom_is_zero(handle.sub_as_object(witness), q):
             raise ContradictionError(
                 "primary torsion part failed its hom-vanishing recheck")
         return SimplicityReport(False, "ass-criterion", witness)
     if method == "single-vertex-criterion":
+        if not isinstance(handle, QuiverHandle):
+            raise InputError("the single-vertex-criterion method applies to "
+                             "representations only")
         verdict = qv.single_vertex_support(x)
         witness = None if verdict else _first_proper_part(handle, x, prune)
         return SimplicityReport(verdict, "single-vertex-criterion", witness,
@@ -389,11 +353,11 @@ def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> Si
 
 def trace(handle, sources, x):
     """Smallest subobject of x containing the image of every morphism from sources."""
-    images = [handle.zero_sub(x)]
+    acc = handle.zero_sub(x)
     for s in sources:
         for f in handle.hom_basis(s, x):
-            images.append(handle.image(f))
-    return handle.sum_subs(x, images)
+            acc = acc.sum(handle.image(f))
+    return acc
 
 
 def torsion_radical_generated(handle, sources, x, check: bool = True):
@@ -422,7 +386,7 @@ def reject(handle, sources, x):
     r = handle.full_sub(x)
     for s in sources:
         for f in handle.hom_basis(x, s):
-            r = r.intersect(handle.kernel(f))
+            r = r.intersect(handle.pull_sub(f, handle.zero_sub(f.dst)))
     return r
 
 
@@ -468,7 +432,7 @@ def injective_criterion_check(handle, x, f: Morph) -> InjectiveCriterionReport:
     """
     if f.src != x or f.dst != x:
         raise InputError("the criterion needs an endomorphism of x")
-    ker = handle.kernel(f)
+    ker = handle.pull_sub(f, handle.zero_sub(f.dst))
     im = handle.image(f)
     h1 = is_essential(handle, ker, x)
     h2 = im.contains(ker)
@@ -489,7 +453,7 @@ def injective_criterion_check(handle, x, f: Morph) -> InjectiveCriterionReport:
 
 def unique_simple_factor(handle, x):
     """(verdict, tag): whether all composition factors of x agree, and which."""
-    if handle.is_zero_object(x):
+    if x.is_zero():
         raise InputError("the zero object has no composition factors")
     tags = handle.composition_tags(x)
     if len(tags) == 1:

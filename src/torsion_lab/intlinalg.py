@@ -24,12 +24,6 @@ def copy_matrix(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     ra, ca = len(a), len(a[0]) if a else 0
     # a matrix without rows carries no column count, so it matches any b
@@ -116,13 +110,6 @@ def smith_with_inverses(a: Matrix):
         for row in v:
             row[i], row[j] = row[j], row[i]
         vi[i], vi[j] = vi[j], vi[i]
-
-    def neg_col(i):
-        for row in d:
-            row[i] = -row[i]
-        for row in v:
-            row[i] = -row[i]
-        vi[i] = [-x for x in vi[i]]
 
     def add_col(i, j, c):
         # col_i += c * col_j

@@ -14,7 +14,7 @@ from .errors import InputError
 from .mccoy import RingMatrix
 from .quiver import Quiver, QuiverRep
 from .rings import (KIND_BIPOLY, KIND_FP, KIND_POLY, KIND_POLYQUOT, KIND_Z,
-                    KIND_ZMOD, Ideal, Ring, RingElem)
+                    KIND_ZMOD, Ideal, Ring, RingElem, _mono_str)
 
 _JSON_SAFE = 2 ** 53
 
@@ -45,6 +45,13 @@ def _require_keys(obj: dict, required: set, optional: set, what: str) -> None:
     unknown = keys - required - optional
     if unknown:
         raise InputError(f"{what} has unknown fields: {sorted(unknown)}")
+
+
+def parse_array(value, what: str, rows: bool = False) -> list:
+    """value itself if it is a JSON array (of row arrays when `rows`)."""
+    if not isinstance(value, list) or (rows and not all(isinstance(r, list) for r in value)):
+        raise InputError(f"{what} must be an array" + (" of row arrays" if rows else ""))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +109,14 @@ def parse_ring(obj) -> Ring:
         return Ring.poly_ring(parse_int(obj["p"], "characteristic p"))
     if kind == KIND_POLYQUOT:
         _require_keys(obj, {"kind", "p", "modulus"}, set(), "polynomial quotient")
-        coeffs = [parse_int(c, "modulus coefficient") for c in obj["modulus"]]
+        coeffs = [parse_int(c, "modulus coefficient")
+                  for c in parse_array(obj["modulus"], "modulus")]
         return Ring.poly_quotient(parse_int(obj["p"], "characteristic p"), coeffs)
     if kind == KIND_BIPOLY:
         _require_keys(obj, {"kind", "p"}, {"rels"}, "bivariate quotient")
         p = parse_int(obj["p"], "characteristic p")
         rels = []
-        for item in obj.get("rels", []):
+        for item in parse_array(obj.get("rels", []), "relation monomials"):
             if isinstance(item, str):
                 coeff, mono = _parse_monomial_text(item)
                 if coeff % p == 0:
@@ -133,11 +141,7 @@ def ring_to_json(ring: Ring) -> dict:
         return {"kind": KIND_POLY, "p": ring.p}
     if ring.kind == KIND_POLYQUOT:
         return {"kind": KIND_POLYQUOT, "p": ring.p, "modulus": list(ring.modulus)}
-    rels = []
-    for a, b in (ring.rels or ()):
-        rels.append(("x" if a == 1 else f"x^{a}" if a else "")
-                    + ("y" if b == 1 else f"y^{b}" if b else "") or "1")
-    return {"kind": KIND_BIPOLY, "p": ring.p, "rels": rels}
+    return {"kind": KIND_BIPOLY, "p": ring.p, "rels": [_mono_str(m) for m in ring.rels or ()]}
 
 
 def parse_element(ring: Ring, value) -> RingElem:
@@ -159,14 +163,11 @@ def parse_element(ring: Ring, value) -> RingElem:
 
 
 def parse_ideal(ring: Ring, gens) -> Ideal:
-    if not isinstance(gens, list):
-        raise InputError("ideal generators must form a JSON array")
-    return Ideal(ring, [parse_element(ring, g) for g in gens])
+    return Ideal(ring, [parse_element(ring, g) for g in parse_array(gens, "ideal generators")])
 
 
 def parse_matrix(ring: Ring, rows) -> RingMatrix:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise InputError("matrix must be an array of row arrays")
+    parse_array(rows, "matrix", rows=True)
     width = {len(r) for r in rows}
     if len(width) > 1:
         raise InputError("matrix rows must have equal length")
@@ -185,10 +186,8 @@ def parse_module(obj) -> PresentedModule:
     if ring.kind not in (KIND_Z, KIND_ZMOD):
         raise InputError("modules are presented over Z or Z/n")
     gens = parse_int(obj["generators"], "generator count")
-    rels = obj["relations"]
-    if not isinstance(rels, list) or not all(isinstance(r, list) for r in rels):
-        raise InputError("relations must be an array of row arrays")
-    matrix = [[parse_int(x, "relation entry") for x in row] for row in rels]
+    matrix = [[parse_int(x, "relation entry") for x in row]
+              for row in parse_array(obj["relations"], "relations", rows=True)]
     return PresentedModule(ring, gens, matrix)
 
 
@@ -204,7 +203,7 @@ def parse_quiver(obj) -> Quiver:
     _require_keys(obj, {"vertices", "arrows"}, set(), "quiver")
     count = parse_int(obj["vertices"], "vertex count")
     arrows = []
-    for arrow in obj["arrows"]:
+    for arrow in parse_array(obj["arrows"], "arrows"):
         if not isinstance(arrow, list) or len(arrow) != 2:
             raise InputError("arrows are [source, target] pairs (0-indexed)")
         arrows.append((parse_int(arrow[0]), parse_int(arrow[1])))
@@ -215,12 +214,10 @@ def parse_rep(obj) -> QuiverRep:
     _require_keys(obj, {"quiver", "p", "dims", "maps"}, set(), "representation")
     quiver = parse_quiver(obj["quiver"])
     p = parse_int(obj["p"], "characteristic p")
-    dims = [parse_int(d, "dimension") for d in obj["dims"]]
-    maps = []
-    for mat in obj["maps"]:
-        if not isinstance(mat, list):
-            raise InputError("arrow maps must be arrays of row arrays")
-        maps.append([[parse_int(x, "matrix entry") for x in row] for row in mat])
+    dims = [parse_int(d, "dimension") for d in parse_array(obj["dims"], "dims")]
+    maps = [[[parse_int(x, "matrix entry") for x in row]
+             for row in parse_array(mat, "arrow map", rows=True)]
+            for mat in parse_array(obj["maps"], "maps")]
     return QuiverRep(quiver, p, dims, maps)
 
 

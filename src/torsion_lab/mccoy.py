@@ -333,14 +333,9 @@ def _kernel_over_field(mt: RingMatrix, p: int) -> KernelDescription:
 
 def _kernel_over_bipoly(mt: RingMatrix) -> KernelDescription:
     q = mt.ring
+    # matrix_kernel has already answered the all-zero matrix
     live_rows = [i for i in range(mt.rows)
                  if any(not mt.at(i, j).is_zero() for j in range(mt.cols))]
-    if not live_rows:
-        desc = KernelDescription(free_rank=mt.cols)
-        desc.generators = [["1" if j == k else "0" for j in range(mt.cols)]
-                           for k in range(mt.cols)]
-        desc.nonzero = mt.cols > 0
-        return desc
     if len(live_rows) > 1:
         raise UnsupportedRingError(
             "kernel computation over bivariate quotients supports at most one "
@@ -476,6 +471,9 @@ class RadicalLemmaReport:
 def check_radical_lemma(s: Ring, ideal: Ideal, d: RingElem) -> RadicalLemmaReport:
     if d.ring != s or ideal.ring != s:
         raise InputError("mismatched ring for the radical check")
+    if ideal.is_zero():
+        # dI = 0 lies in I^2 for every d, so the lemma is about non-zero ideals
+        raise InputError("the radical lemma needs a non-zero ideal")
     i_squared = ideal.times(ideal)
     premise = all(i_squared.contains(d * g) for g in ideal.gens)
     conclusion = ideal.radical_contains(d)
@@ -516,9 +514,8 @@ def nilpotent_minors_check(s: Ring, ideal: Ideal) -> NilpotentMinorsReport:
         raise InputError("the check needs a non-zero proper ideal")
     m = conormal_presentation(s, ideal)
     n = m.rows
-    q = m.ring
     top = minors(m, n)
-    all_nil = all(is_nilpotent(q, e) for e in top)
+    all_nil = all(is_nilpotent(e) for e in top)
     if not all_nil:
         raise ContradictionError("a top-order minor of the presentation is not nilpotent")
     rank, _ = mccoy_rank(m)

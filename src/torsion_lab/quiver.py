@@ -303,10 +303,6 @@ def hom_space(x: QuiverRep, y: QuiverRep) -> list[tuple]:
     return out
 
 
-def hom_dim(x: QuiverRep, y: QuiverRep) -> int:
-    return len(hom_space(x, y))
-
-
 def enumerate_subreps(x: QuiverRep, dim_bound: int = ENUM_DIM_BOUND) -> list[SubRep]:
     """All arrow-stable subspace tuples, canonically ordered."""
     if x.p not in ENUM_PRIMES:
@@ -375,10 +371,6 @@ def quotient_rep(x: QuiverRep, sub: SubRep):
 def composition_factors(x: QuiverRep) -> dict[int, int]:
     """Multiplicity of the simple at each vertex; for acyclic quivers this is dims."""
     return {v: d for v, d in enumerate(x.dims) if d > 0}
-
-
-def rep_length(x: QuiverRep) -> int:
-    return x.total_dim()
 
 
 def single_vertex_support(x: QuiverRep) -> bool:

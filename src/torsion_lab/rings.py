@@ -135,11 +135,10 @@ def _minimalize(monos) -> tuple[Mono, ...]:
     """Minimal generating set of the monomial ideal generated by `monos`."""
     out = []
     for m in sorted(set(monos)):
-        if not any(_mono_divides(g, m) for g in out if g != m):
+        # a divisor of m is lexicographically <= m, so it was seen before m
+        if not any(_mono_divides(g, m) for g in out):
             out.append(m)
-    # a later element never divides an earlier one after sorting, but keep it safe
-    final = [m for m in out if not any(g != m and _mono_divides(g, m) for g in out)]
-    return tuple(sorted(final))
+    return tuple(out)
 
 
 def _in_mono_ideal(m: Mono, gens) -> bool:
@@ -206,7 +205,7 @@ KIND_BIPOLY = "BiPolyMonomialQuot"
 @dataclass(frozen=True)
 class Ring:
     kind: str
-    n: Optional[int] = None
+    n: Optional[int] = None  # the modulus of Z/n, and of F_p, which sets n = p
     p: Optional[int] = None
     modulus: Optional[tuple[int, ...]] = None
     rels: Optional[tuple[Mono, ...]] = None
@@ -227,7 +226,7 @@ class Ring:
     def prime_field(p: int) -> "Ring":
         if not is_prime(p):
             raise InputError(f"prime field needs a prime characteristic, got {p!r}")
-        return Ring(KIND_FP, p=p)
+        return Ring(KIND_FP, n=p, p=p)
 
     @staticmethod
     def poly_ring(p: int) -> "Ring":
@@ -290,8 +289,7 @@ class Ring:
         if self.kind == KIND_Z:
             return RingElem(self, int(k))
         if self.kind in (KIND_ZMOD, KIND_FP):
-            mod = self.n if self.kind == KIND_ZMOD else self.p
-            return RingElem(self, int(k) % mod)
+            return RingElem(self, int(k) % self.n)
         if self.kind in (KIND_POLY, KIND_POLYQUOT):
             return RingElem(self, _pnorm([k], self.p))
         return RingElem(self, _bnorm([((0, 0), k)], self.p, self.rels))
@@ -359,8 +357,7 @@ class Ring:
     def elements(self, limit: int = 1_000_000) -> Iterator["RingElem"]:
         """Iterate all ring elements in a fixed canonical order (finite rings)."""
         if self.kind in (KIND_ZMOD, KIND_FP):
-            mod = self.n if self.kind == KIND_ZMOD else self.p
-            for k in range(mod):
+            for k in range(self.n):
                 yield RingElem(self, k)
             return
         if self.kind == KIND_POLYQUOT:
@@ -441,8 +438,7 @@ class RingElem:
         if r.kind == KIND_Z:
             return RingElem(r, self.payload + other.payload)
         if r.kind in (KIND_ZMOD, KIND_FP):
-            mod = r.n if r.kind == KIND_ZMOD else r.p
-            return RingElem(r, (self.payload + other.payload) % mod)
+            return RingElem(r, (self.payload + other.payload) % r.n)
         if r.kind in (KIND_POLY, KIND_POLYQUOT):
             return RingElem(r, _padd(self.payload, other.payload, r.p))
         return RingElem(r, _badd(self.payload, other.payload, r.p, r.rels))
@@ -452,8 +448,7 @@ class RingElem:
         if r.kind == KIND_Z:
             return RingElem(r, -self.payload)
         if r.kind in (KIND_ZMOD, KIND_FP):
-            mod = r.n if r.kind == KIND_ZMOD else r.p
-            return RingElem(r, (-self.payload) % mod)
+            return RingElem(r, (-self.payload) % r.n)
         if r.kind in (KIND_POLY, KIND_POLYQUOT):
             return RingElem(r, _pneg(self.payload, r.p))
         return RingElem(r, _bneg(self.payload, r.p))
@@ -467,8 +462,7 @@ class RingElem:
         if r.kind == KIND_Z:
             return RingElem(r, self.payload * other.payload)
         if r.kind in (KIND_ZMOD, KIND_FP):
-            mod = r.n if r.kind == KIND_ZMOD else r.p
-            return RingElem(r, (self.payload * other.payload) % mod)
+            return RingElem(r, (self.payload * other.payload) % r.n)
         if r.kind == KIND_POLY:
             return RingElem(r, _pmul(self.payload, other.payload, r.p))
         if r.kind == KIND_POLYQUOT:
@@ -488,10 +482,6 @@ class RingElem:
         return out
 
     def is_zero(self) -> bool:
-        if self.ring.kind == KIND_Z:
-            return self.payload == 0
-        if self.ring.kind in (KIND_ZMOD, KIND_FP):
-            return self.payload == 0
         return not self.payload
 
     def __bool__(self) -> bool:
@@ -521,23 +511,6 @@ class RingElem:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.ring.describe()}>"
-
-
-def ring_arith(ring: Ring, op: str, a: RingElem, b: RingElem | None = None) -> RingElem:
-    """Dispatch form of the arithmetic used by the CLI layer."""
-    if a.ring != ring or (b is not None and b.ring != ring):
-        raise InputError("operands do not belong to the given ring")
-    if op == "add":
-        if b is None:
-            raise InputError("add needs two operands")
-        return a + b
-    if op == "mul":
-        if b is None:
-            raise InputError("mul needs two operands")
-        return a * b
-    if op == "neg":
-        return -a
-    raise InputError(f"unknown ring operation {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +584,10 @@ class Ideal:
                 g = math.gcd(g, e.payload)
             return RingElem(r, g)
         if r.kind in (KIND_ZMOD, KIND_FP):
-            mod = r.n if r.kind == KIND_ZMOD else r.p
-            g = mod
+            g = r.n
             for e in self.gens:
                 g = math.gcd(g, e.payload)
-            return RingElem(r, g % mod)
+            return RingElem(r, g % r.n)
         if r.kind == KIND_POLY:
             g: tuple[int, ...] = ()
             for e in self.gens:
@@ -683,11 +655,10 @@ class Ideal:
                 return True
             return pow(d.payload, max(1, g.bit_length()), g) == 0
         if r.kind in (KIND_ZMOD, KIND_FP):
-            mod = r.n if r.kind == KIND_ZMOD else r.p
             g = self._pid_generator().payload
             if g == 0:
-                g = mod  # the zero ideal: need d^k == 0 mod `mod`
-            return pow(d.payload, max(1, mod.bit_length()), g) == 0
+                g = r.n  # the zero ideal: need d^k == 0 mod n
+            return pow(d.payload, max(1, r.n.bit_length()), g) == 0
         if r.kind == KIND_POLY:
             g = self._pid_generator().payload
             if not g:
@@ -745,9 +716,8 @@ class Ideal:
                     return Ideal(r, [])
                 return Ideal(r, [r.from_int(a // math.gcd(a, b))])
             if r.kind in (KIND_ZMOD, KIND_FP):
-                mod = r.n if r.kind == KIND_ZMOD else r.p
-                aa = a if a else mod
-                bb = b if b else mod
+                aa = a if a else r.n
+                bb = b if b else r.n
                 return Ideal(r, [r.from_int(aa // math.gcd(aa, bb))])
             p = r.p
             modulus = r.modulus if r.kind == KIND_POLYQUOT else None
@@ -851,9 +821,8 @@ def _element_ann_payloads(e: RingElem) -> list:
     if r.kind == KIND_Z:
         return []
     if r.kind in (KIND_ZMOD, KIND_FP):
-        mod = r.n if r.kind == KIND_ZMOD else r.p
-        g = mod // math.gcd(mod, e.payload)
-        return [] if g % mod == 0 else [g % mod]
+        g = r.n // math.gcd(r.n, e.payload)
+        return [] if g % r.n == 0 else [g % r.n]
     if r.kind == KIND_POLY:
         return []
     if r.kind == KIND_POLYQUOT:
@@ -943,40 +912,5 @@ def _binomial_ann_payloads(e: RingElem) -> list:
     return sorted(uniq)
 
 
-# ---------------------------------------------------------------------------
-# functional wrappers over the element/ideal methods
-# ---------------------------------------------------------------------------
-
-
-def ann_element(ring: Ring, a: RingElem) -> Ideal:
-    if a.ring != ring:
-        raise InputError("element does not belong to the given ring")
-    return annihilator(a)
-
-
-def ideal_membership(ring: Ring, ideal: Ideal, e: RingElem) -> bool:
-    if ideal.ring != ring:
-        raise InputError("ideal does not belong to the given ring")
-    return ideal.contains(e)
-
-
-def radical_membership(ring: Ring, ideal: Ideal, d: RingElem) -> bool:
-    if ideal.ring != ring:
-        raise InputError("ideal does not belong to the given ring")
-    return ideal.radical_contains(d)
-
-
-def is_nilpotent(ring: Ring, e: RingElem) -> bool:
-    return Ideal(ring, []).radical_contains(e)
-
-
-def ideal_ops(ring: Ring, op: str, i: Ideal, j: Ideal) -> Ideal:
-    if i.ring != ring or j.ring != ring:
-        raise InputError("ideals do not belong to the given ring")
-    if op == "sum":
-        return i.plus(j)
-    if op == "product":
-        return i.times(j)
-    if op == "colon":
-        return i.colon(j)
-    raise InputError(f"unknown ideal operation {op!r}")
+def is_nilpotent(e: RingElem) -> bool:
+    return Ideal(e.ring, []).radical_contains(e)

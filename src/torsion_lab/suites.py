@@ -65,18 +65,14 @@ def finite_length_suite(options) -> SuiteResult:
     quiver, reps = _all_a2_reps(max_dim)
     handle = eng.QuiverHandle(quiver, 2)
 
-    def check_one(rep):
+    for rep in reps:
         if rep.is_zero():
-            return None
+            continue
         brute = eng.is_torsion_simple(handle, rep, method="brute-force",
                                       prune=False).verdict
         predicate = qv.single_vertex_support(rep)
-        return (brute == predicate,
-                f"dims={rep.dims} maps={rep.maps}: brute={brute} predicate={predicate}")
-
-    for result in map(check_one, reps):
-        if result is not None:
-            res.check(*result)
+        res.check(brute == predicate,
+                  f"dims={rep.dims} maps={rep.maps}: brute={brute} predicate={predicate}")
     return res
 
 
@@ -90,21 +86,15 @@ def ass_singleton_suite(options) -> SuiteResult:
     ring = Ring.integers()
     handle = eng.AbelianHandle(ring)
 
-    def check_order(n):
-        out = []
+    for n in range(1, max_order + 1):
         for m in ab.finite_abelian_modules(n, ring):
             parts = eng.torsion_parts(handle, m)
             simple = len(parts) == 2
             ass = ab.associated_primes(m)
             singleton = len(ass) == 1
             p_group = n > 1 and len(prime_divisors(n)) == 1
-            out.append((simple == singleton == p_group,
-                        f"{m.describe()}: parts={len(parts)} ass={ass.as_list()}"))
-        return out
-
-    for chunk in map(check_order, range(1, max_order + 1)):
-        for item in chunk:
-            res.check(*item)
+            res.check(simple == singleton == p_group,
+                      f"{m.describe()}: parts={len(parts)} ass={ass.as_list()}")
     return res
 
 
@@ -119,8 +109,7 @@ def gabriel_split_suite(options) -> SuiteResult:
     handle = eng.AbelianHandle(ring)
     subsets = [v for r in range(4) for v in combinations((2, 3, 5), r)]
 
-    def check_order(n):
-        out = []
+    for n in range(1, max_order + 1):
         for m in ab.finite_abelian_modules(n, ring):
             for v in subsets:
                 sources = [ab.cyclic_module(ring, p) for p in v]
@@ -128,16 +117,10 @@ def gabriel_split_suite(options) -> SuiteResult:
                 expected = ab.Subobject.zero(m)
                 for p in v:
                     expected = expected.sum(ab.primary_component(m, p))
-                ok = rad.key() == expected.key()
                 desc = f"{m.describe()} V={list(v)}"
-                out.append((ok, f"{desc}: radical != primary sum"))
+                res.check(rad.key() == expected.key(), f"{desc}: radical != primary sum")
                 axioms = eng.verify_torsion_pair_axioms(handle, sources, [m])
-                out.append((all(a.passed for a in axioms), f"{desc}: axioms failed"))
-        return out
-
-    for chunk in map(check_order, range(1, max_order + 1)):
-        for item in chunk:
-            res.check(*item)
+                res.check(all(a.passed for a in axioms), f"{desc}: axioms failed")
     return res
 
 
@@ -217,17 +200,11 @@ def pruning_suite(options) -> SuiteResult:
     ring = Ring.integers()
     handle = eng.AbelianHandle(ring)
 
-    def check_order(n):
-        out = []
+    for n in range(1, max_order + 1):
         for m in ab.finite_abelian_modules(n, ring):
             pruned = eng.torsion_parts(handle, m, prune=True).keys()
             unpruned = eng.torsion_parts(handle, m, prune=False).keys()
-            out.append((pruned == unpruned, f"{m.describe()}: pruning changed the parts"))
-        return out
-
-    for chunk in map(check_order, range(1, max_order + 1)):
-        for item in chunk:
-            res.check(*item)
+            res.check(pruned == unpruned, f"{m.describe()}: pruning changed the parts")
     quiver, reps = _all_a2_reps(2)
     qhandle = eng.QuiverHandle(quiver, 2)
     for rep in reps:
@@ -341,26 +318,20 @@ def localisation_invariance_suite(options) -> SuiteResult:
     max_order = min(options.get("max_order", 200), 64)
     z_handle = eng.AbelianHandle(Ring.integers())
 
-    def check_pair(task):
-        n, orders = task
-        ring_n = Ring.integers_mod(n)
-        m_z = ab.direct_sum_module(Ring.integers(), list(orders))
-        m_n = ab.direct_sum_module(ring_n, list(orders))
-        n_handle = eng.AbelianHandle(ring_n)
-        subs_z = [s.key() for s in z_handle.subobjects(m_z)]
-        subs_n = [s.key() for s in n_handle.subobjects(m_n)]
-        if subs_z != subs_n:
-            return (False, f"Z/{n} module {orders}: subobject lists differ")
-        parts_z = eng.torsion_parts(z_handle, m_z).keys()
-        parts_n = eng.torsion_parts(n_handle, m_n).keys()
-        return (parts_z == parts_n, f"Z/{n} module {orders}: torsion parts differ")
-
-    tasks = []
     for n in (4, 6, 8, 9, 12):
+        ring_n = Ring.integers_mod(n)
+        n_handle = eng.AbelianHandle(ring_n)
         for orders in _zmod_module_orders(n, max_order):
-            tasks.append((n, orders))
-    for item in map(check_pair, tasks):
-        res.check(*item)
+            m_z = ab.direct_sum_module(Ring.integers(), list(orders))
+            m_n = ab.direct_sum_module(ring_n, list(orders))
+            subs_z = [s.key() for s in z_handle.subobjects(m_z)]
+            subs_n = [s.key() for s in n_handle.subobjects(m_n)]
+            if subs_z != subs_n:
+                res.check(False, f"Z/{n} module {orders}: subobject lists differ")
+                continue
+            parts_z = eng.torsion_parts(z_handle, m_z).keys()
+            parts_n = eng.torsion_parts(n_handle, m_n).keys()
+            res.check(parts_z == parts_n, f"Z/{n} module {orders}: torsion parts differ")
     return res
 
 

@@ -1,11 +1,17 @@
 """Command-line surface: exit codes, report schema, replay, determinism."""
 import json
+import shlex
 import time
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsion_lab.cli import main
 
 Z8 = '{"ring":{"kind":"Z"},"generators":1,"relations":[[8]]}'
 Z6 = '{"ring":{"kind":"Z"},"generators":1,"relations":[[6]]}'
+P1 = '{"quiver":{"vertices":2,"arrows":[[0,1]]},"p":2,"dims":[1,1],"maps":[[[1]]]}'
 COUNTEREXAMPLE = '{"ring":{"kind":"BiPolyMonomialQuot","p":5,"rels":["xy"]},"ideal":["x"]}'
 
 
@@ -220,11 +226,9 @@ def test_determinism_byte_identical(capsys):
     assert out3 == out4
 
 
-def test_threaded_output_matches_single(capsys, monkeypatch):
+def test_verify_report_repeats_byte_identical(capsys):
     args = ["--json", "verify", "localisation-invariance", "--max-order", "16"]
-    monkeypatch.setenv("TORSIM_THREADS", "1")
     _, out1, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("TORSIM_THREADS", "4")
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
 
@@ -265,3 +269,85 @@ def test_big_integers_round_trip(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["associated_primes"] == [2]
+
+
+@pytest.mark.parametrize("flag,obj,method", [
+    ("--module", Z6, "single-vertex-criterion"),
+    ("--rep", P1, "ass-criterion"),
+])
+def test_check_method_for_other_object_kind_is_input_error(capsys, flag, obj, method):
+    code, _, err = run_cli(capsys, "check", "--method", method, flag, obj)
+    assert code == 2
+    assert "applies to" in err
+
+
+def _replaced(text, path, value):
+    obj = json.loads(text)
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("args", [
+    ("check", "--rep", _replaced(P1, ["dims"], 5)),
+    ("check", "--rep", _replaced(P1, ["quiver", "arrows"], 5)),
+    ("check", "--rep", _replaced(P1, ["maps"], [[1]])),
+    ("radical", json.dumps({"mode": "generated", "sources": 5, "object": json.loads(Z8)})),
+])
+def test_malformed_payload_shapes_are_input_errors(capsys, args):
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2
+    assert "must be an array" in err
+
+
+@pytest.mark.parametrize("payload", [
+    '{"ring":{"kind":"Z"},"ideal":[0],"d":3}',
+    '{"ring":{"kind":"Z"},"ideal":[0],"d":0}',
+    '{"ring":{"kind":"UniPoly","p":3},"ideal":[[0]],"d":[0,1]}',
+])
+def test_radical_lemma_refuses_zero_ideal(capsys, payload):
+    code, _, err = run_cli(capsys, "radical-lemma", payload)
+    assert code == 2
+    assert "non-zero ideal" in err
+
+
+def _readme_commands():
+    """argv lists of the README's `torsim` examples that carry a JSON payload."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    out = []
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("torsim ") and "{" in line:
+            out.append(shlex.split(line)[1:])
+    return out
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+README_COMMANDS = _readme_commands()
+MUTATIONS = [(argv, pos, path)
+             for argv in README_COMMANDS
+             for pos, arg in enumerate(argv) if arg.startswith("{")
+             for path in _json_paths(json.loads(arg))]
+WRONG_TYPED = [7, "x", [], [[1]], {}, None, True]
+
+
+def test_readme_examples_found():
+    assert len(README_COMMANDS) >= 8
+    assert len(MUTATIONS) > 50
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutation=st.sampled_from(MUTATIONS), value=st.sampled_from(WRONG_TYPED))
+def test_wrong_typed_payload_node_never_crashes(mutation, value):
+    argv, pos, path = mutation
+    payload = _replaced(argv[pos], path, value) if path else json.dumps(value)
+    mutated = argv[:pos] + [payload] + argv[pos + 1:]
+    assert main(["--json"] + mutated) in (0, 2, 3), mutated

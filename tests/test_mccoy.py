@@ -180,6 +180,15 @@ def test_radical_lemma_examples():
     assert rep3.violation and rep3.expected_for_non_domain
 
 
+def test_radical_lemma_refuses_zero_ideal():
+    # dI = 0 lies in I^2 for every d, so I = 0 would report a false violation
+    f3x = Ring.poly_ring(3)
+    for ring, d in ((Z, Z.from_int(3)), (Z, Z.zero), (f3x, f3x.gen_x)):
+        for ideal in (Ideal(ring, []), Ideal(ring, [ring.zero])):
+            with pytest.raises(InputError):
+                check_radical_lemma(ring, ideal, d)
+
+
 def test_radical_lemma_never_violates_over_domains():
     rng = random.Random(8)
     for _ in range(300):

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from torsion_lab.errors import InputError
 from torsion_lab.quiver import (Quiver, QuiverRep, SubRep, a_n_quiver,
                                 composition_factors, direct_sum,
-                                enumerate_subreps, hom_dim, hom_space,
-                                is_isomorphic, quotient_rep, rep_length,
-                                simple_rep, single_vertex_support, zero_rep)
+                                enumerate_subreps, hom_space, is_isomorphic,
+                                quotient_rep, simple_rep, single_vertex_support, zero_rep)
 
 A2 = a_n_quiver(2)
 S1 = simple_rep(A2, 2, 0)
@@ -26,10 +25,10 @@ def test_acyclicity_enforced():
 
 
 def test_hom_examples():
-    assert hom_dim(S1, P1) == 0
-    assert hom_dim(P1, S1) == 1
-    assert hom_dim(P1, P1) >= 1
-    assert hom_dim(S2, P1) == 1
+    assert len(hom_space(S1, P1)) == 0
+    assert len(hom_space(P1, S1)) == 1
+    assert len(hom_space(P1, P1)) >= 1
+    assert len(hom_space(S2, P1)) == 1
 
 
 def _all_a2_reps(max_d1, max_d2, p=2):
@@ -73,7 +72,7 @@ def test_hom_dimension_matches_brute_force():
     assert len(reps) == 51
     for x in reps:
         for y in reps:
-            assert 2 ** hom_dim(x, y) == _brute_hom_count(x, y), (x.dims, y.dims)
+            assert 2 ** len(hom_space(x, y)) == _brute_hom_count(x, y), (x.dims, y.dims)
 
 
 def test_subrep_counts():
@@ -106,7 +105,7 @@ def test_length_additivity():
               QuiverRep(A2, 2, [2, 2], [[[1, 1], [0, 1]]])]:
         for s in enumerate_subreps(x):
             q, _ = quotient_rep(x, s)
-            assert rep_length(x) == s.total_dim() + rep_length(q)
+            assert x.total_dim() == s.total_dim() + q.total_dim()
 
 
 def test_enumeration_preconditions():
