@@ -94,7 +94,7 @@ class PresentedModule:
         width = {len(r) for r in rels}
         if len(width) > 1:
             raise InputError("relation matrix rows must have equal length")
-        if ring.kind == KIND_ZMOD:
+        if ring.n:
             rels = [[x % ring.n for x in row] for row in rels]
         self.ring = ring
         self.gens = gens
@@ -106,7 +106,7 @@ class PresentedModule:
 
     def _full_relation_matrix(self) -> Matrix:
         """Relations plus n*I over Z/n, so the lattice is the true relation lattice."""
-        if self.ring.kind == KIND_ZMOD:
+        if self.ring.n:
             extra = [[self.ring.n if i == j else 0 for j in range(self.gens)]
                      for i in range(self.gens)]
             return la.hstack(self.relations, extra)

@@ -32,6 +32,28 @@ def _load_payload(text: str) -> dict:
         raise InputError(f"payload is not valid JSON: {exc}") from exc
 
 
+def _load_report(path: str) -> dict:
+    """The report a `replay` re-runs, refused unless it has the shape `--out` writes."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stored = json.loads(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read the report file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"report file is not valid JSON: {exc}") from exc
+    if not isinstance(stored, dict):
+        raise InputError("report file must hold a JSON object")
+    for key in ("command", "payload", "options", "result"):
+        if key not in stored:
+            raise InputError(f"report file is missing the {key!r} field")
+    if not isinstance(stored["command"], str):
+        raise InputError("report 'command' must be a string")
+    for key in ("payload", "options"):
+        if not isinstance(stored[key], dict):
+            raise InputError(f"report {key!r} must be a JSON object")
+    return stored
+
+
 def _sub_to_json(w) -> dict:
     if isinstance(w, ab.Subobject):
         # report the canonical lattice basis: it generates the same submodule
@@ -359,11 +381,7 @@ def main(argv=None) -> int:
     }
     try:
         if args.command == "replay":
-            with open(args.report, encoding="utf-8") as fh:
-                stored = json.load(fh)
-            for key in ("command", "payload", "options", "result"):
-                if key not in stored:
-                    raise InputError(f"report file is missing the {key!r} field")
+            stored = _load_report(args.report)
             fresh = _run_command(stored["command"], stored["payload"], stored["options"])
             match = fresh["result"] == stored["result"]
             report = {

@@ -203,27 +203,6 @@ def kernel_basis(a: Matrix) -> list[list[int]]:
     return out
 
 
-def solve(a: Matrix, b: list[int]) -> list[int] | None:
-    """One integer solution of a @ x == b, or None."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    u, d, v = smith_normal_form(a)
-    c = mat_vec(u, b)
-    diag = diagonal_of(d)
-    y = [0] * n
-    for i in range(m):
-        if i < len(diag) and diag[i]:
-            if i < n and c[i] % diag[i] == 0:
-                y[i] = c[i] // diag[i]
-            else:
-                return None
-        elif c[i]:
-            return None
-    return mat_vec(v, y)
-
-
 class ColumnEchelonLattice:
     """Canonical column-echelon (Hermite-style) basis of an integer column span.
 

@@ -145,21 +145,19 @@ def ring_to_json(ring: Ring) -> dict:
 
 
 def parse_element(ring: Ring, value) -> RingElem:
-    if ring.kind in (KIND_Z, KIND_ZMOD, KIND_FP):
+    if ring.n is not None:
         return ring.from_int(parse_int(value, "ring element"))
-    if ring.kind in (KIND_POLY, KIND_POLYQUOT):
+    if ring.modulus is not None:
         if isinstance(value, list):
             return ring.poly([parse_int(c, "coefficient") for c in value])
         if isinstance(value, (int, str)) and not (isinstance(value, str) and "x" in value):
             return ring.from_int(parse_int(value, "ring element"))
         raise InputError(f"univariate elements are coefficient lists, got {value!r}")
-    if ring.kind == KIND_BIPOLY:
-        if isinstance(value, str):
-            return parse_bivariate_text(ring, value)
-        if isinstance(value, int):
-            return ring.from_int(value)
-        raise InputError(f"bivariate elements are strings like 'x+y', got {value!r}")
-    raise InputError(f"cannot parse elements of {ring.describe()}")
+    if isinstance(value, str):
+        return parse_bivariate_text(ring, value)
+    if isinstance(value, int):
+        return ring.from_int(parse_int(value, "ring element"))
+    raise InputError(f"bivariate elements are strings like 'x+y', got {value!r}")
 
 
 def parse_ideal(ring: Ring, gens) -> Ideal:

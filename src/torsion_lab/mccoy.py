@@ -10,7 +10,6 @@ F_p[x,y]/(xy) with I = (x).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from . import intlinalg as la
@@ -183,33 +182,19 @@ def nullvector_exhaustive(a: RingMatrix, limit: int = 1_000_000):
 # ---------------------------------------------------------------------------
 
 
-def _unit_ideal_check(s: Ring, ideal: Ideal) -> None:
-    if ideal.ring != s:
-        raise InputError("ideal does not live over the given ring")
-    unit = False
-    if s.kind == KIND_Z:
-        unit = any(abs(g.payload) == 1 for g in ideal.gens) or (
-            ideal.gens and math.gcd(*[abs(g.payload) for g in ideal.gens] + [0]) == 1)
-    elif s.kind == KIND_POLY:
-        unit = not ideal.is_zero() and len(ideal._pid_generator().payload) == 1
-    elif s.kind == KIND_BIPOLY:
-        unit = any(bivariate_shape(g) == SHAPE_MONOMIAL and g.payload[0][0] == (0, 0)
-                   for g in ideal.gens)
-    if unit:
-        raise UnsupportedRingError("the quotient by the unit ideal is the zero ring")
-
-
 def quotient_ring(s: Ring, ideal: Ideal) -> Ring:
     """Materialise S/I as a supported ring kind, or fail fast."""
-    _unit_ideal_check(s, ideal)
+    if ideal.ring != s:
+        raise InputError("ideal does not live over the given ring")
+    # a bivariate unit generator is a constant monomial: x^a + y^b never is one
+    if (s.kind != KIND_BIPOLY or ideal.all_monomial()) and ideal.contains(s.one):
+        raise UnsupportedRingError("the quotient by the unit ideal is the zero ring")
     if ideal.is_zero():
         return s
     if s.kind == KIND_Z:
-        g = abs(ideal._pid_generator().payload)
-        return Ring.integers_mod(g)
+        return Ring.integers_mod(ideal._pid_generator().payload)
     if s.kind == KIND_POLY:
-        g = ideal._pid_generator().payload
-        return Ring.poly_quotient(s.p, g)
+        return Ring.poly_quotient(s.p, ideal._pid_generator().payload)
     if s.kind == KIND_BIPOLY:
         if not ideal.all_monomial():
             raise UnsupportedRingError(
@@ -316,7 +301,7 @@ def _kernel_over_zmod(mt: RingMatrix) -> KernelDescription:
 
 
 def _field_constant(e: RingElem) -> int:
-    if e.ring.kind in (KIND_ZMOD, KIND_FP):
+    if e.ring.n is not None:
         return e.payload
     # field-like bivariate quotient: only the constant monomial survives
     return e.payload[0][1] if e.payload else 0

@@ -134,28 +134,6 @@ def simple_rep(quiver: Quiver, p: int, vertex: int) -> QuiverRep:
     return QuiverRep(quiver, p, dims, maps)
 
 
-def zero_rep(quiver: Quiver, p: int) -> QuiverRep:
-    return QuiverRep(quiver, p, [0] * quiver.vertex_count,
-                     [[] for _ in quiver.arrows])
-
-
-def direct_sum(x: QuiverRep, y: QuiverRep) -> QuiverRep:
-    if x.quiver != y.quiver or x.p != y.p:
-        raise InputError("direct sum needs the same quiver and field")
-    dims = [a + b for a, b in zip(x.dims, y.dims)]
-    maps = []
-    for k, (s, t) in enumerate(x.quiver.arrows):
-        block = [[0] * dims[s] for _ in range(dims[t])]
-        for i in range(x.dims[t]):
-            for j in range(x.dims[s]):
-                block[i][j] = x.maps[k][i][j]
-        for i in range(y.dims[t]):
-            for j in range(y.dims[s]):
-                block[x.dims[t] + i][x.dims[s] + j] = y.maps[k][i][j]
-        maps.append(block)
-    return QuiverRep(x.quiver, x.p, dims, maps)
-
-
 class SubRep:
     """Arrow-stable tuple of per-vertex subspaces of an ambient representation."""
 

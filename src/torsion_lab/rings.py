@@ -5,6 +5,12 @@ polynomial rings F_p[x] and their quotients F_p[x]/(f), and bivariate monomial
 quotients F_p[x,y]/(monomials).  Every element carries a unique canonical
 payload, so equality is payload equality and values hash.
 
+Z is held as Z/0 (n = 0) and F_p[x] as F_p[x]/(0) (modulus ()), and reduction
+by a zero modulus does nothing, so arithmetic and ideal operations take one
+path per family: `ring.n is not None` (Z, Z/n, F_p), `ring.modulus is not
+None` (F_p[x], F_p[x]/(f)), and otherwise bivariate.  The kind only names the
+ring: `describe` and the JSON kinds are unchanged.
+
 Bivariate rings are deliberately restricted: relation ideals are monomial,
 ideal generators are monomials or a two-term combination c*x^a + c'*y^b, and
 anything outside those shapes raises UnsupportedRingError instead of guessing.
@@ -76,7 +82,13 @@ def _pdivmod(a, b, p):
 
 
 def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
+    """a mod b; the zero modulus () of F_p[x] leaves a as it is."""
+    return _pdivmod(a, b, p)[1] if b else a
+
+
+def _zmod(k: int, n: int) -> int:
+    """k mod n; the zero modulus of Z leaves k as it is."""
+    return k % n if n else k
 
 
 def _pgcd(a, b, p):
@@ -89,17 +101,13 @@ def _pgcd(a, b, p):
     return a
 
 
-def _ppow(a, k, p, modulus=None):
+def _ppow(a, k, p, modulus):
     result = (1,)
     base = a
     while k:
         if k & 1:
-            result = _pmul(result, base, p)
-            if modulus:
-                result = _pmod(result, modulus, p)
-        base = _pmul(base, base, p)
-        if modulus:
-            base = _pmod(base, modulus, p)
+            result = _pmod(_pmul(result, base, p), modulus, p)
+        base = _pmod(_pmul(base, base, p), modulus, p)
         k >>= 1
     return result
 
@@ -205,16 +213,16 @@ KIND_BIPOLY = "BiPolyMonomialQuot"
 @dataclass(frozen=True)
 class Ring:
     kind: str
-    n: Optional[int] = None  # the modulus of Z/n, and of F_p, which sets n = p
+    n: Optional[int] = None  # the modulus of Z/n; 0 for Z and p for F_p
     p: Optional[int] = None
-    modulus: Optional[tuple[int, ...]] = None
+    modulus: Optional[tuple[int, ...]] = None  # f of F_p[x]/(f); () for F_p[x]
     rels: Optional[tuple[Mono, ...]] = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def integers() -> "Ring":
-        return Ring(KIND_Z)
+        return Ring(KIND_Z, n=0)
 
     @staticmethod
     def integers_mod(n: int) -> "Ring":
@@ -232,7 +240,7 @@ class Ring:
     def poly_ring(p: int) -> "Ring":
         if not is_prime(p):
             raise InputError(f"F_p[x] needs a prime p, got {p!r}")
-        return Ring(KIND_POLY, p=p)
+        return Ring(KIND_POLY, p=p, modulus=())
 
     @staticmethod
     def poly_quotient(p: int, modulus) -> "Ring":
@@ -264,34 +272,29 @@ class Ring:
 
     @property
     def is_domain(self) -> bool:
-        if self.kind in (KIND_Z, KIND_FP, KIND_POLY):
-            return True
-        if self.kind == KIND_ZMOD:
-            return is_prime(self.n)
-        if self.kind == KIND_BIPOLY:
-            return not self.rels
-        return False  # UniPolyQuot: not decided here; never needed as a domain
+        if self.n is not None:
+            return self.n == 0 or is_prime(self.n)
+        if self.modulus is not None:
+            # F_p[x]/(f) with f != 0 is not decided here; never needed as a domain
+            return not self.modulus
+        return not self.rels
 
     @property
     def is_field(self) -> bool:
-        if self.kind == KIND_FP:
-            return True
-        if self.kind == KIND_ZMOD:
+        if self.n is not None:
             return is_prime(self.n)
-        if self.kind == KIND_BIPOLY:
-            # F_p exactly when both variables are nilpotent of order 1
-            return bool(self.rels) and _in_mono_ideal((1, 0), self.rels) and _in_mono_ideal((0, 1), self.rels)
-        return False
+        if self.modulus is not None:
+            return False
+        # F_p exactly when both variables are nilpotent of order 1
+        return bool(self.rels) and _in_mono_ideal((1, 0), self.rels) and _in_mono_ideal((0, 1), self.rels)
 
     # -- element construction ----------------------------------------------
 
     def from_int(self, k: int) -> "RingElem":
-        if self.kind == KIND_Z:
-            return RingElem(self, int(k))
-        if self.kind in (KIND_ZMOD, KIND_FP):
-            return RingElem(self, int(k) % self.n)
-        if self.kind in (KIND_POLY, KIND_POLYQUOT):
-            return RingElem(self, _pnorm([k], self.p))
+        if self.n is not None:
+            return RingElem(self, _zmod(int(k), self.n))
+        if self.modulus is not None:
+            return self.poly([k])
         return RingElem(self, _bnorm([((0, 0), k)], self.p, self.rels))
 
     @property
@@ -303,16 +306,13 @@ class Ring:
         return self.from_int(1)
 
     def poly(self, coeffs) -> "RingElem":
-        if self.kind not in (KIND_POLY, KIND_POLYQUOT):
+        if self.modulus is None:
             raise InputError(f"{self.kind} has no univariate elements")
-        t = _pnorm(coeffs, self.p)
-        if self.kind == KIND_POLYQUOT:
-            t = _pmod(t, self.modulus, self.p)
-        return RingElem(self, t)
+        return RingElem(self, _pmod(_pnorm(coeffs, self.p), self.modulus, self.p))
 
     @property
     def gen_x(self) -> "RingElem":
-        if self.kind in (KIND_POLY, KIND_POLYQUOT):
+        if self.modulus is not None:
             return self.poly([0, 1])
         if self.kind == KIND_BIPOLY:
             return self.monomial(1, 0)
@@ -338,12 +338,12 @@ class Ring:
     # -- enumeration (finite rings only) ------------------------------------
 
     def is_finite(self) -> bool:
-        if self.kind in (KIND_ZMOD, KIND_FP, KIND_POLYQUOT):
-            return True
-        if self.kind == KIND_BIPOLY:
-            rels = self.rels or ()
-            return any(b == 0 for a, b in rels) and any(a == 0 for a, b in rels)
-        return False
+        if self.n is not None:
+            return self.n != 0
+        if self.modulus is not None:
+            return self.modulus != ()
+        rels = self.rels or ()
+        return any(b == 0 for a, b in rels) and any(a == 0 for a, b in rels)
 
     def normal_monomials(self) -> list[Mono]:
         """All monomials outside the relation ideal (bivariate, finite case)."""
@@ -356,25 +356,24 @@ class Ring:
 
     def elements(self, limit: int = 1_000_000) -> Iterator["RingElem"]:
         """Iterate all ring elements in a fixed canonical order (finite rings)."""
-        if self.kind in (KIND_ZMOD, KIND_FP):
+        if not self.is_finite():
+            raise InputError(f"cannot enumerate the infinite ring {self.describe()}")
+        if self.n is not None:
             for k in range(self.n):
                 yield RingElem(self, k)
             return
-        if self.kind == KIND_POLYQUOT:
+        if self.modulus is not None:
             deg = len(self.modulus) - 1
             if self.p ** deg > limit:
                 raise InputError("finite ring too large to enumerate")
             for coeffs in iter_product(range(self.p), repeat=deg):
                 yield RingElem(self, _pnorm(coeffs, self.p))
             return
-        if self.kind == KIND_BIPOLY and self.is_finite():
-            basis = self.normal_monomials()
-            if self.p ** len(basis) > limit:
-                raise InputError("finite ring too large to enumerate")
-            for coeffs in iter_product(range(self.p), repeat=len(basis)):
-                yield RingElem(self, _bnorm(list(zip(basis, coeffs)), self.p, self.rels))
-            return
-        raise InputError(f"cannot enumerate the infinite ring {self.describe()}")
+        basis = self.normal_monomials()
+        if self.p ** len(basis) > limit:
+            raise InputError("finite ring too large to enumerate")
+        for coeffs in iter_product(range(self.p), repeat=len(basis)):
+            yield RingElem(self, _bnorm(list(zip(basis, coeffs)), self.p, self.rels))
 
     # -- misc ----------------------------------------------------------------
 
@@ -435,21 +434,17 @@ class RingElem:
     def __add__(self, other: "RingElem") -> "RingElem":
         self._check(other)
         r = self.ring
-        if r.kind == KIND_Z:
-            return RingElem(r, self.payload + other.payload)
-        if r.kind in (KIND_ZMOD, KIND_FP):
-            return RingElem(r, (self.payload + other.payload) % r.n)
-        if r.kind in (KIND_POLY, KIND_POLYQUOT):
+        if r.n is not None:
+            return RingElem(r, _zmod(self.payload + other.payload, r.n))
+        if r.modulus is not None:
             return RingElem(r, _padd(self.payload, other.payload, r.p))
         return RingElem(r, _badd(self.payload, other.payload, r.p, r.rels))
 
     def __neg__(self) -> "RingElem":
         r = self.ring
-        if r.kind == KIND_Z:
-            return RingElem(r, -self.payload)
-        if r.kind in (KIND_ZMOD, KIND_FP):
-            return RingElem(r, (-self.payload) % r.n)
-        if r.kind in (KIND_POLY, KIND_POLYQUOT):
+        if r.n is not None:
+            return RingElem(r, _zmod(-self.payload, r.n))
+        if r.modulus is not None:
             return RingElem(r, _pneg(self.payload, r.p))
         return RingElem(r, _bneg(self.payload, r.p))
 
@@ -459,13 +454,9 @@ class RingElem:
     def __mul__(self, other: "RingElem") -> "RingElem":
         self._check(other)
         r = self.ring
-        if r.kind == KIND_Z:
-            return RingElem(r, self.payload * other.payload)
-        if r.kind in (KIND_ZMOD, KIND_FP):
-            return RingElem(r, (self.payload * other.payload) % r.n)
-        if r.kind == KIND_POLY:
-            return RingElem(r, _pmul(self.payload, other.payload, r.p))
-        if r.kind == KIND_POLYQUOT:
+        if r.n is not None:
+            return RingElem(r, _zmod(self.payload * other.payload, r.n))
+        if r.modulus is not None:
             return RingElem(r, _pmod(_pmul(self.payload, other.payload, r.p), r.modulus, r.p))
         return RingElem(r, _bmul(self.payload, other.payload, r.p, r.rels))
 
@@ -492,9 +483,9 @@ class RingElem:
 
     def __str__(self) -> str:
         r = self.ring
-        if r.kind in (KIND_Z, KIND_ZMOD, KIND_FP):
+        if r.n is not None:
             return str(self.payload)
-        if r.kind in (KIND_POLY, KIND_POLYQUOT):
+        if r.modulus is not None:
             return _poly_str(self.payload)
         if not self.payload:
             return "0"
@@ -576,24 +567,15 @@ class Ideal:
         return not self.gens
 
     def _pid_generator(self) -> RingElem:
-        """Single generator on the principal-ideal rings (Z, Z/n, F_p, F_p[x], F_p[x]/f)."""
+        """Single generator on the principal-ideal rings (Z, Z/n, F_p, F_p[x], F_p[x]/f):
+        the gcd of the generators and the modulus, reduced by the modulus."""
         r = self.ring
-        if r.kind == KIND_Z:
-            g = 0
-            for e in self.gens:
-                g = math.gcd(g, e.payload)
-            return RingElem(r, g)
-        if r.kind in (KIND_ZMOD, KIND_FP):
+        if r.n is not None:
             g = r.n
             for e in self.gens:
                 g = math.gcd(g, e.payload)
-            return RingElem(r, g % r.n)
-        if r.kind == KIND_POLY:
-            g: tuple[int, ...] = ()
-            for e in self.gens:
-                g = _pgcd(g, e.payload, r.p)
-            return RingElem(r, g)
-        if r.kind == KIND_POLYQUOT:
+            return RingElem(r, _zmod(g, r.n))
+        if r.modulus is not None:
             g = r.modulus
             for e in self.gens:
                 g = _pgcd(g, e.payload, r.p)
@@ -622,18 +604,12 @@ class Ideal:
             return True
         r = self.ring
         if r.kind != KIND_BIPOLY:
-            g = self._pid_generator()
-            if r.kind == KIND_Z:
-                return g.payload != 0 and e.payload % g.payload == 0
-            if r.kind in (KIND_ZMOD, KIND_FP):
-                if g.payload == 0:
-                    # ideal is n*Z/n = 0
-                    return e.payload == 0
-                return e.payload % g.payload == 0
-            # polynomial rings
-            if not g.payload:
-                return not e.payload
-            return not _pmod(e.payload, g.payload, r.p)
+            g = self._pid_generator().payload
+            if not g:
+                return False  # the zero ideal, and e != 0
+            if r.n is not None:
+                return e.payload % g == 0
+            return not _pmod(e.payload, g, r.p)
         if self.is_zero():
             return e.is_zero()
         if not self.all_monomial():
@@ -647,34 +623,19 @@ class Ideal:
         if d.ring != self.ring:
             raise InputError("element and ideal live over different rings")
         r = self.ring
-        if r.kind == KIND_Z:
-            g = abs(self._pid_generator().payload)
-            if g == 0:
-                return d.payload == 0
-            if g == 1:
-                return True
-            return pow(d.payload, max(1, g.bit_length()), g) == 0
-        if r.kind in (KIND_ZMOD, KIND_FP):
-            g = self._pid_generator().payload
-            if g == 0:
-                g = r.n  # the zero ideal: need d^k == 0 mod n
-            return pow(d.payload, max(1, r.n.bit_length()), g) == 0
-        if r.kind == KIND_POLY:
-            g = self._pid_generator().payload
+        if r.kind != KIND_BIPOLY:
+            # the zero ideal of Z/n is generated by n (f for F_p[x]/(f)); only Z
+            # and F_p[x] are left with g = 0
+            g = self._pid_generator().payload or (r.modulus if r.n is None else r.n)
             if not g:
-                return not d.payload
-            if len(g) == 1:
-                return True
-            power = _ppow(d.payload, len(g) - 1, r.p, modulus=g)
-            return not power
-        if r.kind == KIND_POLYQUOT:
-            g = self._pid_generator().payload
-            if not g:
-                g = r.modulus
-            if len(g) == 1:
-                return True
-            power = _ppow(d.payload, len(r.modulus) - 1, r.p, modulus=g)
-            return not power
+                return d.is_zero()
+            # d is in rad(g) iff g divides d^k, where k is the largest exponent of
+            # a prime power q^k dividing g.  The generator g divides n, so it is
+            # the one modulus to use, and q^k <= g gives k < g.bit_length(); for
+            # polynomials k * deg q <= deg g gives k <= deg g
+            if r.n is not None:
+                return pow(d.payload, max(1, g.bit_length()), g) == 0
+            return not _ppow(d.payload, max(1, len(g) - 1), r.p, g)
         # bivariate: radical of a monomial ideal is the squarefree-part ideal,
         # together with the squarefree parts of the ring relations (nilpotents).
         if not self.all_monomial():
@@ -707,31 +668,17 @@ class Ideal:
         self._same_ring(other)
         r = self.ring
         if r.kind != KIND_BIPOLY:
-            a = self._pid_generator().payload
-            b = other._pid_generator().payload
-            if r.kind == KIND_Z:
-                if b == 0:
-                    return Ideal(r, [r.one])
-                if a == 0:
-                    return Ideal(r, [])
-                return Ideal(r, [r.from_int(a // math.gcd(a, b))])
-            if r.kind in (KIND_ZMOD, KIND_FP):
-                aa = a if a else r.n
-                bb = b if b else r.n
-                return Ideal(r, [r.from_int(aa // math.gcd(aa, bb))])
-            p = r.p
-            modulus = r.modulus if r.kind == KIND_POLYQUOT else None
-            aa = a if a else (modulus or ())
-            bb = b if b else (modulus or ())
-            if not bb:
+            # (a : b) = a / gcd(a, b), reading a zero generator as n (or f), which
+            # generates the zero ideal of Z/n.  For Z and F_p[x] that reading is
+            # 0 again: b = 0 gives the unit ideal, and a = 0 gives 0 / b = 0
+            zero = r.modulus if r.n is None else r.n
+            a = self._pid_generator().payload or zero
+            b = other._pid_generator().payload or zero
+            if not b:
                 return Ideal(r, [r.one])
-            if not aa:
-                return Ideal(r, [])
-            q, rem = _pdivmod(aa, _pgcd(aa, bb, p), p)
-            assert not rem
-            if modulus:
-                q = _pmod(q, modulus, p)
-            return Ideal(r, [RingElem(r, q)])
+            if r.n is not None:
+                return Ideal(r, [r.from_int(a // math.gcd(a, b))])
+            return Ideal(r, [r.poly(_pdivmod(a, _pgcd(a, b, r.p), r.p)[0])])
         if not (self.all_monomial() and other.all_monomial()):
             raise UnsupportedRingError("colon of bivariate ideals needs monomial generators")
         # compute upstairs: ((I + rels) : J) then read generators in the quotient
@@ -818,18 +765,13 @@ def _element_ann_payloads(e: RingElem) -> list:
     r = e.ring
     if e.is_zero():
         return [r.one.payload]
-    if r.kind == KIND_Z:
-        return []
-    if r.kind in (KIND_ZMOD, KIND_FP):
-        g = r.n // math.gcd(r.n, e.payload)
-        return [] if g % r.n == 0 else [g % r.n]
-    if r.kind == KIND_POLY:
-        return []
-    if r.kind == KIND_POLYQUOT:
-        g = _pgcd(e.payload, r.modulus, r.p)
-        q, _ = _pdivmod(r.modulus, g, r.p)
-        q = _pmod(q, r.modulus, r.p)
-        return [] if not q else [q]
+    # Ann(e) = (n / gcd(n, e)), which is 0 over the domains Z and F_p[x]
+    if r.n is not None:
+        g = _zmod(r.n // math.gcd(r.n, e.payload), r.n)
+        return [g] if g else []
+    if r.modulus is not None:
+        g = _pmod(_pdivmod(r.modulus, _pgcd(e.payload, r.modulus, r.p), r.p)[0], r.modulus, r.p)
+        return [g] if g else []
     shape = bivariate_shape(e)
     if shape == SHAPE_MONOMIAL:
         rels = r.rels or ()

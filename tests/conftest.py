@@ -124,6 +124,22 @@ def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
     return out
 
 
+def poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of a by a non-zero b over F_p (schoolbook long division)."""
+    out = [c % p for c in a]
+    inv = pow(b[-1], p - 2, p)
+    while out and out[-1] == 0:
+        out.pop()
+    while len(out) >= len(b):
+        f = (out[-1] * inv) % p
+        shift = len(out) - len(b)
+        for i, c in enumerate(b):
+            out[shift + i] = (out[shift + i] - f * c) % p
+        while out and out[-1] == 0:
+            out.pop()
+    return out
+
+
 def poly_matrix_rank(rows: list[list[list[int]]], p: int) -> int:
     """Rank of a matrix of F_p[x] polynomials over the fraction field,
     via the largest order with a non-vanishing minor (Laplace, test-local)."""

@@ -256,6 +256,50 @@ def test_replay_detects_tampering(tmp_path, capsys):
     assert code == 1
 
 
+ASS_PAYLOAD = {"ring": {"kind": "Z"}, "generators": 1, "relations": [[12]]}
+
+
+@pytest.mark.parametrize("content,message", [
+    ("5", "must hold a JSON object"),
+    (json.dumps({"command": ["check"], "payload": {}, "options": {}, "result": {}}),
+     "'command' must be a string"),
+    (json.dumps({"command": "ass", "payload": ASS_PAYLOAD, "options": ["a"], "result": {}}),
+     "'options' must be a JSON object"),
+    (json.dumps({"command": "ass", "payload": 5, "options": {}, "result": {}}),
+     "'payload' must be a JSON object"),
+    (None, "cannot read the report file"),
+    ("not json", "not valid JSON"),
+])
+def test_replay_refuses_malformed_report(tmp_path, capsys, content, message):
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_text(content)
+    code, _, err = run_cli(capsys, "replay", str(path))
+    assert code == 2
+    assert message in err
+
+
+RING_SAMPLES = [
+    ({"kind": "Z"}, 2, 2),
+    ({"kind": "IntegersMod", "n": 12}, 2, 2),
+    ({"kind": "PrimeField", "p": 5}, 2, 2),
+    ({"kind": "UniPoly", "p": 3}, [0, 1], [0, 1]),
+    ({"kind": "UniPolyQuot", "p": 3, "modulus": [0, 0, 1]}, [0, 1], [0, 1]),
+    ({"kind": "BiPolyMonomialQuot", "p": 5, "rels": ["xy"]}, "x", "x"),
+]
+
+
+@pytest.mark.parametrize("ring,gen,d", RING_SAMPLES)
+def test_boolean_ring_constant_is_input_error(capsys, ring, gen, d):
+    code, _, _ = run_cli(capsys, "radical-lemma", json.dumps({"ring": ring, "ideal": [gen], "d": d}))
+    assert code == 0
+    for payload in ({"ring": ring, "ideal": [gen], "d": True},
+                    {"ring": ring, "ideal": [True], "d": d}):
+        code, _, err = run_cli(capsys, "radical-lemma", json.dumps(payload))
+        assert code == 2, payload
+        assert "boolean" in err
+
+
 def test_human_output_contains_verdict(capsys):
     code, out, _ = run_cli(capsys, "check", "--module", Z8)
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 from torsion_lab.intlinalg import (ColumnEchelonLattice, from_columns, hstack,
                                    identity, kernel_basis, mat_vec, matmul,
                                    smith_normal_form, smith_with_inverses,
-                                   solve, diagonal_of)
+                                   diagonal_of)
 
 
 def test_snf_examples():
@@ -39,14 +39,6 @@ def test_snf_soundness_random():
                 assert diag[i] and diag[i + 1] % diag[i] == 0
         for k in kernel_basis(a):
             assert all(x == 0 for x in mat_vec(a, k))
-
-
-def test_solve():
-    a = [[2, 0], [0, 3]]
-    x = solve(a, [4, 9])
-    assert x is not None and mat_vec(a, x) == [4, 9]
-    assert solve(a, [1, 1]) is None
-    assert solve([[2, 4]], [6]) is not None
 
 
 def test_lattice_canonical_form_invariance():

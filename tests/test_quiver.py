@@ -7,9 +7,9 @@ from hypothesis import given, settings
 
 from torsion_lab.errors import InputError
 from torsion_lab.quiver import (Quiver, QuiverRep, SubRep, a_n_quiver,
-                                composition_factors, direct_sum,
-                                enumerate_subreps, hom_space, is_isomorphic,
-                                quotient_rep, simple_rep, single_vertex_support, zero_rep)
+                                composition_factors, enumerate_subreps,
+                                hom_space, is_isomorphic, quotient_rep,
+                                simple_rep, single_vertex_support)
 
 A2 = a_n_quiver(2)
 S1 = simple_rep(A2, 2, 0)
@@ -80,7 +80,7 @@ def test_subrep_counts():
     assert len(enumerate_subreps(S1)) == 2
     zero_arrow = QuiverRep(A2, 2, [1, 1], [[[0]]])
     assert len(enumerate_subreps(zero_arrow)) == 4
-    assert len(enumerate_subreps(zero_rep(A2, 2))) == 1
+    assert len(enumerate_subreps(QuiverRep(A2, 2, [0, 0], [[]]))) == 1
 
 
 def test_p1_subreps_are_the_expected_three():
@@ -137,11 +137,11 @@ def test_unstable_subspaces_rejected():
 
 def test_composition_factors():
     assert composition_factors(P1) == {0: 1, 1: 1}
-    assert composition_factors(direct_sum(S1, S1)) == {0: 2}
-    assert composition_factors(zero_rep(A2, 2)) == {}
+    assert composition_factors(QuiverRep(A2, 2, [2, 0], [[]])) == {0: 2}
+    assert composition_factors(QuiverRep(A2, 2, [0, 0], [[]])) == {}
     assert single_vertex_support(S1)
     assert not single_vertex_support(P1)
-    assert not single_vertex_support(zero_rep(A2, 2))
+    assert not single_vertex_support(QuiverRep(A2, 2, [0, 0], [[]]))
 
 
 def test_single_vertex_support_iff_unique_factor():
@@ -155,7 +155,7 @@ def test_single_vertex_support_iff_unique_factor():
 def test_isomorphism_search():
     assert is_isomorphic(P1, QuiverRep(A2, 2, [1, 1], [[[1]]]))
     assert not is_isomorphic(P1, QuiverRep(A2, 2, [1, 1], [[[0]]]))
-    assert is_isomorphic(direct_sum(S1, S2), QuiverRep(A2, 2, [1, 1], [[[0]]]))
+    assert is_isomorphic(QuiverRep(A2, 2, [1, 1], [[[0]]]), QuiverRep(A2, 2, [1, 1], [[[0]]]))
     a = QuiverRep(A2, 3, [2, 2], [[[1, 0], [0, 1]]])
     b = QuiverRep(A2, 3, [2, 2], [[[0, 1], [1, 0]]])
     assert is_isomorphic(a, b)

@@ -1,7 +1,9 @@
 """Ring arithmetic, ideals, annihilators, radicals: examples and invariants."""
+import itertools
 import random
 
 import pytest
+from conftest import poly_add, poly_mod, poly_mul
 
 from torsion_lab.errors import InputError, UnsupportedRingError
 from torsion_lab.rings import (Ideal, Ring, RingElem, annihilator, is_nilpotent,
@@ -256,6 +258,126 @@ def test_colon_in_proper_quotient():
                 continue
             direct = ix.contains(m * ring.gen_y)
             assert col.contains(m) == direct
+
+
+# -- contains, radical_contains, annihilator and colon on principal ideals against
+# their set definitions, with test-local arithmetic on plain ints and lists --
+
+
+def _check_principal_ideals(ring, elements, mul, add, zero):
+    """Every principal ideal (a) of a finite ring, a running over `elements`
+    (so the zero and the unit ideal are included), against:
+    (a) = {r*a}; rad(a) = {d : d^k in (a) for some k >= 1};
+    Ann(a) = {r : r*a = 0}; ((a) : (b)) = {r : r*b in (a)}."""
+    ideal_set = {a: frozenset(mul(r, a) for r in elements) for a in elements}
+
+    def span(ideal):
+        sets = [ideal_set[g.payload] for g in ideal.gens] or [{zero}]
+        out = set(sets[0])
+        for extra in sets[1:]:
+            out = {add(s, m) for s in out for m in extra}
+        return out
+
+    ideals = {a: Ideal(ring, [RingElem(ring, a)]) for a in elements}
+    for a, ideal in ideals.items():
+        members = ideal_set[a]
+        for e in elements:
+            assert ideal.contains(RingElem(ring, e)) == (e in members), (ring, a, e)
+            powers, x = set(), e
+            while x not in powers:
+                powers.add(x)
+                x = mul(x, e)
+            assert ideal.radical_contains(RingElem(ring, e)) == bool(powers & members), (ring, a, e)
+        assert span(ideal.annihilator()) == {r for r in elements if mul(r, a) == zero}, (ring, a)
+        for b, other in ideals.items():
+            want = {r for r in elements if mul(r, b) in members}
+            assert span(ideal.colon(other)) == want, (ring, a, b)
+
+
+def _polys(p, max_deg):
+    """All polynomials of degree <= max_deg over F_p as normalised tuples."""
+    return [tuple(poly_add(list(c), [], p))
+            for c in itertools.product(range(p), repeat=max_deg + 1)]
+
+
+def test_principal_ideals_of_zmod_match_definitions():
+    for n in range(2, 31):
+        _check_principal_ideals(Ring.integers_mod(n), list(range(n)),
+                                lambda x, y, n=n: (x * y) % n,
+                                lambda x, y, n=n: (x + y) % n, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_principal_ideals_of_poly_quotients_match_definitions(p):
+    for deg in (1, 2, 3):
+        for tail in itertools.product(range(p), repeat=deg):
+            f = list(tail) + [1]
+            table = {(x, y): tuple(poly_mod(poly_mul(list(x), list(y), p), f, p))
+                     for x in _polys(p, deg - 1) for y in _polys(p, deg - 1)}
+            _check_principal_ideals(Ring.poly_quotient(p, f), _polys(p, deg - 1),
+                                    lambda x, y, t=table: t[x, y],
+                                    lambda x, y: tuple(poly_add(list(x), list(y), p)), ())
+
+
+def test_principal_ideals_of_integers_match_definitions():
+    # window |a|, |b|, |d| <= 40; a prime power dividing a non-zero |a| <= 40
+    # has exponent <= 5, so d^k for k <= 6 decides d in rad(a)
+    window = range(-40, 41)
+
+    def member(e, g):
+        return e % g == 0 if g else e == 0
+
+    def gen(ideal):
+        return ideal.gens[0].payload if ideal.gens else 0
+
+    ideals = {a: Ideal(Z, [Z.from_int(a)]) for a in window}
+    for a, ideal in ideals.items():
+        for d in window:
+            assert ideal.contains(Z.from_int(d)) == member(d, a), (a, d)
+            assert ideal.radical_contains(Z.from_int(d)) == any(
+                member(d ** k, a) for k in range(1, 7)), (a, d)
+        ann = gen(ideal.annihilator())
+        assert all(member(r, ann) == (r * a == 0) for r in window), a
+        for b, other in ideals.items():
+            col = gen(ideal.colon(other))
+            assert all(member(r, col) == member(r * b, a) for r in window), (a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_principal_ideals_of_poly_ring_match_definitions(p):
+    # window: every polynomial of degree <= 3.  A generator of (a : b) divides a
+    # (or is 1), so it has degree <= 3 and the window determines the ideal; a
+    # prime power dividing a has exponent <= deg a <= 3
+    ring = Ring.poly_ring(p)
+    window = _polys(p, 3)
+
+    def mul(x, y):
+        return poly_mul(list(x), list(y), p)
+
+    def member(e, g):
+        return not poly_mod(list(e), list(g), p) if g else not e
+
+    def gen(ideal):
+        return ideal.gens[0].payload if ideal.gens else ()
+
+    ideals = {a: Ideal(ring, [RingElem(ring, a)]) for a in window}
+    for a, ideal in ideals.items():
+        for d in window:
+            assert ideal.contains(RingElem(ring, d)) == member(d, a), (a, d)
+            powers = [list(d)]
+            for _ in range(3):
+                powers.append(mul(powers[-1], d))
+            assert ideal.radical_contains(RingElem(ring, d)) == any(
+                member(x, a) for x in powers), (a, d)
+        ann = gen(ideal.annihilator())
+        assert all(member(r, ann) == (not mul(r, a)) for r in window), a
+    # the colon on monic or zero generators: (a : b) depends on a and b up to units
+    monic = [a for a in window if not a or a[-1] == 1]
+    products = {(r, b): mul(r, b) for r in window for b in monic}
+    for a in monic:
+        for b in monic:
+            col = gen(ideals[a].colon(ideals[b]))
+            assert all(member(r, col) == member(products[r, b], a) for r in window), (a, b)
 
 
 def test_ring_validation():
