@@ -228,3 +228,80 @@ def test_quotient_refuses_isomorphic_but_different_ambient():
         quotient(z6, z2)
     same = PresentedModule(Z, 2, [[2, 0], [0, 3]])
     assert quotient(same, z2).canonical_decomposition() == (0, [3])
+
+
+# -- element-set oracles for intersections, preimages and subobject orders ------
+
+# (ring, cyclic orders) of direct sums of order <= 64; over Z/n every order divides n
+ORACLE_GROUPS = [
+    (Z, [6]), (Z, [2, 4]), (Z, [2, 2, 2]), (Z, [3, 9]), (Z, [2, 4, 8]),
+    (Z, [2, 6]), (Z, [4, 12]), (Z, [5, 5]), (Z, [2, 2, 2, 2, 2, 2]),
+    (Ring.integers_mod(4), [2, 4]), (Ring.integers_mod(6), [3, 6]),
+    (Ring.integers_mod(12), [4, 12]),
+]
+
+
+def _columns_of(rows):
+    """Test-local transpose of a row-list matrix into its columns."""
+    return [list(col) for col in zip(*rows)] if rows and rows[0] else []
+
+
+def _closure(cols, orders):
+    """Every element of the subgroup of Z/o_1 + ... + Z/o_k spanned by `cols`."""
+    zero = tuple(0 for _ in orders)
+    gens = [tuple(x % o for x, o in zip(c, orders)) for c in cols]
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = tuple((a + b) % o for a, b, o in zip(x, g, orders))
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(seen)
+
+
+def _random_sub(rng, mod, orders):
+    cols = [[rng.randrange(3 * o) - o for o in orders] for _ in range(rng.randrange(3))]
+    rows = [[c[i] for c in cols] for i in range(len(orders))]
+    return Subobject(mod, rows)
+
+
+def test_intersect_and_order_match_element_sets():
+    import random
+    rng = random.Random(8)
+    for ring, orders in ORACLE_GROUPS:
+        mod = direct_sum_module(ring, orders)
+        for _ in range(12):
+            a, b = _random_sub(rng, mod, orders), _random_sub(rng, mod, orders)
+            set_a = _closure(_columns_of(a.embedding), orders)
+            set_b = _closure(_columns_of(b.embedding), orders)
+            meet = a.intersect(b)
+            assert _closure(_columns_of(meet.embedding), orders) == set_a & set_b, orders
+            assert meet.as_module().order() == len(set_a & set_b), orders
+            assert a.as_module().order() == len(set_a), orders
+
+
+def test_pull_sub_matches_set_preimage():
+    import random
+
+    from torsion_lab.engine import AbelianHandle
+    rng = random.Random(9)
+    for ring, orders in ORACLE_GROUPS:
+        handle = AbelianHandle(ring)
+        src = direct_sum_module(ring, orders)
+        elements = list(itertools.product(*[range(o) for o in orders]))
+        for dst_orders in ([o for o in orders if o % 2 == 0] or [2], orders):
+            dst = direct_sum_module(ring, dst_orders)
+            w = _random_sub(rng, dst, dst_orders)
+            set_w = _closure(_columns_of(w.embedding), dst_orders)
+            for f in handle.hom_basis(src, dst):
+                image = {x: tuple(sum(r * v for r, v in zip(row, x)) % o
+                                  for row, o in zip(f.data, dst_orders)) for x in elements}
+                want = frozenset(x for x in elements if image[x] in set_w)
+                pulled = handle.pull_sub(f, w)
+                assert _closure(_columns_of(pulled.embedding), orders) == want, orders
+                assert pulled.as_module().order() == len(want), orders

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 from conftest import brute_subreps, small_rep_data
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from torsion_lab.errors import InputError
 from torsion_lab.quiver import (Quiver, QuiverRep, SubRep, a_n_quiver,
@@ -206,3 +206,50 @@ def test_subreps_match_exhaustive_subset_search(x):
     assert len(set(spans)) == len(spans)
     tokens = [s.sort_token() for s in subs]
     assert tokens == sorted(tokens)
+
+
+def _random_spaces(rng, x):
+    """Test-local random per-vertex row lists (0-2 rows each), not arrow-stable."""
+    return [[[rng.randrange(x.p) for _ in range(d)] for _ in range(rng.randrange(3))]
+            for d in x.dims]
+
+
+def _apply(mat, vec, p):
+    return tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) % p for i in range(len(mat)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=small_rep_data().map(_rep), seed=st.integers(0, 2 ** 16))
+def test_subrep_intersect_matches_vector_sets(x, seed):
+    import random
+    rng = random.Random(seed)
+    subs = enumerate_subreps(x)
+    pairs = [(SubRep(x, _random_spaces(rng, x), check=False),
+              SubRep(x, _random_spaces(rng, x), check=False)) for _ in range(4)]
+    pairs += [(rng.choice(subs), rng.choice(subs)) for _ in range(4)]
+    for a, b in pairs:
+        meet = a.intersect(b)
+        for v in range(x.quiver.vertex_count):
+            want = _span(a.spaces[v], x.p) & _span(b.spaces[v], x.p)
+            assert _span(meet.spaces[v], x.p) == want, (x, v)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=small_rep_data().map(_rep), seed=st.integers(0, 2 ** 16))
+def test_quiver_pull_sub_matches_vector_sets(x, seed):
+    import random
+
+    from torsion_lab.engine import QuiverHandle
+    rng = random.Random(seed)
+    handle = QuiverHandle(x.quiver, x.p)
+    morphs = handle.hom_basis(x, x)
+    _, proj = handle.quotient(x, rng.choice(enumerate_subreps(x)))
+    for f in morphs[:4] + [proj]:
+        for w in (SubRep(f.dst, _random_spaces(rng, f.dst), check=False),
+                  SubRep.zero(f.dst)):
+            pulled = handle.pull_sub(f, w)
+            for v in range(x.quiver.vertex_count):
+                target = _span(w.spaces[v], x.p)
+                want = frozenset(u for u in itertools.product(range(x.p), repeat=x.dims[v])
+                                 if _apply(f.data[v], u, x.p) in target)
+                assert _span(pulled.spaces[v], x.p) == want, (x, v)
