@@ -10,8 +10,8 @@ from .engine import (AbelianHandle, Morph, QuiverHandle, SimplicityReport,
                      TorsionPartSet, injective_criterion_check, is_essential,
                      is_torsion_simple, torsion_parts,
                      torsion_radical_generated,
-                     torsionfree_coradical_cogenerated, trace, type_of,
-                     unique_simple_factor, verify_torsion_pair_axioms)
+                     torsionfree_coradical_cogenerated, trace,
+                     verify_torsion_pair_axioms)
 from .errors import (ContradictionError, InputError, TorsionLabError,
                      UnsupportedRingError, WorkBudgetError)
 from .intlinalg import smith_normal_form
@@ -19,8 +19,8 @@ from .mccoy import (ConormalReport, DeterminantalProfile, RingMatrix,
                     check_radical_lemma, conormal_presentation,
                     determinantal_ideal, hom_I_to_quotient, mccoy_rank,
                     nilpotent_minors_check, nullvector_exhaustive)
-from .quiver import (Quiver, QuiverRep, SubRep, a_n_quiver, composition_factors,
-                     enumerate_subreps, hom_space, quotient_rep, simple_rep)
+from .quiver import (Quiver, QuiverRep, SubRep, a_n_quiver, enumerate_subreps,
+                     hom_space, quotient_rep, simple_rep)
 from .rings import Ideal, Ring, RingElem, annihilator, is_nilpotent
 
 __version__ = "0.1.0"

@@ -239,34 +239,20 @@ class Subobject:
         """The subobject presented on its own embedding columns."""
         if self._as_module is None:
             emb_cols = la.columns(self.embedding)
-            k = len(emb_cols)
-            rel_basis = self.ambient.relation_lattice().basis
-            stacked = la.from_columns(emb_cols + rel_basis, self.ambient.gens)
-            rels = []
-            for kern in la.kernel_basis(stacked):
-                rels.append(kern[:k])
-            rel_matrix = la.from_columns(rels, k) if rels else [[] for _ in range(k)]
-            self._as_module = PresentedModule(self.ambient.ring, k, rel_matrix)
+            rels = la.preimage(emb_cols, self.ambient.relation_lattice().basis,
+                               self.ambient.gens)
+            self._as_module = PresentedModule(self.ambient.ring, len(emb_cols),
+                                              la.from_columns(rels, len(emb_cols)))
         return self._as_module
 
     def sum(self, other: "Subobject") -> "Subobject":
         return Subobject(self.ambient, la.hstack(self.embedding, other.embedding))
 
     def intersect(self, other: "Subobject") -> "Subobject":
-        a = self.lattice.basis
-        b = other.lattice.basis
-        if not a or not b:
-            return Subobject.zero(self.ambient)
-        stacked = la.from_columns(a + [[-x for x in c] for c in b], self.ambient.gens)
-        cols = []
-        for kern in la.kernel_basis(stacked):
-            coeffs = kern[: len(a)]
-            vec = [0] * self.ambient.gens
-            for c, col in zip(coeffs, a):
-                for i in range(self.ambient.gens):
-                    vec[i] += c * col[i]
-            cols.append(vec)
-        return Subobject(self.ambient, la.from_columns(cols, self.ambient.gens))
+        a, gens = self.lattice.basis, self.ambient.gens
+        coeffs = la.preimage(a, other.lattice.basis, gens)
+        return Subobject(self.ambient,
+                         la.matmul(la.from_columns(a, gens), la.from_columns(coeffs, len(a))))
 
     def sort_token(self):
         if self.ambient.is_finite():

@@ -24,6 +24,11 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
+CHECK_METHODS = ("auto", "brute-force", "ass-criterion", "single-vertex-criterion")
+# the options `main` writes into every report, with their types (bool is not an int here)
+OPTION_TYPES = {"seed": int, "max_order": int, "max_dim": int,
+                "json_output": bool, "no_prune": bool}
+
 
 def _load_payload(text: str) -> dict:
     try:
@@ -51,6 +56,15 @@ def _load_report(path: str) -> dict:
     for key in ("payload", "options"):
         if not isinstance(stored[key], dict):
             raise InputError(f"report {key!r} must be a JSON object")
+    for key, value in stored["options"].items():
+        if key == "method":
+            if value not in CHECK_METHODS:
+                raise InputError(f"report option 'method' must be one of {list(CHECK_METHODS)}")
+        elif key not in OPTION_TYPES:
+            raise InputError(f"report has the unknown option {key!r}")
+        elif type(value) is not OPTION_TYPES[key]:
+            raise InputError(f"report option {key!r} must be "
+                             f"{'an integer' if OPTION_TYPES[key] is int else 'a boolean'}")
     return stored
 
 
@@ -322,9 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_check.add_mutually_exclusive_group(required=True)
     group.add_argument("--module", metavar="JSON")
     group.add_argument("--rep", metavar="JSON")
-    p_check.add_argument("--method", default="auto",
-                         choices=["auto", "brute-force", "ass-criterion",
-                                  "single-vertex-criterion"])
+    p_check.add_argument("--method", default="auto", choices=CHECK_METHODS)
 
     p_parts = sub.add_parser("torsion-parts", parents=[common],
                              help="list all torsion parts")

@@ -21,8 +21,7 @@ from . import intlinalg as la
 from . import modlinalg as ml
 from . import quiver as qv
 from .errors import ContradictionError, InputError
-from .primes import factorize
-from .rings import Ring
+from .rings import KIND_Z, KIND_ZMOD, Ring
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class AbelianHandle:
     """Finitely generated modules over Z or Z/n as a torsion universe."""
 
     def __init__(self, ring: Ring):
-        if ring.kind not in ("Z", "IntegersMod"):
+        if ring.kind not in (KIND_Z, KIND_ZMOD):
             raise InputError("the module handle works over Z or Z/n")
         self.ring = ring
 
@@ -116,9 +115,6 @@ class AbelianHandle:
         _, basis = ab.hom_group(a, b)
         return [Morph(a, b, m) for m in basis]
 
-    def hom_is_zero(self, a, b) -> bool:
-        return ab.hom_is_zero(a, b)
-
     def multiplication_morph(self, x, c: int):
         return Morph(x, x, ab.multiplication_endo(x, c))
 
@@ -126,11 +122,8 @@ class AbelianHandle:
         return ab.Subobject(f.dst, f.data)
 
     def pull_sub(self, f: Morph, w):
-        src_g = f.src.gens
-        lw = w.lattice.basis
-        stacked = la.from_columns(la.columns(f.data) + lw, f.dst.gens)
-        cols = [k[:src_g] for k in la.kernel_basis(stacked)]
-        return ab.Subobject(f.src, la.from_columns(cols, src_g))
+        cols = la.preimage(la.columns(f.data), w.lattice.basis, f.dst.gens)
+        return ab.Subobject(f.src, la.from_columns(cols, f.src.gens))
 
     def compose_sub(self, x, w, inner):
         emb = la.matmul(w.embedding, inner.embedding)
@@ -141,8 +134,7 @@ class AbelianHandle:
         if x.is_finite():
             order_w = w.order()
             return math.gcd(order_w, x.order() // order_w) == 1
-        q, _ = self.quotient(x, w)
-        return self.hom_is_zero(self.sub_as_object(w), q)
+        return ab.hom_is_zero(w.as_module(), ab.quotient(x, w))
 
     def sub_stable(self, x, w, endos) -> bool:
         basis = w.lattice.basis
@@ -152,18 +144,6 @@ class AbelianHandle:
                     return False
         return True
 
-    def composition_tags(self, x) -> dict:
-        if not x.is_finite():
-            raise InputError("composition factors need a finite-length object")
-        tags: dict = {}
-        for d in x.invariant_factors:
-            for p, e in factorize(d).items():
-                tags[("prime", p)] = tags.get(("prime", p), 0) + e
-        return tags
-
-    def associated_primes(self, x) -> ab.PrimeSet:
-        return ab.associated_primes(x)
-
     def describe(self, x) -> str:
         return x.describe()
 
@@ -171,16 +151,15 @@ class AbelianHandle:
 class QuiverHandle:
     """Finite-dimensional representations of a fixed acyclic quiver over F_p."""
 
-    def __init__(self, quiver: qv.Quiver, p: int, dim_bound: int = qv.ENUM_DIM_BOUND):
+    def __init__(self, quiver: qv.Quiver, p: int):
         self.quiver = quiver
         self.p = p
-        self.dim_bound = dim_bound
 
     def enumerable(self, x) -> bool:
         return True
 
     def subobjects(self, x):
-        return qv.enumerate_subreps(x, dim_bound=self.dim_bound)
+        return qv.enumerate_subreps(x)
 
     def stable_candidates(self, x):
         return self.subobjects(x)
@@ -201,9 +180,6 @@ class QuiverHandle:
     def hom_basis(self, a, b):
         return [Morph(a, b, mats) for mats in qv.hom_space(a, b)]
 
-    def hom_is_zero(self, a, b) -> bool:
-        return not qv.hom_space(a, b)
-
     def image(self, f: Morph):
         spaces = []
         for v in range(f.dst.quiver.vertex_count):
@@ -221,17 +197,8 @@ class QuiverHandle:
         return qv.SubRep(f.dst, spaces, check=False)
 
     def pull_sub(self, f: Morph, w):
-        spaces = []
-        for v in range(f.src.quiver.vertex_count):
-            d_src = f.src.dims[v]
-            functionals = w.spaces[v].quotient_functionals()
-            if not functionals:
-                spaces.append(ml.Subspace.full(self.p, d_src))
-                continue
-            mat = ml.matmul_mod(functionals, f.data[v], self.p) if d_src else []
-            vecs = ml.kernel_mod([r for r in mat], self.p) if d_src else []
-            spaces.append(ml.Subspace(self.p, d_src, vecs))
-        return qv.SubRep(f.src, spaces, check=False)
+        return qv.SubRep(f.src, [w.spaces[v].preimage(f.data[v], f.src.dims[v])
+                                 for v in range(f.src.quiver.vertex_count)], check=False)
 
     def compose_sub(self, x, w, inner):
         spaces = []
@@ -247,12 +214,9 @@ class QuiverHandle:
             spaces.append(ml.Subspace(self.p, x.dims[v], vecs))
         return qv.SubRep(x, spaces, check=False)
 
-    def composition_tags(self, x) -> dict:
-        return {("vertex", v): d for v, d in qv.composition_factors(x).items()}
-
     def part_test(self, x, w) -> bool:
         q, _ = qv.quotient_rep(x, w)
-        return self.hom_is_zero(self.sub_as_object(w), q)
+        return not qv.hom_space(w.as_rep(), q)
 
     def sub_stable(self, x, w, endos) -> bool:
         for f in endos:
@@ -329,14 +293,14 @@ def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> Si
     if method == "ass-criterion":
         if not isinstance(handle, AbelianHandle):
             raise InputError("the ass-criterion method applies to modules only")
-        ass = handle.associated_primes(x)
+        ass = ab.associated_primes(x)
         if len(ass) == 1:
             return SimplicityReport(True, "ass-criterion", None, _type_tag(handle, x))
         # witness: the p-primary torsion part for a maximal associated prime
         p = min(ass.primes)
         witness = ab.primary_component(x, p)
         q, _ = handle.quotient(x, witness)
-        if not handle.hom_is_zero(handle.sub_as_object(witness), q):
+        if handle.hom_basis(handle.sub_as_object(witness), q):
             raise ContradictionError(
                 "primary torsion part failed its hom-vanishing recheck")
         return SimplicityReport(False, "ass-criterion", witness)
@@ -374,7 +338,7 @@ def torsion_radical_generated(handle, sources, x, check: bool = True):
         t = t_new
     if check:
         q, _ = handle.quotient(x, t)
-        if not handle.hom_is_zero(handle.sub_as_object(t), q):
+        if handle.hom_basis(handle.sub_as_object(t), q):
             raise ContradictionError("radical postcondition Hom(t(x), x/t(x)) = 0 failed")
         if not trace(handle, sources, q).is_zero():
             raise ContradictionError("radical postcondition t(x/t(x)) = 0 failed")
@@ -406,7 +370,7 @@ def torsionfree_coradical_cogenerated(handle, sources, x, check: bool = True):
     if check:
         tobj = handle.sub_as_object(cur)
         for s in sources:
-            if not handle.hom_is_zero(tobj, s):
+            if handle.hom_basis(tobj, s):
                 raise ContradictionError(
                     "coradical postcondition Hom(t(x), source) = 0 failed")
     coradical, _ = handle.quotient(x, cur)
@@ -451,31 +415,12 @@ def injective_criterion_check(handle, x, f: Morph) -> InjectiveCriterionReport:
     return report
 
 
-def unique_simple_factor(handle, x):
-    """(verdict, tag): whether all composition factors of x agree, and which."""
-    if x.is_zero():
-        raise InputError("the zero object has no composition factors")
-    tags = handle.composition_tags(x)
-    if len(tags) == 1:
-        return True, next(iter(tags))
-    return False, None
-
-
 def _type_tag(handle, x) -> tuple:
     """Type tag of an object already known to be torsion-simple."""
     if isinstance(handle, AbelianHandle):
-        ass = handle.associated_primes(x)
+        ass = ab.associated_primes(x)
         return ("prime", 0 if ass.includes_zero else ass.primes[0])
     return ("vertex", x.support()[0])
-
-
-def type_of(handle, x) -> tuple:
-    """Canonical type tag of a torsion-simple object (prime or vertex)."""
-    report = is_torsion_simple(handle, x)
-    if not report.verdict:
-        raise InputError(
-            f"object is not torsion-simple; witness part {report.witness!r}")
-    return report.type_tag
 
 
 def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult]:
@@ -498,7 +443,7 @@ def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult
     for x in sample:
         t = torsion_radical_generated(handle, sources, x, check=False)
         q, _ = handle.quotient(x, t)
-        orthogonal = handle.hom_is_zero(handle.sub_as_object(t), q)
+        orthogonal = not handle.hom_basis(handle.sub_as_object(t), q)
         idempotent = trace(handle, sources, q).is_zero()
         maximal = True
         is_torsion: dict = {}

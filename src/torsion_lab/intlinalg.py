@@ -203,6 +203,15 @@ def kernel_basis(a: Matrix) -> list[list[int]]:
     return out
 
 
+def preimage(a_cols: list[list[int]], b_cols: list[list[int]], rows: int) -> list[list[int]]:
+    """Basis of {c : A @ c in span B} for the columns A, B of length `rows`.
+
+    The c-part of the kernel of [A | B]: A c + B d = 0 puts A c = B(-d) in the
+    span of B.  Intersections, preimages and submodule relations are all this.
+    """
+    return [k[:len(a_cols)] for k in kernel_basis(from_columns(a_cols + b_cols, rows))]
+
+
 class ColumnEchelonLattice:
     """Canonical column-echelon (Hermite-style) basis of an integer column span.
 

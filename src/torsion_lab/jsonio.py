@@ -181,8 +181,6 @@ def parse_matrix(ring: Ring, rows) -> RingMatrix:
 def parse_module(obj) -> PresentedModule:
     _require_keys(obj, {"ring", "generators", "relations"}, set(), "module")
     ring = parse_ring(obj["ring"])
-    if ring.kind not in (KIND_Z, KIND_ZMOD):
-        raise InputError("modules are presented over Z or Z/n")
     gens = parse_int(obj["generators"], "generator count")
     matrix = [[parse_int(x, "relation entry") for x in row]
               for row in parse_array(obj["relations"], "relations", rows=True)]

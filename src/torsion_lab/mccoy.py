@@ -7,19 +7,17 @@ kernel of the transpose.  Over a domain with 0 != I != S that kernel is
 provably non-zero; the code raises ContradictionError if a computation ever
 disagrees, and reproduces the expected failure over the non-domain
 F_p[x,y]/(xy) with I = (x).
+Every transpose the pipeline builds is zero or lives over a bivariate
+quotient, so `matrix_kernel` answers only those two shapes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import intlinalg as la
-from .abelian import PresentedModule
 from .errors import ContradictionError, InputError, UnsupportedRingError
-from .modlinalg import kernel_mod
-from .rings import (KIND_BIPOLY, KIND_FP, KIND_POLY, KIND_Z, KIND_ZMOD,
-                    Ideal, Ring, RingElem, SHAPE_MONOMIAL, _in_mono_ideal,
-                    _mono_colon, _mono_div, _mono_lcm, annihilator_payloads,
-                    bivariate_shape, is_nilpotent)
+from .rings import (ENUM_LIMIT, KIND_BIPOLY, KIND_POLY, KIND_Z, SHAPE_MONOMIAL,
+                    Ideal, Ring, RingElem, _in_mono_ideal, _mono_colon, _mono_div,
+                    _mono_lcm, annihilator_payloads, bivariate_shape, is_nilpotent)
 
 
 class RingMatrix:
@@ -160,13 +158,16 @@ def has_nullvector_theorem(a: RingMatrix) -> bool:
     return mccoy_rank(a)[0] < a.cols
 
 
-def nullvector_exhaustive(a: RingMatrix, limit: int = 1_000_000):
-    """Search all non-zero vectors over a finite ring; None when no nullvector."""
+def nullvector_exhaustive(a: RingMatrix):
+    """Search all non-zero vectors over a finite ring; None when no nullvector.
+
+    A ring or vector space of more than ENUM_LIMIT elements is refused first.
+    """
     if not a.ring.is_finite():
         raise InputError("exhaustive nullvector search needs a finite ring")
     from itertools import product as iproduct
-    pool = list(a.ring.elements(limit=limit))
-    if len(pool) ** a.cols > limit:
+    pool = list(a.ring.elements())
+    if len(pool) ** a.cols > ENUM_LIMIT:
         raise InputError("vector space too large for exhaustive search")
     for combo in iproduct(pool, repeat=a.cols):
         vec = list(combo)
@@ -279,43 +280,6 @@ class KernelDescription:
         }
 
 
-def _kernel_over_zmod(mt: RingMatrix) -> KernelDescription:
-    q = mt.ring
-    n_mod = q.n
-    m, n = mt.rows, mt.cols
-    lifted = [[mt.at(i, j).payload for j in range(n)] for i in range(m)]
-    aug = la.hstack(lifted, [[n_mod if i == j else 0 for j in range(m)] for i in range(m)])
-    lattice_gens = [k[:n] for k in la.kernel_basis(aug)]
-    # present the kernel module: generators B, relations {c : B c in n*Z^n}
-    b_cols = [g for g in lattice_gens]
-    stacked = la.from_columns(b_cols + [[n_mod if i == j else 0 for i in range(n)]
-                                        for j in range(n)], n)
-    rel_cols = [k[: len(b_cols)] for k in la.kernel_basis(stacked)]
-    pres = PresentedModule(Ring.integers_mod(n_mod), len(b_cols),
-                           la.from_columns(rel_cols, len(b_cols)))
-    free, factors = pres.canonical_decomposition()
-    desc = KernelDescription(free_rank=free, invariant_factors=factors)
-    desc.generators = [[str(x % n_mod) for x in g] for g in b_cols]
-    desc.nonzero = not pres.is_zero()
-    return desc
-
-
-def _field_constant(e: RingElem) -> int:
-    if e.ring.n is not None:
-        return e.payload
-    # field-like bivariate quotient: only the constant monomial survives
-    return e.payload[0][1] if e.payload else 0
-
-
-def _kernel_over_field(mt: RingMatrix, p: int) -> KernelDescription:
-    rows = [[_field_constant(mt.at(i, j)) for j in range(mt.cols)] for i in range(mt.rows)]
-    basis = kernel_mod(rows, p)
-    desc = KernelDescription(free_rank=len(basis))
-    desc.generators = [[str(x) for x in vec] for vec in basis]
-    desc.nonzero = bool(basis)
-    return desc
-
-
 def _kernel_over_bipoly(mt: RingMatrix) -> KernelDescription:
     q = mt.ring
     # matrix_kernel has already answered the all-zero matrix
@@ -365,8 +329,7 @@ def _kernel_over_bipoly(mt: RingMatrix) -> KernelDescription:
 
 
 def matrix_kernel(mt: RingMatrix) -> KernelDescription:
-    """Kernel description of a matrix map, dispatched on the coefficient ring."""
-    q = mt.ring
+    """Kernel description of a zero matrix or of one over a bivariate quotient."""
     if mt.rows == 0 or all(mt.at(i, j).is_zero()
                            for i in range(mt.rows) for j in range(mt.cols)):
         desc = KernelDescription(free_rank=mt.cols)
@@ -374,16 +337,15 @@ def matrix_kernel(mt: RingMatrix) -> KernelDescription:
                            for k in range(mt.cols)]
         desc.nonzero = mt.cols > 0
         return desc
-    if q.kind == KIND_FP:
-        return _kernel_over_field(mt, q.p)
-    if q.kind == KIND_ZMOD:
-        return _kernel_over_zmod(mt)
-    if q.kind == KIND_BIPOLY:
-        if q.is_field:
-            return _kernel_over_field(mt, q.p)
-        return _kernel_over_bipoly(mt)
-    raise UnsupportedRingError(
-        f"kernel computation over {q.describe()} is not supported")
+    # hom_I_to_quotient passes nothing else: over Z and F_p[x] the conormal
+    # presentation is n x 0, so M^t has no rows; over a bivariate quotient that
+    # is a field every entry of M is a non-constant monomial (lcm/m_i for
+    # minimal generators m_i, or an annihilator monomial z != 1 since m_i is
+    # not in rels), and each one vanishes in F_p
+    if mt.ring.kind != KIND_BIPOLY:
+        raise UnsupportedRingError(
+            f"kernel computation over {mt.ring.describe()} is not supported")
+    return _kernel_over_bipoly(mt)
 
 
 @dataclass

@@ -138,23 +138,23 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace(self.p, self.dim, list(self.rows) + list(other.rows))
 
+    def preimage(self, mat, src_dim: int) -> "Subspace":
+        """{u in F_p^src_dim : mat @ u in self} for a dim x src_dim matrix.
+
+        The kernel of quotient_functionals() @ mat; the whole source when the
+        subspace is everything and there are no functionals.
+        """
+        functionals = self.quotient_functionals()
+        if not functionals:
+            return Subspace.full(self.p, src_dim)
+        return Subspace(self.p, src_dim,
+                        kernel_mod(matmul_mod(functionals, mat, self.p), self.p))
+
     def intersect(self, other: "Subspace") -> "Subspace":
-        if not self.rows or not other.rows:
-            return Subspace.zero(self.p, self.dim)
-        # x = a^T u = b^T w: kernel of [A^T | -B^T]
-        a, b = self.rows, other.rows
-        mat = [[a[i][r] for i in range(len(a))] + [(-b[j][r]) % self.p for j in range(len(b))]
-               for r in range(self.dim)]
-        vecs = []
-        for k in kernel_mod(mat, self.p):
-            coeffs = k[: len(a)]
-            vec = [0] * self.dim
-            for i, c in enumerate(coeffs):
-                if c:
-                    for r in range(self.dim):
-                        vec[r] = (vec[r] + c * a[i][r]) % self.p
-            vecs.append(vec)
-        return Subspace(self.p, self.dim, vecs)
+        # x = A^T c with A^T c in other: the image of other's preimage under A^T
+        at = [[row[r] for row in self.rows] for r in range(self.dim)]
+        coeffs = other.preimage(at, len(self.rows))
+        return Subspace(self.p, self.dim, [mat_vec_mod(at, c, self.p) for c in coeffs.rows])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.rows == other.rows and self.dim == other.dim

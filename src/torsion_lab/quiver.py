@@ -281,13 +281,13 @@ def hom_space(x: QuiverRep, y: QuiverRep) -> list[tuple]:
     return out
 
 
-def enumerate_subreps(x: QuiverRep, dim_bound: int = ENUM_DIM_BOUND) -> list[SubRep]:
+def enumerate_subreps(x: QuiverRep) -> list[SubRep]:
     """All arrow-stable subspace tuples, canonically ordered."""
     if x.p not in ENUM_PRIMES:
         raise InputError(f"subrepresentation enumeration supports p in {ENUM_PRIMES}")
-    if any(d > dim_bound for d in x.dims):
+    if any(d > ENUM_DIM_BOUND for d in x.dims):
         raise InputError(
-            f"per-vertex dimension exceeds the enumeration bound {dim_bound}")
+            f"per-vertex dimension exceeds the enumeration bound {ENUM_DIM_BOUND}")
     per_vertex = [all_subspaces(x.p, d) for d in x.dims]
     order = x.quiver.topological_order
     incoming: list[list[tuple[int, int]]] = [[] for _ in order]
@@ -344,11 +344,6 @@ def quotient_rep(x: QuiverRep, sub: SubRep):
         qmaps.append(block)
     q = QuiverRep(x.quiver, p, qdims, qmaps)
     return q, projections
-
-
-def composition_factors(x: QuiverRep) -> dict[int, int]:
-    """Multiplicity of the simple at each vertex; for acyclic quivers this is dims."""
-    return {v: d for v, d in enumerate(x.dims) if d > 0}
 
 
 def single_vertex_support(x: QuiverRep) -> bool:

@@ -209,6 +209,10 @@ KIND_POLY = "UniPoly"
 KIND_POLYQUOT = "UniPolyQuot"
 KIND_BIPOLY = "BiPolyMonomialQuot"
 
+# the most elements an exhaustive search may enumerate: ring elements, and
+# vectors of them in the nullvector search
+ENUM_LIMIT = 1_000_000
+
 
 @dataclass(frozen=True)
 class Ring:
@@ -354,26 +358,30 @@ class Ring:
         return [(a, b) for a in range(xb) for b in range(yb)
                 if not _in_mono_ideal((a, b), self.rels)]
 
-    def elements(self, limit: int = 1_000_000) -> Iterator["RingElem"]:
-        """Iterate all ring elements in a fixed canonical order (finite rings)."""
+    def elements(self) -> Iterator["RingElem"]:
+        """Iterate all ring elements in a fixed canonical order (finite rings).
+
+        A ring with more than ENUM_LIMIT elements is refused before the first
+        element is built.
+        """
         if not self.is_finite():
             raise InputError(f"cannot enumerate the infinite ring {self.describe()}")
         if self.n is not None:
-            for k in range(self.n):
-                yield RingElem(self, k)
-            return
-        if self.modulus is not None:
+            count, payloads = self.n, range(self.n)
+        elif self.modulus is not None:
             deg = len(self.modulus) - 1
-            if self.p ** deg > limit:
-                raise InputError("finite ring too large to enumerate")
-            for coeffs in iter_product(range(self.p), repeat=deg):
-                yield RingElem(self, _pnorm(coeffs, self.p))
-            return
-        basis = self.normal_monomials()
-        if self.p ** len(basis) > limit:
-            raise InputError("finite ring too large to enumerate")
-        for coeffs in iter_product(range(self.p), repeat=len(basis)):
-            yield RingElem(self, _bnorm(list(zip(basis, coeffs)), self.p, self.rels))
+            count = self.p ** deg
+            payloads = (_pnorm(c, self.p) for c in iter_product(range(self.p), repeat=deg))
+        else:
+            basis = self.normal_monomials()
+            count = self.p ** len(basis)
+            payloads = (_bnorm(list(zip(basis, c)), self.p, self.rels)
+                        for c in iter_product(range(self.p), repeat=len(basis)))
+        if count > ENUM_LIMIT:
+            raise InputError(f"finite ring too large to enumerate: {self.describe()} "
+                             f"has {count} elements, more than {ENUM_LIMIT}")
+        for payload in payloads:
+            yield RingElem(self, payload)
 
     # -- misc ----------------------------------------------------------------
 

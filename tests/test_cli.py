@@ -269,6 +269,21 @@ ASS_PAYLOAD = {"ring": {"kind": "Z"}, "generators": 1, "relations": [[12]]}
      "'payload' must be a JSON object"),
     (None, "cannot read the report file"),
     ("not json", "not valid JSON"),
+    (json.dumps({"command": "verify", "payload": {"suite": "mccoy"},
+                 "options": {"mccoy_instances": "x"}, "result": {}}),
+     "unknown option 'mccoy_instances'"),
+    (json.dumps({"command": "verify", "payload": {"suite": "ass-singleton"},
+                 "options": {"max_order": "12"}, "result": {}}),
+     "option 'max_order' must be an integer"),
+    (json.dumps({"command": "verify", "payload": {"suite": "ass-singleton"},
+                 "options": {"max_order": True}, "result": {}}),
+     "option 'max_order' must be an integer"),
+    (json.dumps({"command": "ass", "payload": ASS_PAYLOAD,
+                 "options": {"no_prune": 0}, "result": {}}),
+     "option 'no_prune' must be a boolean"),
+    (json.dumps({"command": "check", "payload": ASS_PAYLOAD,
+                 "options": {"method": "fast"}, "result": {}}),
+     "option 'method' must be one of"),
 ])
 def test_replay_refuses_malformed_report(tmp_path, capsys, content, message):
     path = tmp_path / "report.json"
@@ -277,6 +292,27 @@ def test_replay_refuses_malformed_report(tmp_path, capsys, content, message):
     code, _, err = run_cli(capsys, "replay", str(path))
     assert code == 2
     assert message in err
+
+
+def test_replay_accepts_every_written_option(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "--json", "--out", str(out_path), "--no-prune",
+                         "check", "--method", "brute-force", "--module", json.dumps(ASS_PAYLOAD))
+    assert code == 0
+    assert sorted(json.loads(out_path.read_text())["options"]) == [
+        "json_output", "max_dim", "max_order", "method", "no_prune", "seed"]
+    code, out, _ = run_cli(capsys, "--json", "replay", str(out_path))
+    assert code == 0 and json.loads(out)["result"]["match"] is True
+
+
+@pytest.mark.parametrize("ring", [{"kind": "IntegersMod", "n": 20_000_000},
+                                  {"kind": "PrimeField", "p": 10_000_019}])
+def test_oversized_nullvector_search_is_refused_at_once(capsys, ring):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "mccoy", "nullvector",
+                           json.dumps({"ring": ring, "matrix": [[3]]}))
+    assert code == 2 and "too large" in err
+    assert time.perf_counter() - start < 1.0
 
 
 RING_SAMPLES = [

@@ -18,7 +18,6 @@ from torsion_lab.engine import (AbelianHandle, QuiverHandle,
                                 is_torsion_simple, torsion_parts,
                                 torsion_radical_generated,
                                 torsionfree_coradical_cogenerated, trace,
-                                type_of, unique_simple_factor,
                                 verify_torsion_pair_axioms)
 from torsion_lab.errors import InputError
 from torsion_lab.intlinalg import matmul
@@ -157,23 +156,11 @@ def test_injective_criterion_examples():
     assert not rep6.kernel_essential
 
 
-def test_unique_simple_factor():
-    ok, tag = unique_simple_factor(H, cyclic_module(Z, 8))
-    assert ok and tag == ("prime", 2)
-    ok, _ = unique_simple_factor(QH, P1)
-    assert not ok
-    ok, tag = unique_simple_factor(QH, QuiverRep(A2, 2, [2, 0], [[], []][:1]))
-    assert ok and tag == ("vertex", 0)
-    with pytest.raises(InputError):
-        unique_simple_factor(H, PresentedModule(Z, 0, []))
-
-
 def test_type_examples():
-    assert type_of(H, cyclic_module(Z, 9)) == ("prime", 3)
-    assert type_of(H, PresentedModule(Z, 1, [[]])) == ("prime", 0)
-    assert type_of(QH, simple_rep(A2, 2, 1)) == ("vertex", 1)
-    with pytest.raises(InputError):
-        type_of(H, cyclic_module(Z, 6))
+    assert is_torsion_simple(H, cyclic_module(Z, 9)).type_tag == ("prime", 3)
+    assert is_torsion_simple(H, PresentedModule(Z, 1, [[]])).type_tag == ("prime", 0)
+    assert is_torsion_simple(QH, simple_rep(A2, 2, 1)).type_tag == ("vertex", 1)
+    assert is_torsion_simple(H, cyclic_module(Z, 6)).type_tag is None
 
 
 def test_axioms_small_sample():
@@ -232,12 +219,13 @@ def test_pruning_agrees_on_a2_and_a3_reps():
 
 
 def test_simplicity_matches_unique_factor_over_z():
-    from torsion_lab.engine import unique_simple_factor as usf
+    # a finite abelian group has a single composition factor Z/p exactly when
+    # its order is a power of p (test-local trial division)
     for n in range(2, 61):
+        prime_power = len({d for d in range(2, n + 1)
+                           if n % d == 0 and all(d % e for e in range(2, d))}) == 1
         for mod in finite_abelian_modules(n):
-            simple = is_torsion_simple(H, mod).verdict
-            unique, _ = usf(H, mod)
-            assert simple == unique, (n, mod.describe())
+            assert is_torsion_simple(H, mod).verdict == prime_power, (n, mod.describe())
 
 
 def test_sp_closed_subsets_drive_the_radical():

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from torsion_lab.errors import InputError
 from torsion_lab.quiver import (Quiver, QuiverRep, SubRep, a_n_quiver,
-                                composition_factors, enumerate_subreps,
-                                hom_space, is_isomorphic, quotient_rep,
-                                simple_rep, single_vertex_support)
+                                enumerate_subreps, hom_space, is_isomorphic,
+                                quotient_rep, simple_rep, single_vertex_support)
 
 A2 = a_n_quiver(2)
 S1 = simple_rep(A2, 2, 0)
@@ -136,20 +135,9 @@ def test_unstable_subspaces_rejected():
 
 
 def test_composition_factors():
-    assert composition_factors(P1) == {0: 1, 1: 1}
-    assert composition_factors(QuiverRep(A2, 2, [2, 0], [[]])) == {0: 2}
-    assert composition_factors(QuiverRep(A2, 2, [0, 0], [[]])) == {}
     assert single_vertex_support(S1)
     assert not single_vertex_support(P1)
     assert not single_vertex_support(QuiverRep(A2, 2, [0, 0], [[]]))
-
-
-def test_single_vertex_support_iff_unique_factor():
-    for rep in _all_a2_reps(2, 2):
-        if rep.is_zero():
-            continue
-        factors = composition_factors(rep)
-        assert single_vertex_support(rep) == (len(factors) == 1)
 
 
 def test_isomorphism_search():
