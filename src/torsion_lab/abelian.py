@@ -170,6 +170,12 @@ class PresentedModule:
             vec[idx] = c
         return la.mat_vec(ui, vec)
 
+    def presentation(self) -> tuple:
+        """(ring, gens, relations) as a hashable value, equal exactly for equal
+        presentations; subobjects live in generator coordinates, so they are
+        shared only between modules with the same presentation."""
+        return (self.ring, self.gens, tuple(map(tuple, self.relations)))
+
     def __eq__(self, other) -> bool:
         # equality of modules, not of presentations
         return (isinstance(other, PresentedModule)
@@ -197,16 +203,25 @@ class PresentedModule:
 class Subobject:
     """A submodule given by generator-coordinate columns inside a fixed ambient."""
 
-    __slots__ = ("ambient", "embedding", "lattice", "_as_module")
+    __slots__ = ("ambient", "embedding", "_lattice")
 
     def __init__(self, ambient: PresentedModule, embedding: Matrix):
         if len(embedding) != ambient.gens:
             raise InputError("embedding matrix must have one row per ambient generator")
         self.ambient = ambient
         self.embedding = [list(map(int, row)) for row in embedding]
-        cols = la.columns(self.embedding) + [c[:] for c in ambient.relation_lattice().basis]
-        self.lattice = la.ColumnEchelonLattice(ambient.gens, cols)
-        self._as_module = None
+        self._lattice = None
+
+    @property
+    def lattice(self) -> la.ColumnEchelonLattice:
+        """Canonical basis of the embedding columns plus the relations, built on
+        first use: a subobject that is only summed, composed or tested for
+        inclusion in another never needs its own."""
+        if self._lattice is None:
+            cols = la.columns(self.embedding) + [
+                c[:] for c in self.ambient.relation_lattice().basis]
+            self._lattice = la.ColumnEchelonLattice(self.ambient.gens, cols)
+        return self._lattice
 
     @staticmethod
     def zero(ambient: PresentedModule) -> "Subobject":
@@ -236,14 +251,11 @@ class Subobject:
                    // self.lattice.determinant_index())
 
     def as_module(self) -> PresentedModule:
-        """The subobject presented on its own embedding columns."""
-        if self._as_module is None:
-            emb_cols = la.columns(self.embedding)
-            rels = la.preimage(emb_cols, self.ambient.relation_lattice().basis,
-                               self.ambient.gens)
-            self._as_module = PresentedModule(self.ambient.ring, len(emb_cols),
-                                              la.from_columns(rels, len(emb_cols)))
-        return self._as_module
+        """The subobject presented on its own embedding columns (built on each call)."""
+        emb_cols = la.columns(self.embedding)
+        rels = la.preimage(emb_cols, self.ambient.relation_lattice().basis, self.ambient.gens)
+        return PresentedModule(self.ambient.ring, len(emb_cols),
+                               la.from_columns(rels, len(emb_cols)))
 
     def sum(self, other: "Subobject") -> "Subobject":
         return Subobject(self.ambient, la.hstack(self.embedding, other.embedding))
@@ -278,9 +290,7 @@ class Subobject:
 def quotient(module: PresentedModule, sub: Subobject) -> PresentedModule:
     # the embedding is in the ambient's generator coordinates, so the ambient
     # must be the same presentation, not merely an isomorphic module
-    amb = sub.ambient
-    if amb is not module and (amb.ring, amb.gens, amb.relations) != (
-            module.ring, module.gens, module.relations):
+    if sub.ambient is not module and sub.ambient.presentation() != module.presentation():
         raise InputError("subobject does not live in the given module")
     return PresentedModule(module.ring, module.gens,
                            la.hstack(module.relations, sub.embedding))

@@ -79,6 +79,60 @@ class AxiomCheckResult:
 # ---------------------------------------------------------------------------
 
 
+# The most subobjects one handle's tables hold in all.  A cached subobject
+# takes about 0.6 KB (an abelian one on at most 5 generators, without its
+# lattice) or 0.3 KB (a representation of dimension <= 3 per vertex), so the
+# tables stay under about 6 MB.
+SUBOBJECT_TABLE_CAP = 10_000
+
+
+class _SubobjectTables:
+    """The subobject tables of one handle, read by verify_torsion_pair_axioms.
+
+    The table of x is [(w, rep)] for every subobject w of x in the order of
+    handle.subobjects(x), where rep is the interned object equal to
+    sub_as_object(w): one per isomorphism class of modules, one per identical
+    representation.  Tables are keyed by presentation, never by isomorphism
+    class, because subobjects are coordinates in the presentation: a
+    PresentedModule by presentation(), a QuiverRep by itself (it compares by
+    its maps).  A table holds no verdict, so it serves every source set.
+    Past SUBOBJECT_TABLE_CAP subobjects the oldest presentation goes first,
+    and a presentation with more subobjects than the cap is not kept.
+    """
+
+    def __init__(self):
+        self.tables: dict = {}
+        self.classes: dict = {}
+        self.size = 0
+
+    def get(self, handle, x) -> list:
+        key = x.presentation() if isinstance(x, ab.PresentedModule) else x
+        table = self.tables.get(key)
+        if table is None:
+            table = []
+            for w in handle.subobjects(x):
+                obj = handle.sub_as_object(w)
+                if isinstance(w, ab.Subobject):
+                    # the maximality loop reads only w's embedding, so keep a
+                    # copy without the lattice the enumeration built to sort
+                    w = ab.Subobject(w.ambient, w.embedding)
+                table.append((w, self.classes.setdefault(obj, obj)))
+            self._store(key, table)
+        return table
+
+    def _store(self, key, table: list) -> None:
+        dropped = len(table) > SUBOBJECT_TABLE_CAP
+        if not dropped:
+            while self.size + len(table) > SUBOBJECT_TABLE_CAP:
+                self.size -= len(self.tables.pop(next(iter(self.tables))))
+                dropped = True
+            self.tables[key] = table
+            self.size += len(table)
+        if dropped:
+            # keep only the representatives that a kept table still uses
+            self.classes = {rep: rep for t in self.tables.values() for _, rep in t}
+
+
 class AbelianHandle:
     """Finitely generated modules over Z or Z/n as a torsion universe."""
 
@@ -86,6 +140,7 @@ class AbelianHandle:
         if ring.kind not in (KIND_Z, KIND_ZMOD):
             raise InputError("the module handle works over Z or Z/n")
         self.ring = ring
+        self._subobject_tables = _SubobjectTables()
 
     # objects are PresentedModule, subobjects are ab.Subobject
 
@@ -137,10 +192,10 @@ class AbelianHandle:
         return ab.hom_is_zero(w.as_module(), ab.quotient(x, w))
 
     def sub_stable(self, x, w, endos) -> bool:
-        basis = w.lattice.basis
+        lattice = w.lattice
         for f in endos:
-            for col in basis:
-                if not w.lattice.contains(la.mat_vec(f.data, col)):
+            for col in lattice.basis:
+                if not lattice.contains(la.mat_vec(f.data, col)):
                     return False
         return True
 
@@ -154,6 +209,7 @@ class QuiverHandle:
     def __init__(self, quiver: qv.Quiver, p: int):
         self.quiver = quiver
         self.p = p
+        self._subobject_tables = _SubobjectTables()
 
     def enumerable(self, x) -> bool:
         return True
@@ -315,6 +371,11 @@ def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> Si
     raise InputError(f"unknown simplicity method {method!r}")
 
 
+def _instance(handle, sources, x) -> str:
+    """x and the source set, as named in refusals and postcondition failures."""
+    return f"{handle.describe(x)} with sources [{', '.join(map(handle.describe, sources))}]"
+
+
 def trace(handle, sources, x):
     """Smallest subobject of x containing the image of every morphism from sources."""
     acc = handle.zero_sub(x)
@@ -339,9 +400,11 @@ def torsion_radical_generated(handle, sources, x, check: bool = True):
     if check:
         q, _ = handle.quotient(x, t)
         if handle.hom_basis(handle.sub_as_object(t), q):
-            raise ContradictionError("radical postcondition Hom(t(x), x/t(x)) = 0 failed")
+            raise ContradictionError("radical postcondition Hom(t(x), x/t(x)) = 0 failed "
+                                     f"for {_instance(handle, sources, x)}")
         if not trace(handle, sources, q).is_zero():
-            raise ContradictionError("radical postcondition t(x/t(x)) = 0 failed")
+            raise ContradictionError("radical postcondition t(x/t(x)) = 0 failed "
+                                     f"for {_instance(handle, sources, x)}")
     return t
 
 
@@ -358,11 +421,22 @@ def torsionfree_coradical_cogenerated(handle, sources, x, check: bool = True):
     """(t(x), x/t(x)) for the torsion pair cogenerated by `sources`.
 
     The torsion radical is the stabilised iterated reject; the returned object
-    is the torsion-free coradical x/t(x).
+    is the torsion-free coradical x/t(x).  Whether the reject of an iterate is
+    all of it, and the isomorphism class of that reject, depend only on the
+    iterate's isomorphism class.  So once an iterate is isomorphic to an
+    earlier one the descent is periodic and never stabilises (Z with source
+    Z/2 gives Z > 2Z > 4Z > ...), and the input is refused.  A finitely
+    generated module has finitely many isomorphism classes of subobjects, and
+    each step lowers a representation's dimension, so the loop is bounded.
     """
     cur = handle.full_sub(x)
+    seen = set()
     while True:
         obj = handle.sub_as_object(cur)
+        if obj in seen:
+            raise InputError(f"the iterated reject of {_instance(handle, sources, x)} "
+                             "repeats an isomorphism class without stabilising")
+        seen.add(obj)
         r = reject(handle, sources, obj)
         if r.is_full():
             break
@@ -371,8 +445,8 @@ def torsionfree_coradical_cogenerated(handle, sources, x, check: bool = True):
         tobj = handle.sub_as_object(cur)
         for s in sources:
             if handle.hom_basis(tobj, s):
-                raise ContradictionError(
-                    "coradical postcondition Hom(t(x), source) = 0 failed")
+                raise ContradictionError("coradical postcondition Hom(t(x), source) = 0 "
+                                         f"failed for {_instance(handle, sources, x)}")
     coradical, _ = handle.quotient(x, cur)
     return cur, coradical
 
@@ -427,17 +501,22 @@ def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult
     """For each sample object: orthogonality, largest-subobject maximality, idempotence.
 
     Maximality asks whether some subobject w of x is torsion (its own radical
-    is all of w) without lying inside t = t(x).  Two things keep this cheap:
+    is all of w) without lying inside t = t(x).  A w with t.contains(w)
+    cannot break maximality, so its radical is never computed.  Two memos
+    keep the rest cheap:
 
-    - a w with t.contains(w) cannot break maximality, so its radical is
-      never computed;
-    - "is w torsion" is memoised for the duration of one call, keyed by the
-      object sub_as_object(w).  Torsion classes are closed under isomorphism,
-      so any key equality that implies isomorphism is sound.  The memo relies
-      on the objects' __eq__/__hash__: PresentedModule compares by (ring,
-      canonical decomposition), so each isomorphism class costs one radical;
-      QuiverRep compares by (quiver, p, dims, maps), so only identical
-      representations share an entry.
+    - the handle's subobject table of x (see _SubobjectTables) lists every w
+      with its object sub_as_object(w), built once per presentation and read
+      by every later call with any source set.  It is keyed by presentation
+      because subobjects are coordinates in it, and it holds no verdict, so
+      each call still tests t.contains(w) for every w and asks every radical
+      of its own sources;
+    - "is w torsion" is memoised for the duration of one call, keyed by that
+      object.  Torsion classes are closed under isomorphism, so any key
+      equality that implies isomorphism is sound.  PresentedModule compares
+      by (ring, canonical decomposition), so each isomorphism class costs one
+      radical; QuiverRep compares by (quiver, p, dims, maps), so only
+      identical representations share an entry.
     """
     results = []
     for x in sample:
@@ -447,10 +526,9 @@ def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult
         idempotent = trace(handle, sources, q).is_zero()
         maximal = True
         is_torsion: dict = {}
-        for w in handle.subobjects(x):
+        for w, wobj in handle._subobject_tables.get(handle, x):
             if t.contains(w):
                 continue
-            wobj = handle.sub_as_object(w)
             torsion = is_torsion.get(wobj)
             if torsion is None:
                 tw = torsion_radical_generated(handle, sources, wobj, check=False)

@@ -349,6 +349,11 @@ SUITES = {
 
 
 def run_suite(name: str, options) -> SuiteResult:
+    """Run a suite; options that leave it no instance to check are refused,
+    since a pass over nothing would certify nothing."""
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    return SUITES[name](options)
+    result = SUITES[name](options)
+    if not result.instances:
+        raise InputError(f"the options leave suite {name!r} no instance to check")
+    return result

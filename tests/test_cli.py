@@ -155,6 +155,35 @@ def test_radical_lemma_counterexample(capsys):
     assert result["expected_for_non_domain"] is True
 
 
+@pytest.mark.parametrize("obj, source", [
+    ('{"ring":{"kind":"Z"},"generators":1,"relations":[[0]]}', 2),
+    ('{"ring":{"kind":"Z"},"generators":3,"relations":[[0],[0],[0]]}', 100),
+])
+def test_cogenerated_radical_that_never_stabilises_is_refused(capsys, obj, source):
+    # the iterated reject of Z by Z/2 is 2Z, 4Z, ..., each again a copy of Z
+    payload = json.dumps({
+        "mode": "cogenerated",
+        "sources": [{"ring": {"kind": "Z"}, "generators": 1, "relations": [[source]]}],
+        "object": json.loads(obj),
+    })
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "--json", "radical", payload)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"with sources [Z/{source}]" in err and "stabilis" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["finite-length", "--max-dim", "0"],
+    ["ass-singleton", "--max-order", "0"],
+    ["gabriel-split", "--max-order", "-5"],
+])
+def test_verify_with_no_instance_to_check_is_refused(capsys, args):
+    code, out, err = run_cli(capsys, "--json", "verify", *args)
+    assert code == 2 and not out
+    assert f"suite {args[0]!r} no instance to check" in err
+
+
 def test_verify_suite_exit_code(capsys):
     code, out, _ = run_cli(capsys, "--json", "verify", "morphisms")
     assert code == 0

@@ -1,4 +1,5 @@
 """Torsion parts, simplicity verdicts, radicals, coradicals, criterion checks."""
+import itertools
 import math
 import random
 from unittest import mock
@@ -19,7 +20,7 @@ from torsion_lab.engine import (AbelianHandle, QuiverHandle,
                                 torsion_radical_generated,
                                 torsionfree_coradical_cogenerated, trace,
                                 verify_torsion_pair_axioms)
-from torsion_lab.errors import InputError
+from torsion_lab.errors import ContradictionError, InputError
 from torsion_lab.intlinalg import matmul
 from torsion_lab.quiver import Quiver, QuiverRep, a_n_quiver, simple_rep
 from torsion_lab.rings import Ring
@@ -133,6 +134,47 @@ def test_coradical_of_mixed_module():
     # morphisms Z/12 -> Z/2 kill 2Z/12; reject stabilises at 4Z/12 = Z/3
     assert t.as_module().canonical_decomposition() == (0, [3])
     assert cor.canonical_decomposition() == (0, [4])
+
+
+def test_coradical_refuses_a_descent_that_repeats_a_class():
+    # the reject of Z + Z/3 by Z/100 is 100Z + Z/3, again isomorphic to it
+    x = PresentedModule(Z, 2, [[0, 0], [0, 3]])
+    with pytest.raises(InputError, match=r"of Z \+ Z/3 with sources \[Z/100\] repeats"):
+        torsionfree_coradical_cogenerated(H, [cyclic_module(Z, 100)], x)
+
+
+def _broken_trace(zero_on_call):
+    """Patch in a trace that is 0 on the calls `zero_on_call` picks, true elsewhere."""
+    calls = []
+
+    def broken(handle, sources, x):
+        calls.append(x)
+        if zero_on_call(len(calls)):
+            return handle.zero_sub(x)
+        return trace(handle, sources, x)
+
+    return mock.patch.object(engine, "trace", broken)
+
+
+@pytest.mark.parametrize("zero_on_call, failed", [
+    # t stops at 2Z/4, which maps onto x/t = Z/2
+    (lambda k: k > 1, r"Hom\(t\(x\), x/t\(x\)\) = 0"),
+    # t stops at 0, but x/t = x still receives Z/2
+    (lambda k: k == 1, r"t\(x/t\(x\)\) = 0"),
+])
+def test_radical_postconditions_name_the_object_and_sources(zero_on_call, failed):
+    with _broken_trace(zero_on_call), pytest.raises(
+            ContradictionError, match=failed + r" failed for Z/4 with sources \[Z/2\]$"):
+        torsion_radical_generated(H, [cyclic_module(Z, 2)], cyclic_module(Z, 4))
+
+
+def test_coradical_postcondition_names_the_object_and_sources():
+    # coradicals take no trace: break the reject instead, so t(x) = x = Z/4
+    with mock.patch.object(engine, "reject", lambda handle, sources, x: handle.full_sub(x)):
+        with pytest.raises(ContradictionError,
+                           match=r"failed for Z/4 with sources \[Z/3, Z/2\]$"):
+            torsionfree_coradical_cogenerated(
+                H, [cyclic_module(Z, 3), cyclic_module(Z, 2)], cyclic_module(Z, 4))
 
 
 def test_essential_examples():
@@ -344,6 +386,117 @@ def test_memoised_maximality_matches_unmemoised_loop(orders, primes, seed, broke
         [result] = verify_torsion_pair_axioms(H, sources, [x])
     t = H.zero_sub(x) if broken else torsion_radical_generated(H, sources, x, check=False)
     assert result.maximal == _unmemoised_maximal(sources, x, t)
+
+
+# one handle for every example, so later examples read earlier examples' tables
+_TABLE_HANDLE = AbelianHandle(Z)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(orders=st.sampled_from(_GROUPS), seeds=st.tuples(st.integers(0, 2 ** 32),
+                                                        st.integers(0, 2 ** 32)),
+       broken=st.sampled_from([None, 0, 1, 2]))
+def test_table_maximality_matches_unmemoised_loop(orders, seeds, broken):
+    dense = _dense_presentation(random.Random(seeds[0]), orders)
+    # a fresh instance of the same presentation, then another presentation of the class
+    xs = [dense, PresentedModule(Z, dense.gens, dense.relations),
+          _dense_presentation(random.Random(seeds[1]), orders)]
+    for primes in _SOURCE_SETS:
+        sources = [cyclic_module(Z, q) for q in primes]
+        for i, x in enumerate(xs):
+            with _radical_zero_on(x if i == broken else None):
+                [result] = verify_torsion_pair_axioms(_TABLE_HANDLE, sources, [x])
+            t = (H.zero_sub(x) if i == broken
+                 else torsion_radical_generated(H, sources, x, check=False))
+            assert result.maximal == _unmemoised_maximal(sources, x, t)
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The modules that abelian.enumerate_submodules is called on, in order."""
+    calls = []
+    real = abelian.enumerate_submodules
+
+    def counting(module):
+        calls.append(module)
+        return real(module)
+
+    monkeypatch.setattr(abelian, "enumerate_submodules", counting)
+    return calls
+
+
+_GABRIEL_SOURCE_SETS = [v for r in range(4) for v in itertools.combinations((2, 3, 5), r)]
+
+
+def test_one_enumeration_per_presentation(enumerations):
+    handle = AbelianHandle(Z)
+    for v in _GABRIEL_SOURCE_SETS:
+        # a fresh module each time, as the gabriel-split suite builds them
+        [result] = verify_torsion_pair_axioms(handle, [cyclic_module(Z, p) for p in v],
+                                              [direct_sum_module(Z, [2, 6])])
+        assert result.passed
+    assert len(_GABRIEL_SOURCE_SETS) == 8 and len(enumerations) == 1
+    rng = random.Random(3)
+    a, b = _dense_presentation(rng, [2, 4]), _dense_presentation(rng, [2, 4])
+    assert a == b and a.presentation() != b.presentation()
+    enumerations.clear()
+    for v in _GABRIEL_SOURCE_SETS:
+        results = verify_torsion_pair_axioms(handle, [cyclic_module(Z, p) for p in v], [a, b])
+        assert all(r.passed for r in results)
+    assert enumerations == [a, b]
+
+
+def test_a_table_hit_still_asks_every_radical(enumerations):
+    handle = AbelianHandle(Z)
+    sources = [cyclic_module(Z, 2)]
+    [first] = verify_torsion_pair_axioms(handle, sources, [cyclic_module(Z, 4)])
+    again = cyclic_module(Z, 4)
+    with _radical_zero_on(again):
+        [second] = verify_torsion_pair_axioms(handle, sources, [again])
+    assert first.maximal and not second.maximal
+    assert len(enumerations) == 1
+
+
+def test_oracles_enumerate_on_every_call(enumerations):
+    handle = AbelianHandle(Z)
+    x = direct_sum_module(Z, [2, 4])
+    verify_torsion_pair_axioms(handle, [cyclic_module(Z, 2)], [x])
+    enumerations.clear()
+    for _ in range(2):
+        torsion_parts(handle, x, prune=False)
+        is_essential(handle, handle.full_sub(x), x)
+        handle.subobjects(x)
+    assert len(enumerations) == 6
+
+
+def test_tables_hold_one_module_per_class_and_no_lattices():
+    handle = AbelianHandle(Z)
+    x = direct_sum_module(Z, [2, 2, 4])
+    verify_torsion_pair_axioms(handle, [cyclic_module(Z, 2)], [x])
+    tables = handle._subobject_tables
+    table = tables.tables[x.presentation()]
+    # the loop asked no cached subobject for its lattice (key() below builds it)
+    assert all(w._lattice is None for w, _ in table)
+    assert [w.key() for w, _ in table] == [w.key() for w in handle.subobjects(x)]
+    assert all(rep is tables.classes[w.as_module()] for w, rep in table)
+    # one module per subgroup type: the 7 partitions inside (2, 1, 1)
+    assert len(tables.classes) == 7
+
+
+def test_tables_evict_the_oldest_presentation_past_the_cap(enumerations, monkeypatch):
+    monkeypatch.setattr(engine, "SUBOBJECT_TABLE_CAP", 10)
+    handle = AbelianHandle(Z)
+    k4, z8, z4z2, z2z8 = (direct_sum_module(Z, orders)
+                          for orders in ([2, 2], [8], [4, 2], [2, 8]))
+    assert [len(handle.subobjects(m)) for m in (k4, z8, z4z2, z2z8)] == [5, 4, 8, 11]
+    enumerations.clear()
+    for sample in ([k4], [z8], [k4, z8], [z4z2], [z8], [k4], [z2z8], [z2z8]):
+        verify_torsion_pair_axioms(handle, [cyclic_module(Z, 2)], sample)
+    # z4z2 evicts k4 and z8; z8 then evicts z4z2; z2z8 is too large to keep
+    assert enumerations == [k4, z8, z4z2, z8, k4, z2z8, z2z8]
+    tables = handle._subobject_tables
+    # the kept tables of z8 and k4 use the classes 0, Z/2, Z/4, Z/8 and (Z/2)^2
+    assert tables.size == 9 and len(tables.classes) == 5
 
 
 _ZMOD_ORDERS = {n: [d for d in range(1, n + 1) if n % d == 0] for n in (4, 6, 8, 9, 12, 36)}

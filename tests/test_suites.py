@@ -36,6 +36,11 @@ def test_suite_passes_at_reduced_scale(name, options):
     assert payload["suite"] == name and payload["passed"] is True
 
 
+def test_suite_with_no_instance_is_refused():
+    with pytest.raises(InputError, match="no instance to check"):
+        run_suite("mccoy", {"mccoy_instances": 0})
+
+
 def test_suite_repeat_runs_match():
     first = run_suite("ass-singleton", {"max_order": 24}).as_dict()
     second = run_suite("ass-singleton", {"max_order": 24}).as_dict()
