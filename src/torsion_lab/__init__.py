@@ -5,7 +5,7 @@ for concrete finite-length module categories, with exact arithmetic throughout.
 from .abelian import (PresentedModule, PrimeSet, SpClosedSubset, Subobject,
                       associated_primes, cyclic_module, direct_sum_module,
                       enumerate_submodules, finite_abelian_modules, hom_group,
-                      hom_is_zero, primary_component, quotient)
+                      primary_component, quotient)
 from .engine import (AbelianHandle, Morph, QuiverHandle, SimplicityReport,
                      TorsionPartSet, injective_criterion_check, is_essential,
                      is_torsion_simple, torsion_parts,
@@ -14,7 +14,6 @@ from .engine import (AbelianHandle, Morph, QuiverHandle, SimplicityReport,
                      verify_torsion_pair_axioms)
 from .errors import (ContradictionError, InputError, TorsionLabError,
                      UnsupportedRingError, WorkBudgetError)
-from .intlinalg import smith_normal_form
 from .mccoy import (ConormalReport, DeterminantalProfile, RingMatrix,
                     check_radical_lemma, conormal_presentation,
                     determinantal_ideal, hom_I_to_quotient, mccoy_rank,

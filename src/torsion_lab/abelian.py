@@ -127,7 +127,7 @@ class PresentedModule:
         """
         if self._dec is None:
             full = self._full_relation_matrix()
-            u, ui, d, _, _ = la.smith_with_inverses(full)
+            u, ui, d = la.smith_with_inverses(full)
             diag = la.diagonal_of(d)
             deltas = [diag[i] if i < len(diag) else 0 for i in range(self.gens)]
             coords = [(i, delta) for i, delta in enumerate(deltas) if delta != 1]
@@ -238,8 +238,8 @@ class Subobject:
         return self.key() == self.ambient.relation_lattice().key()
 
     def is_full(self) -> bool:
-        return all(self.lattice.contains([1 if i == j else 0 for i in range(self.ambient.gens)])
-                   for j in range(self.ambient.gens))
+        lattice = self.lattice
+        return lattice.rank == self.ambient.gens and lattice.determinant_index() == 1
 
     def contains(self, other: "Subobject") -> bool:
         return self.lattice.contains_all(la.columns(other.embedding))
@@ -442,12 +442,6 @@ def hom_group(src: PresentedModule, dst: PresentedModule):
             rel_cols.append(col)
     h = PresentedModule(src.ring, count, la.from_columns(rel_cols, count))
     return h, basis
-
-
-def hom_is_zero(src: PresentedModule, dst: PresentedModule) -> bool:
-    if src.ring != dst.ring:
-        raise InputError("hom requires modules over the same ring")
-    return not _hom_summands(src, dst)
 
 
 # -- associated primes and primary parts ---------------------------------------

@@ -185,11 +185,10 @@ class AbelianHandle:
         return ab.Subobject(x, emb)
 
     def part_test(self, x, w) -> bool:
-        """Hom(w, x/w) = 0, using the coprime-order rule on finite modules."""
-        if x.is_finite():
-            order_w = w.order()
-            return math.gcd(order_w, x.order() // order_w) == 1
-        return ab.hom_is_zero(w.as_module(), ab.quotient(x, w))
+        """Hom(w, x/w) = 0 by the coprime-order rule; parts are only tested on
+        enumerated subobjects, so x is finite."""
+        order_w = w.order()
+        return math.gcd(order_w, x.order() // order_w) == 1
 
     def sub_stable(self, x, w, endos) -> bool:
         lattice = w.lattice
@@ -237,12 +236,7 @@ class QuiverHandle:
         return [Morph(a, b, mats) for mats in qv.hom_space(a, b)]
 
     def image(self, f: Morph):
-        spaces = []
-        for v in range(f.dst.quiver.vertex_count):
-            mat = f.data[v]
-            cols = [[mat[i][j] for i in range(f.dst.dims[v])] for j in range(f.src.dims[v])]
-            spaces.append(ml.Subspace(self.p, f.dst.dims[v], cols))
-        return qv.SubRep(f.dst, spaces, check=False)
+        return self.push_sub(f, self.full_sub(f.src))
 
     def push_sub(self, f: Morph, w):
         spaces = []

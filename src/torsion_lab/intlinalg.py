@@ -1,4 +1,5 @@
-"""Exact linear algebra over the integers: Smith form, Hermite echelon, kernels.
+"""Exact linear algebra over the integers: a Smith form that decomposes modules,
+and a Hermite echelon form that answers kernels, preimages and membership.
 
 Matrices are lists of row lists of Python ints, so everything is arbitrary
 precision.  Sizes in this project stay small (a handful of generators), which
@@ -18,10 +19,6 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         out[i][i] = 1
     return out
-
-
-def copy_matrix(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -68,22 +65,13 @@ def from_columns(cols: list[list[int]], rows: int) -> Matrix:
     return [[c[i] for c in cols] for i in range(rows)]
 
 
-def smith_normal_form(a: Matrix):
-    """Return (U, D, V) with U @ a @ V == D diagonal, d1 | d2 | ... >= 0.
-
-    U and V are unimodular.  Use smith_with_inverses when U^-1/V^-1 are needed.
-    """
-    u, _, d, v, _ = smith_with_inverses(a)
-    return u, d, v
-
-
 def smith_with_inverses(a: Matrix):
-    """Return (U, Uinv, D, V, Vinv) with U @ a @ V == D in Smith form."""
+    """Return (U, Uinv, D) with U @ a @ V == D in Smith form for some unimodular
+    V, which is not tracked: kernels are read off the Hermite form instead."""
     m = len(a)
     n = len(a[0]) if m else 0
-    d = copy_matrix(a)
+    d = [row[:] for row in a]
     u, ui = identity(m), identity(m)
-    v, vi = identity(n), identity(n)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -107,17 +95,11 @@ def smith_with_inverses(a: Matrix):
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def add_col(i, j, c):
         # col_i += c * col_j
         for row in d:
             row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-        vi[j] = [x - c * y for x, y in zip(vi[j], vi[i])]
 
     size = min(m, n)
     s = 0
@@ -179,7 +161,7 @@ def smith_with_inverses(a: Matrix):
         if d[s][s] < 0:
             neg_row(s)
         s += 1
-    return u, ui, d, v, vi
+    return u, ui, d
 
 
 def diagonal_of(d: Matrix) -> list[int]:
@@ -187,20 +169,18 @@ def diagonal_of(d: Matrix) -> list[int]:
 
 
 def kernel_basis(a: Matrix) -> list[list[int]]:
-    """Basis (as column vectors) of {x : a @ x == 0} over the integers."""
+    """Basis (as column vectors) of {x : a @ x == 0} over the integers.
+
+    Read off the Hermite form of the graph lattice spanned by the columns
+    (a e_j ; e_j) on m + n rows (Cohen, GTM 138, 2.4.3).  Basis columns are
+    zero above their pivots, so those with pivot at row m or below span
+    {(0 ; x) : a x = 0}, and their lower parts are a basis of the kernel.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [col for col in identity(n)]
-    _, d, v = smith_normal_form(a)
-    diag = diagonal_of(d)
-    out = []
-    for j in range(n):
-        if j >= len(diag) or diag[j] == 0:
-            out.append([v[i][j] for i in range(n)])
-    return out
+    graph = ColumnEchelonLattice(
+        m + n, [[row[j] for row in a] + [int(i == j) for i in range(n)] for j in range(n)])
+    return [col[m:] for col, r in zip(graph.basis, graph.pivots) if r >= m]
 
 
 def preimage(a_cols: list[list[int]], b_cols: list[list[int]], rows: int) -> list[list[int]]:
@@ -221,7 +201,7 @@ class ColumnEchelonLattice:
     canonical identifier.
     """
 
-    __slots__ = ("rows", "basis", "pivots")
+    __slots__ = ("rows", "basis", "pivots", "_key")
 
     def __init__(self, rows: int, cols: list[list[int]]):
         self.rows = rows
@@ -261,13 +241,14 @@ class ColumnEchelonLattice:
                     basis[k] = [x - q * y for x, y in zip(basis[k], basis[later])]
         self.basis = basis
         self.pivots = pivots
+        self._key = tuple(map(tuple, basis))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     def key(self) -> tuple:
-        return tuple(tuple(c) for c in self.basis)
+        return self._key
 
     def contains(self, vec: list[int]) -> bool:
         v = list(vec)

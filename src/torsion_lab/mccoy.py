@@ -47,9 +47,6 @@ class RingMatrix:
     def at(self, i: int, j: int) -> RingElem:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> list[RingElem]:
-        return [self.at(i, j) for j in range(self.cols)]
-
     def transpose(self) -> "RingMatrix":
         flat = [self.at(i, j) for j in range(self.cols) for i in range(self.rows)]
         return RingMatrix(self.ring, self.cols, self.rows, flat)

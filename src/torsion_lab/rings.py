@@ -283,15 +283,6 @@ class Ring:
             return not self.modulus
         return not self.rels
 
-    @property
-    def is_field(self) -> bool:
-        if self.n is not None:
-            return is_prime(self.n)
-        if self.modulus is not None:
-            return False
-        # F_p exactly when both variables are nilpotent of order 1
-        return bool(self.rels) and _in_mono_ideal((1, 0), self.rels) and _in_mono_ideal((0, 1), self.rels)
-
     # -- element construction ----------------------------------------------
 
     def from_int(self, k: int) -> "RingElem":
@@ -661,11 +652,7 @@ class Ideal:
         gens = annihilator_payloads(self)
         return Ideal(self.ring, [RingElem(self.ring, g) for g in gens])
 
-    # -- sums, products, colon -------------------------------------------------
-
-    def plus(self, other: "Ideal") -> "Ideal":
-        self._same_ring(other)
-        return Ideal(self.ring, list(self.gens) + list(other.gens))
+    # -- products, colon -------------------------------------------------------
 
     def times(self, other: "Ideal") -> "Ideal":
         self._same_ring(other)

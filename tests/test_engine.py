@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from torsion_lab import abelian, engine
 from torsion_lab.abelian import (PresentedModule, Subobject, cyclic_module,
                                  direct_sum_module, enumerate_submodules,
-                                 finite_abelian_modules, hom_is_zero,
+                                 finite_abelian_modules, hom_group,
                                  primary_component, quotient, split_submodules)
 from torsion_lab.engine import (AbelianHandle, QuiverHandle,
                                 endo_stable_subobjects,
@@ -63,7 +63,7 @@ def test_every_part_is_hom_orthogonal_and_stable():
         parts = torsion_parts(H, mod)
         endos = H.hom_basis(mod, mod)
         for w in parts.parts:
-            assert hom_is_zero(w.as_module(), quotient(mod, w))
+            assert not hom_group(w.as_module(), quotient(mod, w))[1]
             assert H.sub_stable(mod, w, endos)
 
 
@@ -77,7 +77,7 @@ def test_is_torsion_simple_examples():
     assert not rep2.verdict and rep2.method == "ass-criterion"
     assert rep2.witness.as_module().canonical_decomposition() == (0, [2])
     # witness is independently re-checkable
-    assert hom_is_zero(rep2.witness.as_module(), quotient(mixed, rep2.witness))
+    assert not hom_group(rep2.witness.as_module(), quotient(mixed, rep2.witness))[1]
 
 
 def test_is_torsion_simple_zero_object_rejected():

@@ -1,44 +1,105 @@
-"""Smith form soundness and lattice canonical forms."""
+"""Smith form, kernels and lattice canonical forms, against independent oracles."""
+import itertools
+import math
 import random
 
 import pytest
+from conftest import rational_rank
 
-from torsion_lab.intlinalg import (ColumnEchelonLattice, from_columns, hstack,
-                                   identity, kernel_basis, mat_vec, matmul,
-                                   smith_normal_form, smith_with_inverses,
-                                   diagonal_of)
+from torsion_lab.intlinalg import (ColumnEchelonLattice, diagonal_of,
+                                   from_columns, hstack, identity,
+                                   kernel_basis, mat_vec, matmul,
+                                   smith_with_inverses)
+
+
+def det(rows):
+    """Laplace expansion along the first row (matrices here are at most 5x5)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def minors_gcd(a, k):
+    """gcd of the k x k minors of a (0 when k exceeds a side)."""
+    m, n = len(a), len(a[0]) if a else 0
+    return math.gcd(*(det([[a[i][j] for j in cs] for i in rs])
+                      for rs in itertools.combinations(range(m), k)
+                      for cs in itertools.combinations(range(n), k)))
+
+
+def random_matrices(seed, count=500):
+    """Integer matrices up to 5x5: zero, rank-deficient products and dense ones."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        kind = rng.randrange(4)
+        if kind == 0:
+            yield [[0] * n for _ in range(m)]
+        elif kind == 1:
+            r = rng.randint(1, max(1, min(m, n) - 1))
+            left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(m)]
+            right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+            yield matmul(left, right)
+        else:
+            yield [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
 
 
 def test_snf_examples():
-    _, d, _ = smith_normal_form([[2, 0], [0, 3]])
+    _, _, d = smith_with_inverses([[2, 0], [0, 3]])
     assert diagonal_of(d) == [1, 6]
-    _, d, _ = smith_normal_form(identity(3))
+    _, _, d = smith_with_inverses(identity(3))
     assert diagonal_of(d) == [1, 1, 1]
-    _, d, _ = smith_normal_form([[0]])
+    _, _, d = smith_with_inverses([[0]])
     assert diagonal_of(d) == [0]
 
 
 def test_snf_soundness_random():
-    # U*A*V = D, unimodular transforms, divisibility chain: 500 random matrices
-    rng = random.Random(0)
-    for _ in range(500):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        a = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-        u, ui, d, v, vi = smith_with_inverses(a)
-        assert matmul(matmul(u, a), v) == d
+    # U unimodular, U*a and D span the same column lattice, D diagonal with
+    # d1 | d2 | ... >= 0 and d1 * ... * dk the gcd of the k x k minors of a
+    for a in random_matrices(0):
+        m, n = len(a), len(a[0])
+        u, ui, d = smith_with_inverses(a)
         assert matmul(u, ui) == identity(m)
-        assert matmul(v, vi) == identity(n)
+        assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
         diag = diagonal_of(d)
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert d[i][j] == 0
         for i in range(len(diag) - 1):
             assert diag[i] >= 0
             if diag[i + 1]:
                 assert diag[i] and diag[i + 1] % diag[i] == 0
-        for k in kernel_basis(a):
-            assert all(x == 0 for x in mat_vec(a, k))
+        product = 1
+        for k, dk in enumerate(diag, start=1):
+            product *= dk
+            assert product == minors_gcd(a, k)
+        # every column of U*a lies in the lattice of D; both have rank r and
+        # the same gcd of r x r minors, so the inclusion has index 1
+        r = sum(1 for x in diag if x)
+        for col in zip(*matmul(u, a)):
+            assert all(col[i] % diag[i] == 0 for i in range(r))
+            assert not any(col[r:])
+        assert r == rational_rank(a)
+
+
+def test_kernel_basis_examples():
+    assert kernel_basis([[1, 1]]) == [[1, -1]]
+    assert kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
+    assert kernel_basis([[2, 4, 6]]) == [[1, 1, -1], [0, 3, -2]]
+    assert kernel_basis([[2, 0], [0, 3]]) == []
+    assert kernel_basis([[], []]) == []
+    assert kernel_basis([]) == []
+
+
+def test_kernel_basis_random():
+    # killed by a, n - rank(a) vectors, and saturated: the gcd of the maximal
+    # minors of the basis is 1, so the basis spans the whole integer kernel
+    for a in random_matrices(1):
+        n = len(a[0])
+        basis = kernel_basis(a)
+        for vec in basis:
+            assert not any(mat_vec(a, vec))
+        assert len(basis) == n - rational_rank(a)
+        if basis:
+            assert minors_gcd(from_columns(basis, n), len(basis)) == 1
 
 
 def test_lattice_canonical_form_invariance():
