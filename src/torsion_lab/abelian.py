@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 
 from . import intlinalg as la
 from .errors import InputError
@@ -367,23 +366,46 @@ def enumerate_submodules(module: PresentedModule) -> list[Subobject]:
     return subs
 
 
-def split_submodules(module: PresentedModule) -> list[Subobject]:
-    """The split submodules, sorted like `enumerate_submodules`.
+def _invariant_exponents(lams: list[int]) -> list[list[int]]:
+    """Exponent vectors m of the fully invariant subgroups of + Z/p^lam_i.
 
-    A split submodule is  <t_1 e_1> + ... + <t_k e_k>  with t_i | delta_i, where
-    module = Z/delta_1 + ... + Z/delta_k is the decomposition of
-    `_decomposition()` and e_i generates the i-th summand, so there are
-    prod_i d(delta_i) of them, d counting divisors.  Every endomorphism-stable
-    (fully invariant) submodule W is among them: the projection pi_i onto
-    summand i is an endomorphism (the hom basis generator (i, i, delta_i, 1)),
-    so pi_i(W) lies in W and hence W = sum_i pi_i(W), while
-    pi_i(W) = W meet Z/delta_i is a subgroup <t_i e_i> of a cyclic group.
+    For a non-decreasing lam these are the m with m_i <= m_{i+1} and
+    lam_i - m_i <= lam_{i+1} - m_{i+1}, starting from m_0 <= lam_0; a leading
+    lam_i = 0 forces m_i = 0.
+    """
+    chains = [[]]
+    prev = 0
+    for lam in lams:
+        chains = [m + [(m[-1] if m else 0) + s] for m in chains for s in range(lam - prev + 1)]
+        prev = lam
+    return chains
+
+
+def fully_invariant_submodules(module: PresentedModule) -> list[Subobject]:
+    """The fully invariant submodules, sorted like `enumerate_submodules`.
+
+    With module = Z/delta_1 + ... + Z/delta_k the decomposition of
+    `_decomposition()` (delta_1 | ... | delta_k) and e_i generating the i-th
+    summand, these are  <t_1 e_1> + ... + <t_k e_k>  with t_i the product over
+    the primes p of delta_k of p^{m_{p,i}}, where m_p runs over
+    `_invariant_exponents` of lam_{p,i} = v_p(delta_i).  A fully invariant W
+    is the sum of its primary parts, each fully invariant in the primary
+    component, and in a p-group + Z/p^{lam_i} the fully invariant subgroups
+    are exactly + p^{m_i} Z/p^{lam_i} with lam_i <= lam_j implying m_i <= m_j
+    and lam_i - m_i <= lam_j - m_j (Baer 1935, "Types of elements and
+    characteristic subgroups of abelian groups"; Kaplansky, "Infinite Abelian
+    Groups").
     """
     deltas = _finite_deltas(module)
+    multipliers = [[1] * len(deltas)]
+    for p in prime_divisors(deltas[-1]) if deltas else ():
+        exponents = _invariant_exponents([p_adic_valuation(d, p) for d in deltas])
+        multipliers = [[t * p ** e for t, e in zip(ts, m)]
+                       for ts in multipliers for m in exponents]
     units = [module.coords_to_generators([int(i == j) for j in range(len(deltas))])
              for i in range(len(deltas))]
     subs = []
-    for ts in product(*(_divisors(delta) for delta in deltas)):
+    for ts in multipliers:
         cols = [[t * x for x in unit] for t, unit in zip(ts, units)]
         subs.append(Subobject(module, la.from_columns(cols, module.gens)))
     subs.sort(key=lambda s: s.sort_token())

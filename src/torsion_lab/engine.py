@@ -151,7 +151,10 @@ class AbelianHandle:
         return ab.enumerate_submodules(x)
 
     def stable_candidates(self, x):
-        return ab.split_submodules(x)
+        """The fully invariant subgroups of the finite x, in closed form (Baer;
+        Kaplansky): a torsion part w is one, as Hom(w, x/w) = 0 makes every
+        endomorphism map w into w."""
+        return ab.fully_invariant_submodules(x)
 
     def zero_sub(self, x):
         return ab.Subobject.zero(x)
@@ -302,11 +305,11 @@ def endo_stable_subobjects(handle, x):
     """Subobjects stable under every endomorphism (a necessary torsion-part test).
 
     Only the handle's `stable_candidates` are tested.  For a finite module over
-    Z or Z/n these are the split submodules  <t_1 e_1> + ... + <t_k e_k>  of its
-    cyclic decomposition Z/delta_1 + ... + Z/delta_k: the projection pi_i onto
-    summand i is an endomorphism, so a stable W equals the sum of the
-    pi_i(W) = W meet Z/delta_i, each a subgroup of a cyclic group.  For quiver
-    representations the candidates are all subrepresentations.
+    Z or Z/n these are exactly its fully invariant subgroups, generated in
+    closed form per primary component by `abelian.fully_invariant_submodules`
+    (Baer 1935; Kaplansky, "Infinite Abelian Groups"), so every candidate
+    passes.  For quiver representations the candidates are all
+    subrepresentations.
     """
     return list(_candidates(handle, x, prune=True))
 

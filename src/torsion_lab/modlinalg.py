@@ -92,7 +92,11 @@ class Subspace:
 
     @classmethod
     def full(cls, p: int, dim: int) -> "Subspace":
-        return cls(p, dim, [[1 if j == i else 0 for j in range(dim)] for i in range(dim)])
+        # the identity rows are already reduced, with pivot i in row i
+        space = cls(p, dim, [])
+        space.rows = tuple(tuple(int(j == i) for j in range(dim)) for i in range(dim))
+        space.pivots = tuple(range(dim))
+        return space
 
     @classmethod
     def zero(cls, p: int, dim: int) -> "Subspace":

@@ -7,8 +7,8 @@ from conftest import brute_additive_maps, brute_set_maps_additive, brute_subgrou
 from torsion_lab.abelian import (PresentedModule, Subobject, associated_primes,
                                  cyclic_module, direct_sum_module,
                                  enumerate_submodules, finite_abelian_modules,
-                                 hom_group, primary_component,
-                                 quotient, split_submodules)
+                                 fully_invariant_submodules, hom_group,
+                                 primary_component, quotient)
 from torsion_lab.errors import InputError
 from torsion_lab.rings import Ring
 
@@ -63,7 +63,7 @@ def test_submodules_are_deduplicated_and_ordered():
 
 
 def test_infinite_module_rejects_enumeration():
-    for enumerate_ in (enumerate_submodules, split_submodules):
+    for enumerate_ in (enumerate_submodules, fully_invariant_submodules):
         with pytest.raises(InputError):
             enumerate_(PresentedModule(Z, 1, [[]]))
 

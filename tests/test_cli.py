@@ -239,6 +239,24 @@ def test_torsion_parts_of_elementary_2_group_rank_8(capsys):
     assert json.loads(out)["result"]["count"] == 2
 
 
+def test_torsion_parts_bytes_of_elementary_2_group_rank_8(capsys):
+    def compact(value):
+        return json.dumps(value, separators=(",", ":"))
+
+    doubled = compact([[2 * (i == j) for j in range(8)] for i in range(8)])
+    identity = compact([[int(i == j) for j in range(8)] for i in range(8)])
+    module = '{"generators":8,"relations":' + doubled + ',"ring":{"kind":"Z"}}'
+    want = ('{"command":"torsion-parts","options":{"json_output":true,"max_dim":3,'
+            '"max_order":200,"no_prune":false,"seed":0},"payload":' + module
+            + ',"result":{"count":2,"object":' + module
+            + ',"parts":[{"embedding":' + doubled + ',"module":"0","order":1},'
+            + '{"embedding":' + identity + ',"module":"' + " + ".join(["Z/2"] * 8)
+            + '","order":256}],"pruned":true},"tool":"torsim"}\n')
+    code, out, _ = run_cli(capsys, "--json", "torsion-parts", "--module", module)
+    assert code == 0
+    assert out == want
+
+
 def test_zero_object_input_error(capsys):
     zero = '{"ring":{"kind":"Z"},"generators":0,"relations":[]}'
     code, _, _ = run_cli(capsys, "check", "--module", zero)

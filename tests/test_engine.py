@@ -8,11 +8,12 @@ import pytest
 from conftest import small_rep_data
 from hypothesis import given, settings, strategies as st
 
-from torsion_lab import abelian, engine
+from torsion_lab import abelian, engine, modlinalg
 from torsion_lab.abelian import (PresentedModule, Subobject, cyclic_module,
                                  direct_sum_module, enumerate_submodules,
-                                 finite_abelian_modules, hom_group,
-                                 primary_component, quotient, split_submodules)
+                                 finite_abelian_modules,
+                                 fully_invariant_submodules, hom_group,
+                                 primary_component, quotient)
 from torsion_lab.engine import (AbelianHandle, QuiverHandle,
                                 endo_stable_subobjects,
                                 injective_criterion_check, is_essential,
@@ -516,18 +517,90 @@ def _dense_modules(draw):
     return m
 
 
-def _divisor_count(d):
-    return sum(1 for k in range(1, d + 1) if d % k == 0)
+def _stable_keys(m, subs):
+    """Keys of the subobjects that every endomorphism of m maps into themselves."""
+    handle = AbelianHandle(m.ring)
+    endos = handle.hom_basis(m, m)
+    return [w.key() for w in subs if handle.sub_stable(m, w, endos)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(m=_dense_modules())
 def test_stable_subobjects_match_filtered_full_enumeration(m):
-    handle = AbelianHandle(m.ring)
-    endos = handle.hom_basis(m, m)
-    want = [w.key() for w in enumerate_submodules(m) if handle.sub_stable(m, w, endos)]
-    assert [w.key() for w in endo_stable_subobjects(handle, m)] == want
-    assert len(split_submodules(m)) == math.prod(map(_divisor_count, m.invariant_factors))
+    want = _stable_keys(m, enumerate_submodules(m))
+    assert [w.key() for w in endo_stable_subobjects(AbelianHandle(m.ring), m)] == want
+    assert len(fully_invariant_submodules(m)) == len(want)
+
+
+def _partitions(n, largest=None):
+    """The partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _p_group_types(p, exponents):
+    return [[p ** e for e in lam] for n in exponents for lam in _partitions(n)]
+
+
+def _split_product(m):
+    """Every <t_1 e_1> + ... + <t_k e_k> with t_i | delta_i, in canonical order.
+
+    Each summand projection is an endomorphism, so a fully invariant W is the
+    sum of its intersections with the cyclic summands: a superset of them.
+    """
+    deltas = m.invariant_factors
+    units = [m.coords_to_generators([int(i == j) for j in range(len(deltas))])
+             for i in range(len(deltas))]
+    divisors = [[t for t in range(1, d + 1) if d % t == 0] for d in deltas]
+    subs = [Subobject(m, [[t * unit[r] for t, unit in zip(ts, units)] for r in range(m.gens)])
+            for ts in itertools.product(*divisors)]
+    return sorted(subs, key=lambda w: w.sort_token())
+
+
+_MIXED_GROUPS = [[4, 2, 3, 9], [2, 6, 12], [6, 30], [2, 2, 15], [3, 9, 10], [60]]
+
+
+def test_fully_invariant_submodules_match_filtered_enumeration():
+    rng = random.Random(11)
+    modules = [direct_sum_module(Z, orders)
+               for orders in (_p_group_types(2, range(1, 6)) + _p_group_types(3, range(1, 5))
+                              + _p_group_types(5, range(1, 4)))]
+    modules += [_dense_presentation(rng, orders) for orders in _MIXED_GROUPS]
+    for n, orders in ((4, [2, 4]), (6, [6, 6]), (8, [2, 2, 8]), (9, [3, 9]),
+                      (12, [2, 6, 12]), (36, [6, 36])):
+        ring = Ring.integers_mod(n)
+        modules += [direct_sum_module(ring, orders), _dense_presentation(rng, orders, ring)]
+    for m in modules:
+        want = _stable_keys(m, enumerate_submodules(m))
+        assert [w.key() for w in fully_invariant_submodules(m)] == want, m
+
+
+def test_fully_invariant_submodules_match_filtered_split_product():
+    rng = random.Random(12)
+    for orders in _p_group_types(2, (6, 7)) + _p_group_types(3, (5,)):
+        for m in (direct_sum_module(Z, orders), _dense_presentation(rng, orders)):
+            want = _stable_keys(m, _split_product(m))
+            assert [w.key() for w in fully_invariant_submodules(m)] == want, m
+
+
+def test_fully_invariant_candidate_counts(monkeypatch):
+    assert len(fully_invariant_submodules(direct_sum_module(Z, [4, 2]))) == 4
+    m = direct_sum_module(Z, [2] * 8)
+    assert len(fully_invariant_submodules(m)) == 2
+    real = AbelianHandle.sub_stable
+    calls = []
+
+    def counting(self, x, w, endos):
+        calls.append(w)
+        return real(self, x, w, endos)
+
+    monkeypatch.setattr(AbelianHandle, "sub_stable", counting)
+    assert len(torsion_parts(H, m)) == 2
+    assert len(calls) == 2
 
 
 def test_pruned_path_never_enumerates_every_submodule(monkeypatch):
@@ -541,6 +614,27 @@ def test_pruned_path_never_enumerates_every_submodule(monkeypatch):
         m = _dense_presentation(rng, orders)
         assert len(torsion_parts(H, m)) == parts
         assert is_torsion_simple(H, m).verdict is simple
+
+
+def test_full_subspaces_skip_row_reduction(monkeypatch):
+    for p, dim in itertools.product((2, 3), range(4)):
+        full = modlinalg.Subspace.full(p, dim)
+        reduced = modlinalg.Subspace(p, dim, [[int(i == j) for j in range(dim)]
+                                              for i in range(dim)])
+        assert (full.rows, full.pivots) == (reduced.rows, reduced.pivots)
+    real = modlinalg.rref
+    calls = []
+
+    def counting(rows, p):
+        calls.append(rows)
+        return real(rows, p)
+
+    monkeypatch.setattr(modlinalg, "rref", counting)
+    x = QuiverRep(A2, 2, [2, 2], [[[1, 0], [0, 1]]])
+    t = torsion_radical_generated(QH, [simple_rep(A2, 2, 1)], x)
+    assert [s.rank for s in t.spaces] == [0, 2]
+    # row-reducing every full subspace makes 8 calls
+    assert len(calls) < 8
 
 
 def _first_proper_key(parts):
