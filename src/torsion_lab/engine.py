@@ -1,9 +1,10 @@
 """Torsion machinery over abstract finite-length universes.
 
 The engine never looks inside objects: it talks to a handle that knows how to
-enumerate subobjects, compute hom bases, form quotients with projections, and
-push/pull subobjects along morphisms.  Two handles are provided, one for
-finitely generated modules over Z or Z/n and one for quiver representations.
+enumerate subobjects and the endomorphism-stable ones, compute hom bases, form
+quotients with projections, and pull subobjects back along morphisms.  Two
+handles are provided, one for finitely generated modules over Z or Z/n and one
+for quiver representations.
 
 A subobject w of x is a torsion part iff Hom(w, x/w) = 0; the engine computes
 the set of all torsion parts, decides torsion-simplicity, and evaluates the
@@ -150,10 +151,9 @@ class AbelianHandle:
     def subobjects(self, x):
         return ab.enumerate_submodules(x)
 
-    def stable_candidates(self, x):
+    def stable_subobjects(self, x):
         """The fully invariant subgroups of the finite x, in closed form (Baer;
-        Kaplansky): a torsion part w is one, as Hom(w, x/w) = 0 makes every
-        endomorphism map w into w."""
+        Kaplansky), so no endomorphism is consulted."""
         return ab.fully_invariant_submodules(x)
 
     def zero_sub(self, x):
@@ -193,14 +193,6 @@ class AbelianHandle:
         order_w = w.order()
         return math.gcd(order_w, x.order() // order_w) == 1
 
-    def sub_stable(self, x, w, endos) -> bool:
-        lattice = w.lattice
-        for f in endos:
-            for col in lattice.basis:
-                if not lattice.contains(la.mat_vec(f.data, col)):
-                    return False
-        return True
-
     def describe(self, x) -> str:
         return x.describe()
 
@@ -219,8 +211,14 @@ class QuiverHandle:
     def subobjects(self, x):
         return qv.enumerate_subreps(x)
 
-    def stable_candidates(self, x):
-        return self.subobjects(x)
+    def stable_subobjects(self, x):
+        """The subrepresentations that every endomorphism maps into themselves,
+        lazily: End(x) is built only once the enumeration bound has passed."""
+        subs = self.subobjects(x)
+        endos = self.hom_basis(x, x)
+        for w in subs:
+            if self.sub_stable(x, w, endos):
+                yield w
 
     def zero_sub(self, x):
         return qv.SubRep.zero(x)
@@ -272,6 +270,7 @@ class QuiverHandle:
         return not qv.hom_space(w.as_rep(), q)
 
     def sub_stable(self, x, w, endos) -> bool:
+        """Every f in endos maps w into w: the filter of stable_subobjects."""
         for f in endos:
             if not w.contains(self.push_sub(f, w)):
                 return False
@@ -287,31 +286,14 @@ class QuiverHandle:
 
 
 def _candidates(handle, x, prune: bool):
-    """The subobjects of x that may be torsion parts, lazily, in canonical order.
+    """The subobjects of x that may be torsion parts, in canonical order.
 
-    Without pruning these are all subobjects; with pruning, the handle's
-    `stable_candidates` that pass `sub_stable` (see endo_stable_subobjects).
+    A torsion part w is stable under every endomorphism, since Hom(w, x/w) = 0,
+    so with pruning these are the handle's `stable_subobjects`: for a finite
+    module its fully invariant subgroups in closed form, for a representation
+    the subrepresentations that pass `QuiverHandle.sub_stable`.
     """
-    if not prune:
-        yield from handle.subobjects(x)
-        return
-    endos = handle.hom_basis(x, x)
-    for w in handle.stable_candidates(x):
-        if handle.sub_stable(x, w, endos):
-            yield w
-
-
-def endo_stable_subobjects(handle, x):
-    """Subobjects stable under every endomorphism (a necessary torsion-part test).
-
-    Only the handle's `stable_candidates` are tested.  For a finite module over
-    Z or Z/n these are exactly its fully invariant subgroups, generated in
-    closed form per primary component by `abelian.fully_invariant_submodules`
-    (Baer 1935; Kaplansky, "Infinite Abelian Groups"), so every candidate
-    passes.  For quiver representations the candidates are all
-    subrepresentations.
-    """
-    return list(_candidates(handle, x, prune=True))
+    return handle.stable_subobjects(x) if prune else handle.subobjects(x)
 
 
 def torsion_parts(handle, x, prune: bool = True) -> TorsionPartSet:

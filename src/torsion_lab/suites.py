@@ -62,6 +62,10 @@ def finite_length_suite(options) -> SuiteResult:
         "a finite-length representation is torsion-simple iff it has a unique "
         "simple factor (single-vertex support)")
     max_dim = options.get("max_dim", 3)
+    if max_dim > qv.ENUM_DIM_BOUND:
+        # refuse before building the 2^(max_dim^2) representations of the top dims
+        raise InputError(f"max_dim {max_dim} exceeds the subrepresentation "
+                         f"enumeration bound {qv.ENUM_DIM_BOUND}")
     quiver, reps = _all_a2_reps(max_dim)
     handle = eng.QuiverHandle(quiver, 2)
 

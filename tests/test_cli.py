@@ -184,6 +184,29 @@ def test_verify_with_no_instance_to_check_is_refused(capsys, args):
     assert f"suite {args[0]!r} no instance to check" in err
 
 
+def test_finite_length_above_the_enumeration_bound_is_refused_at_once(capsys):
+    # (5, 5) alone has 2^25 representations; none may be built before refusing
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--json", "verify", "finite-length", "--max-dim", "5")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "max_dim 5 exceeds the subrepresentation enumeration bound 4" in err
+
+
+@pytest.mark.parametrize("command", ["check", "torsion-parts"])
+def test_pruned_rep_above_the_enumeration_bound_is_refused_at_once(capsys, command):
+    # End(x) of a [60,60] representation has 3,600 basis elements; the
+    # enumeration bound must refuse before it is built
+    identity = [[int(i == j) for j in range(60)] for i in range(60)]
+    rep = json.dumps({"quiver": {"vertices": 2, "arrows": [[0, 1]]},
+                      "p": 2, "dims": [60, 60], "maps": [identity]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--json", command, "--rep", rep)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "enumeration bound" in err
+
+
 def test_verify_suite_exit_code(capsys):
     code, out, _ = run_cli(capsys, "--json", "verify", "morphisms")
     assert code == 0

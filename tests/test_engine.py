@@ -2,6 +2,8 @@
 import itertools
 import math
 import random
+import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,14 +17,13 @@ from torsion_lab.abelian import (PresentedModule, Subobject, cyclic_module,
                                  fully_invariant_submodules, hom_group,
                                  primary_component, quotient)
 from torsion_lab.engine import (AbelianHandle, QuiverHandle,
-                                endo_stable_subobjects,
                                 injective_criterion_check, is_essential,
                                 is_torsion_simple, torsion_parts,
                                 torsion_radical_generated,
                                 torsionfree_coradical_cogenerated, trace,
                                 verify_torsion_pair_axioms)
 from torsion_lab.errors import ContradictionError, InputError
-from torsion_lab.intlinalg import matmul
+from torsion_lab.intlinalg import columns, mat_vec, matmul
 from torsion_lab.quiver import Quiver, QuiverRep, a_n_quiver, simple_rep
 from torsion_lab.rings import Ring
 
@@ -58,14 +59,20 @@ def test_trivial_parts_always_present():
         assert Subobject.full(mod).key() in keys
 
 
+def _endo_stable(endos, w):
+    """Every endomorphism matrix maps each embedding column of w into w.lattice."""
+    return all(w.lattice.contains(mat_vec(f, col))
+               for f in endos for col in columns(w.embedding))
+
+
 def test_every_part_is_hom_orthogonal_and_stable():
     for orders in ([6], [2, 2], [12], [4, 2]):
         mod = direct_sum_module(Z, orders)
         parts = torsion_parts(H, mod)
-        endos = H.hom_basis(mod, mod)
+        _, endos = hom_group(mod, mod)
         for w in parts.parts:
             assert not hom_group(w.as_module(), quotient(mod, w))[1]
-            assert H.sub_stable(mod, w, endos)
+            assert _endo_stable(endos, w)
 
 
 def test_is_torsion_simple_examples():
@@ -519,16 +526,15 @@ def _dense_modules(draw):
 
 def _stable_keys(m, subs):
     """Keys of the subobjects that every endomorphism of m maps into themselves."""
-    handle = AbelianHandle(m.ring)
-    endos = handle.hom_basis(m, m)
-    return [w.key() for w in subs if handle.sub_stable(m, w, endos)]
+    _, endos = hom_group(m, m)
+    return [w.key() for w in subs if _endo_stable(endos, w)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(m=_dense_modules())
 def test_stable_subobjects_match_filtered_full_enumeration(m):
     want = _stable_keys(m, enumerate_submodules(m))
-    assert [w.key() for w in endo_stable_subobjects(AbelianHandle(m.ring), m)] == want
+    assert [w.key() for w in AbelianHandle(m.ring).stable_subobjects(m)] == want
     assert len(fully_invariant_submodules(m)) == len(want)
 
 
@@ -591,16 +597,31 @@ def test_fully_invariant_candidate_counts(monkeypatch):
     assert len(fully_invariant_submodules(direct_sum_module(Z, [4, 2]))) == 4
     m = direct_sum_module(Z, [2] * 8)
     assert len(fully_invariant_submodules(m)) == 2
-    real = AbelianHandle.sub_stable
+    real = abelian.hom_group
     calls = []
 
-    def counting(self, x, w, endos):
-        calls.append(w)
-        return real(self, x, w, endos)
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
 
-    monkeypatch.setattr(AbelianHandle, "sub_stable", counting)
+    # the closed form is not filtered again, so no End(x) basis is built
+    monkeypatch.setattr(abelian, "hom_group", counting)
     assert len(torsion_parts(H, m)) == 2
-    assert len(calls) == 2
+    assert is_torsion_simple(H, m).verdict
+    assert not any(a is m and b is m for a, b in calls)
+
+
+def test_handle_contract_is_the_readme_list():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("these handle methods:", 1)[1].split("Those are 13 methods.", 1)[0]
+    names = set(re.findall(r"`(\w+)`", listed))
+    assert len(names) == 13
+    # each handle's own helpers, outside the contract
+    helpers = {AbelianHandle: {"multiplication_morph"},
+               QuiverHandle: {"push_sub", "sub_stable"}}
+    for cls, own in helpers.items():
+        public = {n for n, v in vars(cls).items() if not n.startswith("_") and callable(v)}
+        assert own <= public and public - own == names, cls
 
 
 def test_pruned_path_never_enumerates_every_submodule(monkeypatch):

@@ -207,6 +207,21 @@ def _apply(mat, vec, p):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=small_rep_data().map(_rep))
+def test_stable_subobjects_match_endomorphism_filter_on_vector_sets(x):
+    from torsion_lab.engine import QuiverHandle
+    endos = hom_space(x, x)
+    want = []
+    for w in enumerate_subreps(x):
+        spans = [_span(sp, x.p) for sp in w.spaces]
+        if all(_apply(f[v], u, x.p) in span
+               for f in endos for v, span in enumerate(spans) for u in span):
+            want.append(w.key())
+    got = [w.key() for w in QuiverHandle(x.quiver, x.p).stable_subobjects(x)]
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(x=small_rep_data().map(_rep), seed=st.integers(0, 2 ** 16))
 def test_subrep_intersect_matches_vector_sets(x, seed):
     import random
