@@ -19,7 +19,7 @@ from .mccoy import (ConormalReport, DeterminantalProfile, RingMatrix,
                     determinantal_ideal, hom_I_to_quotient, mccoy_rank,
                     nilpotent_minors_check, nullvector_exhaustive)
 from .quiver import (Quiver, QuiverRep, SubRep, a_n_quiver, enumerate_subreps,
-                     hom_space, quotient_rep, simple_rep)
+                     hom_space, iter_subreps, quotient_rep, simple_rep)
 from .rings import Ideal, Ring, RingElem, annihilator, is_nilpotent
 
 __version__ = "0.1.0"

@@ -209,7 +209,7 @@ class QuiverHandle:
         return True
 
     def subobjects(self, x):
-        return qv.enumerate_subreps(x)
+        return qv.iter_subreps(x)
 
     def stable_subobjects(self, x):
         """The subrepresentations that every endomorphism maps into themselves,

@@ -19,7 +19,7 @@ ENUM_PRIMES = (2, 3, 5)
 
 
 class Quiver:
-    __slots__ = ("vertex_count", "arrows", "_topo")
+    __slots__ = ("vertex_count", "arrows")
 
     def __init__(self, vertex_count: int, arrows):
         if vertex_count < 1:
@@ -32,30 +32,25 @@ class Quiver:
             arr.append((s, t))
         self.vertex_count = vertex_count
         self.arrows = tuple(arr)
-        self._topo = self._topological_order()
+        if not self._is_acyclic():
+            raise InputError("quiver has a directed cycle")
 
-    def _topological_order(self) -> tuple[int, ...]:
+    def _is_acyclic(self) -> bool:
+        # Kahn: strip vertices without incoming arrows until none is left
         indeg = [0] * self.vertex_count
         for _, t in self.arrows:
             indeg[t] += 1
-        order = []
-        ready = sorted(v for v in range(self.vertex_count) if indeg[v] == 0)
+        ready = [v for v in range(self.vertex_count) if indeg[v] == 0]
+        stripped = 0
         while ready:
-            v = ready.pop(0)
-            order.append(v)
+            v = ready.pop()
+            stripped += 1
             for s, t in self.arrows:
                 if s == v:
                     indeg[t] -= 1
-                    if indeg[t] == 0 and t not in ready:
+                    if indeg[t] == 0:
                         ready.append(t)
-            ready.sort()
-        if len(order) != self.vertex_count:
-            raise InputError("quiver has a directed cycle")
-        return tuple(order)
-
-    @property
-    def topological_order(self) -> tuple[int, ...]:
-        return self._topo
+        return stripped == self.vertex_count
 
     def __eq__(self, other):
         return (isinstance(other, Quiver) and other.vertex_count == self.vertex_count
@@ -281,40 +276,64 @@ def hom_space(x: QuiverRep, y: QuiverRep) -> list[tuple]:
     return out
 
 
-def enumerate_subreps(x: QuiverRep) -> list[SubRep]:
-    """All arrow-stable subspace tuples, canonically ordered."""
+@lru_cache(maxsize=None)
+def _subspaces_by_rank(p: int, d: int) -> tuple[tuple[Subspace, ...], ...]:
+    """The subspaces of F_p^d, entry e holding those of rank e sorted by rows.
+
+    Built once per (p, d) and per process; callers only read the shared
+    Subspace objects.  ENUM_PRIMES and ENUM_DIM_BOUND keep the keys few.
+    """
+    by_rank: list[list[Subspace]] = [[] for _ in range(d + 1)]
+    for sp in all_subspaces(p, d):
+        by_rank[sp.rank].append(sp)
+    return tuple(tuple(sorted(spaces, key=lambda sp: sp.rows)) for spaces in by_rank)
+
+
+def iter_subreps(x: QuiverRep):
+    """All arrow-stable subspace tuples, lazily, in `SubRep.sort_token` order.
+
+    The bounds are checked here, at the call, and not at the first next():
+    a refusal must come before callers build anything else.
+    """
     if x.p not in ENUM_PRIMES:
         raise InputError(f"subrepresentation enumeration supports p in {ENUM_PRIMES}")
     if any(d > ENUM_DIM_BOUND for d in x.dims):
         raise InputError(
             f"per-vertex dimension exceeds the enumeration bound {ENUM_DIM_BOUND}")
-    per_vertex = [all_subspaces(x.p, d) for d in x.dims]
-    order = x.quiver.topological_order
-    incoming: list[list[tuple[int, int]]] = [[] for _ in order]
+    return _subreps_in_order(x)
+
+
+def _subreps_in_order(x: QuiverRep):
+    # sort_token is (total_dim, dims, key) and key is the tuple of per-vertex
+    # rows, so walking the rank vectors by (total, vector) and, for each, the
+    # vertices in index order over subspaces sorted by rows emits sorted keys
+    p = x.p
+    n = x.quiver.vertex_count
+    tables = [_subspaces_by_rank(p, d) for d in x.dims]
+    # each arrow is checked once both of its ends are chosen
+    checks: list[list[tuple]] = [[] for _ in range(n)]
     for k, (s, t) in enumerate(x.quiver.arrows):
-        incoming[t].append((k, s))
-    chosen: list = [None] * x.quiver.vertex_count
-    out = []
+        checks[max(s, t)].append((x.maps[k], s, t))
+    chosen: list = [None] * n
 
-    def rec(pos: int):
-        if pos == len(order):
-            out.append(SubRep(x, chosen, check=False))
+    def fill(v: int, ranks):
+        if v == n:
+            yield SubRep(x, chosen, check=False)
             return
-        v = order[pos]
-        # in topological order every arrow into v starts at a chosen vertex, so
-        # the subspace at v must contain the span of the images of their choices
-        image = Subspace(x.p, x.dims[v], [mat_vec_mod(x.maps[k], vec, x.p)
-                                          for k, s in incoming[v]
-                                          for vec in chosen[s].rows])
-        for sp in per_vertex[v]:
-            if sp.contains_space(image):
-                chosen[v] = sp
-                rec(pos + 1)
-        chosen[v] = None
+        for sp in tables[v][ranks[v]]:
+            chosen[v] = sp
+            if all(chosen[t].contains(mat_vec_mod(mat, vec, p))
+                   for mat, s, t in checks[v] for vec in chosen[s].rows):
+                yield from fill(v + 1, ranks)
 
-    rec(0)
-    out.sort(key=lambda s: s.sort_token())
-    return out
+    for ranks in sorted(iproduct(*(range(d + 1) for d in x.dims)),
+                        key=lambda e: (sum(e), e)):
+        yield from fill(0, ranks)
+
+
+def enumerate_subreps(x: QuiverRep) -> list[SubRep]:
+    """All arrow-stable subspace tuples, canonically ordered."""
+    return list(iter_subreps(x))
 
 
 def quotient_rep(x: QuiverRep, sub: SubRep):

@@ -55,6 +55,12 @@ def _all_a2_reps(max_dim: int, p: int = 2):
     return quiver, reps
 
 
+# The most A2 representations over F_2 the finite-length suite brute-forces:
+# max_dim 3 lists 689 of them, max_dim 4 lists 74,963, at about 17 ms each for
+# the 65,536 of dims (4, 4).
+FINITE_LENGTH_REP_CAP = 10_000
+
+
 def finite_length_suite(options) -> SuiteResult:
     """Torsion-simple iff concentrated in a single vertex, brute force vs criterion."""
     res = SuiteResult(
@@ -66,6 +72,12 @@ def finite_length_suite(options) -> SuiteResult:
         # refuse before building the 2^(max_dim^2) representations of the top dims
         raise InputError(f"max_dim {max_dim} exceeds the subrepresentation "
                          f"enumeration bound {qv.ENUM_DIM_BOUND}")
+    count = sum(2 ** (d1 * d2) for d1 in range(max_dim + 1) for d2 in range(max_dim + 1))
+    if count > FINITE_LENGTH_REP_CAP:
+        raise InputError(f"max_dim {max_dim} lists {count} A2 representations over F_2 "
+                         f"({2 ** (max_dim * max_dim)} of dims ({max_dim}, {max_dim})); "
+                         f"the finite-length suite brute-forces at most "
+                         f"{FINITE_LENGTH_REP_CAP}")
     quiver, reps = _all_a2_reps(max_dim)
     handle = eng.QuiverHandle(quiver, 2)
 

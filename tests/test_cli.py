@@ -193,6 +193,15 @@ def test_finite_length_above_the_enumeration_bound_is_refused_at_once(capsys):
     assert "max_dim 5 exceeds the subrepresentation enumeration bound 4" in err
 
 
+def test_finite_length_above_the_representation_cap_is_refused_at_once(capsys):
+    # max_dim 4 passes the enumeration bound but lists 74,963 representations
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--json", "verify", "finite-length", "--max-dim", "4")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "max_dim 4 lists 74963 A2 representations" in err
+
+
 @pytest.mark.parametrize("command", ["check", "torsion-parts"])
 def test_pruned_rep_above_the_enumeration_bound_is_refused_at_once(capsys, command):
     # End(x) of a [60,60] representation has 3,600 basis elements; the

@@ -24,7 +24,8 @@ from torsion_lab.engine import (AbelianHandle, QuiverHandle,
                                 verify_torsion_pair_axioms)
 from torsion_lab.errors import ContradictionError, InputError
 from torsion_lab.intlinalg import columns, mat_vec, matmul
-from torsion_lab.quiver import Quiver, QuiverRep, a_n_quiver, simple_rep
+from torsion_lab.quiver import (Quiver, QuiverRep, a_n_quiver, enumerate_subreps,
+                                simple_rep)
 from torsion_lab.rings import Ring
 
 Z = Ring.integers()
@@ -689,6 +690,24 @@ def test_brute_force_stops_at_the_first_proper_part_of_a_module(m):
     _assert_brute_force_matches_torsion_parts(AbelianHandle(m.ring), m)
 
 
+def test_brute_force_builds_subreps_only_up_to_the_first_proper_part(monkeypatch):
+    handle = QuiverHandle(A2, 2)
+    x = QuiverRep(A2, 2, [3, 3], [[[1, 0, 0], [0, 1, 0], [0, 0, 0]]])
+    yielded = []
+
+    def counting(rep):
+        for w in QuiverHandle.subobjects(handle, rep):
+            yielded.append(w.key())
+            yield w
+
+    monkeypatch.setattr(handle, "subobjects", counting)
+    report = is_torsion_simple(handle, x, method="brute-force", prune=False)
+    keys = [w.key() for w in enumerate_subreps(x)]
+    assert not report.verdict
+    assert yielded == keys[:keys.index(report.witness.key()) + 1]
+    assert len(yielded) < len(keys)
+
+
 def test_brute_force_tests_parts_only_up_to_the_first_proper_one(monkeypatch):
     handle = QuiverHandle(A2, 2)
     calls = []
@@ -698,7 +717,7 @@ def test_brute_force_tests_parts_only_up_to_the_first_proper_one(monkeypatch):
         return QuiverHandle.part_test(handle, x, w)
 
     monkeypatch.setattr(handle, "part_test", counting)
-    assert len(handle.subobjects(P1)) == 3
+    assert len(list(handle.subobjects(P1))) == 3
     for prune in (False, True):
         calls.clear()
         report = is_torsion_simple(handle, P1, method="brute-force", prune=prune)

@@ -6,9 +6,11 @@ from conftest import brute_subreps, small_rep_data
 from hypothesis import given, settings, strategies as st
 
 from torsion_lab.errors import InputError
+from torsion_lab.modlinalg import all_subspaces
 from torsion_lab.quiver import (Quiver, QuiverRep, SubRep, a_n_quiver,
                                 enumerate_subreps, hom_space, is_isomorphic,
-                                quotient_rep, simple_rep, single_vertex_support)
+                                iter_subreps, quotient_rep, simple_rep,
+                                single_vertex_support)
 
 A2 = a_n_quiver(2)
 S1 = simple_rep(A2, 2, 0)
@@ -116,6 +118,15 @@ def test_enumeration_preconditions():
     assert "4" in str(err.value)   # the bound appears in the message
 
 
+def test_lazy_enumeration_refuses_at_the_call():
+    # the refusal comes from iter_subreps itself, before any next()
+    with pytest.raises(InputError):
+        iter_subreps(QuiverRep(A2, 7, [1, 0], [[]]))
+    with pytest.raises(InputError) as err:
+        iter_subreps(QuiverRep(A2, 2, [5, 0], [[]]))
+    assert "4" in str(err.value)
+
+
 def test_quotient_examples():
     line = [s for s in enumerate_subreps(P1) if s.dims() == (0, 1)][0]
     q, _ = quotient_rep(P1, line)
@@ -194,6 +205,19 @@ def test_subreps_match_exhaustive_subset_search(x):
     assert len(set(spans)) == len(spans)
     tokens = [s.sort_token() for s in subs]
     assert tokens == sorted(tokens)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=small_rep_data({2: 3, 3: 2, 5: 2}).map(_rep))
+def test_lazy_enumeration_yields_the_sorted_stable_tuples(x):
+    # reference: every tuple of per-vertex subspaces, kept when is_stable()
+    # holds, then sorted; over F_5 too, which the subset search cannot reach
+    tuples = (SubRep(x, spaces, check=False)
+              for spaces in itertools.product(*[all_subspaces(x.p, d) for d in x.dims]))
+    want = sorted((s.sort_token() for s in tuples if s.is_stable()))
+    lazy = [s.sort_token() for s in iter_subreps(x)]
+    assert lazy == want
+    assert [s.sort_token() for s in enumerate_subreps(x)] == want
 
 
 def _random_spaces(rng, x):

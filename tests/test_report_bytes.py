@@ -7,7 +7,9 @@ kind (refusals included), `check`/`torsion-parts`/`ass`/`radical` on modules
 and quiver representations, 56 `--json radical` runs (generated and
 cogenerated) on random representations of the A2, A3, sink and source quivers
 over F_2 and F_3 that reach the subspace intersection and the quiver pull-back
-and composition of subobjects, and four `verify` suites.  A refactor that claims
+and composition of subobjects, brute-force `check` (pruned and `--no-prune`)
+and `--no-prune torsion-parts` on random representations of the source and
+triangle quivers over F_2 and F_3, and four `verify` suites.  A refactor that claims
 "same bytes from less code" must leave every entry unchanged.
 
 Regenerate the stored exit codes and stdout (argv lists unchanged) with
