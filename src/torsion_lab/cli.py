@@ -11,11 +11,8 @@ import argparse
 import json
 import sys
 
-from . import abelian as ab
-from . import engine as eng
+# each command imports the layers it reaches, so start-up pays for no other
 from . import jsonio as io
-from . import mccoy as mc
-from . import suites as su
 from .errors import (ContradictionError, InputError, UnsupportedRingError,
                      WorkBudgetError)
 
@@ -69,6 +66,7 @@ def _load_report(path: str) -> dict:
 
 
 def _sub_to_json(w) -> dict:
+    from . import abelian as ab
     if isinstance(w, ab.Subobject):
         # report the canonical lattice basis: it generates the same submodule
         # and is independent of how the subobject was constructed
@@ -87,6 +85,7 @@ def _sub_to_json(w) -> dict:
 
 def _parse_object(payload: dict):
     """(handle, object, canonical payload) from a module or representation payload."""
+    from . import engine as eng
     if not isinstance(payload, dict):
         raise InputError("object payload must be a JSON object")
     if "quiver" in payload:
@@ -104,6 +103,7 @@ def _parse_object(payload: dict):
 
 
 def cmd_check(payload: dict, options: dict) -> dict:
+    from . import engine as eng
     handle, obj, canonical = _parse_object(payload)
     report = eng.is_torsion_simple(handle, obj, method=options.get("method", "auto"),
                                    prune=not options.get("no_prune", False))
@@ -117,6 +117,7 @@ def cmd_check(payload: dict, options: dict) -> dict:
 
 
 def cmd_torsion_parts(payload: dict, options: dict) -> dict:
+    from . import engine as eng
     handle, obj, canonical = _parse_object(payload)
     parts = eng.torsion_parts(handle, obj, prune=not options.get("no_prune", False))
     return {
@@ -128,6 +129,7 @@ def cmd_torsion_parts(payload: dict, options: dict) -> dict:
 
 
 def cmd_ass(payload: dict, options: dict) -> dict:
+    from . import abelian as ab
     module = io.parse_module(payload)
     primes = ab.associated_primes(module)
     return {
@@ -139,6 +141,7 @@ def cmd_ass(payload: dict, options: dict) -> dict:
 
 
 def cmd_radical(payload: dict, options: dict) -> dict:
+    from . import engine as eng
     io._require_keys(payload, {"mode", "sources", "object"}, set(), "radical payload")
     mode = payload["mode"]
     if mode not in ("generated", "cogenerated"):
@@ -169,6 +172,7 @@ def cmd_radical(payload: dict, options: dict) -> dict:
 
 
 def cmd_mccoy_rank(payload: dict, options: dict) -> dict:
+    from . import mccoy as mc
     io._require_keys(payload, {"ring", "matrix"}, set(), "mccoy payload")
     ring = io.parse_ring(payload["ring"])
     mat = io.parse_matrix(ring, payload["matrix"])
@@ -183,6 +187,7 @@ def cmd_mccoy_rank(payload: dict, options: dict) -> dict:
 
 
 def cmd_mccoy_nullvector(payload: dict, options: dict) -> dict:
+    from . import mccoy as mc
     io._require_keys(payload, {"ring", "matrix"}, {"mode"}, "mccoy payload")
     ring = io.parse_ring(payload["ring"])
     mat = io.parse_matrix(ring, payload["matrix"])
@@ -209,6 +214,7 @@ def cmd_mccoy_nullvector(payload: dict, options: dict) -> dict:
 
 
 def cmd_hom_conormal(payload: dict, options: dict) -> dict:
+    from . import mccoy as mc
     io._require_keys(payload, {"ring", "ideal"}, set(), "hom-conormal payload")
     ring = io.parse_ring(payload["ring"])
     ideal = io.parse_ideal(ring, payload["ideal"])
@@ -216,6 +222,7 @@ def cmd_hom_conormal(payload: dict, options: dict) -> dict:
 
 
 def cmd_radical_lemma(payload: dict, options: dict) -> dict:
+    from . import mccoy as mc
     io._require_keys(payload, {"ring", "ideal", "d"}, set(), "radical-lemma payload")
     ring = io.parse_ring(payload["ring"])
     ideal = io.parse_ideal(ring, payload["ideal"])
@@ -224,6 +231,7 @@ def cmd_radical_lemma(payload: dict, options: dict) -> dict:
 
 
 def cmd_verify(payload: dict, options: dict) -> dict:
+    from . import suites as su
     suite = payload.get("suite")
     result = su.run_suite(suite, options)
     return result.as_dict()
@@ -369,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a named verification suite")
-    p_verify.add_argument("suite", choices=sorted(su.SUITES))
+    p_verify.add_argument("suite", help="suite name; an unknown name is refused "
+                                        "with the list of suites")
 
     p_replay = sub.add_parser("replay", parents=[common],
                               help="re-run a JSON report and compare")

@@ -19,10 +19,12 @@ from typing import Optional
 
 from . import abelian as ab
 from . import intlinalg as la
-from . import modlinalg as ml
-from . import quiver as qv
 from .errors import ContradictionError, InputError
 from .rings import KIND_Z, KIND_ZMOD, Ring
+
+# `quiver` and `modlinalg`, bound by the first QuiverHandle: a run that only
+# handles modules never imports them
+qv = ml = None
 
 
 @dataclass(frozen=True)
@@ -201,6 +203,10 @@ class QuiverHandle:
     """Finite-dimensional representations of a fixed acyclic quiver over F_p."""
 
     def __init__(self, quiver: qv.Quiver, p: int):
+        global qv, ml
+        if qv is None:
+            from . import modlinalg as ml
+            from . import quiver as qv
         self.quiver = quiver
         self.p = p
         self._subobject_tables = _SubobjectTables()

@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import json
 import re
+from typing import TYPE_CHECKING
 
-from .abelian import PresentedModule
 from .errors import InputError
-from .mccoy import RingMatrix
-from .quiver import Quiver, QuiverRep
 from .rings import (KIND_BIPOLY, KIND_FP, KIND_POLY, KIND_POLYQUOT, KIND_Z,
                     KIND_ZMOD, Ideal, Ring, RingElem, _mono_str)
+
+if TYPE_CHECKING:
+    from .abelian import PresentedModule
+    from .mccoy import RingMatrix
+    from .quiver import Quiver, QuiverRep
 
 _JSON_SAFE = 2 ** 53
 
@@ -165,6 +168,7 @@ def parse_ideal(ring: Ring, gens) -> Ideal:
 
 
 def parse_matrix(ring: Ring, rows) -> RingMatrix:
+    from .mccoy import RingMatrix
     parse_array(rows, "matrix", rows=True)
     width = {len(r) for r in rows}
     if len(width) > 1:
@@ -179,6 +183,7 @@ def parse_matrix(ring: Ring, rows) -> RingMatrix:
 
 
 def parse_module(obj) -> PresentedModule:
+    from .abelian import PresentedModule
     _require_keys(obj, {"ring", "generators", "relations"}, set(), "module")
     ring = parse_ring(obj["ring"])
     gens = parse_int(obj["generators"], "generator count")
@@ -196,6 +201,7 @@ def module_to_json(m: PresentedModule) -> dict:
 
 
 def parse_quiver(obj) -> Quiver:
+    from .quiver import Quiver
     _require_keys(obj, {"vertices", "arrows"}, set(), "quiver")
     count = parse_int(obj["vertices"], "vertex count")
     arrows = []
@@ -207,6 +213,7 @@ def parse_quiver(obj) -> Quiver:
 
 
 def parse_rep(obj) -> QuiverRep:
+    from .quiver import QuiverRep
     _require_keys(obj, {"quiver", "p", "dims", "maps"}, set(), "representation")
     quiver = parse_quiver(obj["quiver"])
     p = parse_int(obj["p"], "characteristic p")

@@ -216,6 +216,15 @@ def test_pruned_rep_above_the_enumeration_bound_is_refused_at_once(capsys, comma
     assert "enumeration bound" in err
 
 
+def test_verify_unknown_suite_lists_every_suite(capsys):
+    from torsion_lab.suites import SUITES
+    code, out, err = run_cli(capsys, "--json", "verify", "no-such-suite")
+    assert code == 2 and not out
+    assert "unknown suite 'no-such-suite'" in err
+    for name in SUITES:
+        assert repr(name) in err
+
+
 def test_verify_suite_exit_code(capsys):
     code, out, _ = run_cli(capsys, "--json", "verify", "morphisms")
     assert code == 0

@@ -1,0 +1,122 @@
+"""Import footprint and public surface of the lazily exporting package.
+
+Each footprint runs in a fresh interpreter and records which `torsion_lab.*`
+modules are loaded after each step, so it counts modules, not milliseconds.
+"""
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import torsion_lab
+
+ROOT = Path(__file__).resolve().parents[1]
+Z6 = '{"ring":{"kind":"Z"},"generators":1,"relations":[[6]]}'
+MCCOY = '{"ring":{"kind":"IntegersMod","n":4},"matrix":[[2]]}'
+
+# the names the package exported when it imported every module eagerly
+EXPORTED = {
+    "abelian": ("PresentedModule", "PrimeSet", "SpClosedSubset", "Subobject",
+                "associated_primes", "cyclic_module", "direct_sum_module",
+                "enumerate_submodules", "finite_abelian_modules", "hom_group",
+                "primary_component", "quotient"),
+    "engine": ("AbelianHandle", "Morph", "QuiverHandle", "SimplicityReport",
+               "TorsionPartSet", "injective_criterion_check", "is_essential",
+               "is_torsion_simple", "torsion_parts", "torsion_radical_generated",
+               "torsionfree_coradical_cogenerated", "trace",
+               "verify_torsion_pair_axioms"),
+    "errors": ("ContradictionError", "InputError", "TorsionLabError",
+               "UnsupportedRingError", "WorkBudgetError"),
+    "mccoy": ("ConormalReport", "DeterminantalProfile", "RingMatrix",
+              "check_radical_lemma", "conormal_presentation", "determinantal_ideal",
+              "hom_I_to_quotient", "mccoy_rank", "nilpotent_minors_check",
+              "nullvector_exhaustive"),
+    "quiver": ("Quiver", "QuiverRep", "SubRep", "a_n_quiver", "enumerate_subreps",
+               "hom_space", "iter_subreps", "quotient_rep", "simple_rep"),
+    "rings": ("Ideal", "Ring", "RingElem", "annihilator", "is_nilpotent"),
+}
+
+# steps run in order in one interpreter; after each, the loaded layer modules
+# are recorded
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+steps = json.loads(sys.argv[1])
+loaded = []
+for step in steps:
+    if step == "package":
+        import torsion_lab
+    elif step == "cli":
+        import torsion_lab.cli
+    else:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = torsion_lab.cli.main(step)
+        assert code == 0, (step, code)
+    loaded.append(sorted(name.split(".", 1)[1] for name in sys.modules
+                         if name.startswith("torsion_lab.")))
+print(json.dumps(loaded))
+"""
+
+
+def footprint(*steps) -> list[set]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(steps)],
+                          capture_output=True, text=True, env=env, cwd=ROOT, check=True)
+    return [set(names) for names in json.loads(proc.stdout)]
+
+
+def test_package_and_cli_import_no_layer_they_do_not_use():
+    package, cli = footprint("package", "cli")
+    assert package == set()
+    assert not cli & {"abelian", "engine", "intlinalg", "quiver", "modlinalg",
+                      "mccoy", "suites"}
+
+
+def test_module_check_loads_no_quiver_mccoy_or_suites():
+    *_, after = footprint("package", "cli", ["check", "--module", Z6])
+    assert {"abelian", "engine"} <= after
+    assert not after & {"quiver", "modlinalg", "mccoy", "suites"}
+
+
+def test_mccoy_rank_loads_no_module_or_quiver_layer():
+    *_, after = footprint("package", "cli", ["mccoy", "rank", MCCOY])
+    assert "mccoy" in after
+    assert not after & {"abelian", "engine", "intlinalg", "quiver", "modlinalg",
+                        "suites"}
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTED.items()
+                                         for n in names])
+def test_exported_name_is_the_defining_modules_object(module, name):
+    defining = importlib.import_module(f"torsion_lab.{module}")
+    assert getattr(torsion_lab, name) is getattr(defining, name)
+    assert name in dir(torsion_lab)
+
+
+def test_package_surface_is_the_exported_names():
+    names = {n for names in EXPORTED.values() for n in names}
+    assert len(names) == 54
+    assert set(torsion_lab.__all__) == names
+    assert torsion_lab.__version__ == "0.1.0"
+    namespace: dict = {}
+    exec("from torsion_lab import *", namespace)
+    assert names <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        torsion_lab.no_such_name
+    from torsion_lab import abelian
+    assert abelian is sys.modules["torsion_lab.abelian"]
+
+
+def test_readme_imports_run():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    statements = re.findall(r"^from torsion_lab import (?:\([^)]*\)|.*)$", readme,
+                            flags=re.MULTILINE)
+    assert len(statements) >= 2
+    for statement in statements:
+        exec(statement, {})
