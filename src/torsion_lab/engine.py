@@ -272,8 +272,12 @@ class QuiverHandle:
         return qv.SubRep(x, spaces, check=False)
 
     def part_test(self, x, w) -> bool:
-        q, _ = qv.quotient_rep(x, w)
-        return not qv.hom_space(w.as_rep(), q)
+        """Hom(w, x/w) = 0, with w and x/w read off one pass over x in the
+        basis adapted to w, which also refuses an unstable w."""
+        sub_maps, quo_maps, functionals = qv._adapted_blocks(x, w)
+        sub = qv.QuiverRep(x.quiver, x.p, w.dims(), sub_maps)
+        quo = qv.QuiverRep(x.quiver, x.p, [len(f) for f in functionals], quo_maps)
+        return not qv.hom_space(sub, quo)
 
     def sub_stable(self, x, w, endos) -> bool:
         """Every f in endos maps w into w: the filter of stable_subobjects."""

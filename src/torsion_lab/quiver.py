@@ -201,24 +201,11 @@ class SubRep:
                       check=False)
 
     def as_rep(self) -> QuiverRep:
-        """The subrepresentation on its own subspace bases."""
+        """The subrepresentation on its own subspace bases: the upper-left
+        blocks of `_adapted_blocks`, so an unstable tuple is refused."""
         amb = self.ambient
-        dims = [sp.rank for sp in self.spaces]
-        maps = []
-        for k, (s, t) in enumerate(amb.quiver.arrows):
-            mat = amb.maps[k]
-            target = self.spaces[t]
-            functionals = target.quotient_functionals()
-            cols = []
-            for vec in self.spaces[s].rows:
-                img = mat_vec_mod(mat, vec, amb.p)
-                # img lies in the target iff the functionals vanish on it, and
-                # then its coordinates in the RREF basis are its pivot entries
-                if any(mat_vec_mod(functionals, img, amb.p)):
-                    raise InputError("subspaces are not stable under the arrow maps")
-                cols.append(tuple(img[c] for c in target.pivots))
-            maps.append([[cols[j][i] for j in range(dims[s])] for i in range(dims[t])])
-        return QuiverRep(amb.quiver, amb.p, dims, maps)
+        sub_maps, _, _ = _adapted_blocks(amb, self)
+        return QuiverRep(amb.quiver, amb.p, self.dims(), sub_maps)
 
     def __eq__(self, other):
         return (isinstance(other, SubRep) and other.ambient == self.ambient
@@ -337,32 +324,49 @@ def enumerate_subreps(x: QuiverRep) -> list[SubRep]:
 
 
 def quotient_rep(x: QuiverRep, sub: SubRep):
-    """(quotient representation, per-vertex projection matrices)."""
-    if sub.ambient != x:
-        raise InputError("subrepresentation does not live in the given representation")
-    if not sub.is_stable():
-        raise InputError("cannot form the quotient by an unstable subspace tuple")
-    p = x.p
-    # one functional per non-pivot column c, reading the c-coordinate of a
-    # vector reduced modulo the subspace
-    projections = [sp.quotient_functionals() for sp in sub.spaces]
-    qdims = [len(proj) for proj in projections]
-    qmaps = []
-    for k, (s, t) in enumerate(x.quiver.arrows):
-        mat = x.maps[k]
-        free_s = [c for c in range(x.dims[s]) if c not in sub.spaces[s].pivots]
-        block = []
-        for i in range(qdims[t]):
-            block.append([0] * qdims[s])
-        for jq, c in enumerate(free_s):
-            vec = tuple(mat[i][c] % p for i in range(x.dims[t]))
-            img = [sum(projections[t][i][j] * vec[j] for j in range(x.dims[t])) % p
-                   for i in range(qdims[t])]
-            for i in range(qdims[t]):
-                block[i][jq] = img[i]
-        qmaps.append(block)
-    q = QuiverRep(x.quiver, p, qdims, qmaps)
+    """(quotient representation, per-vertex projection matrices).
+
+    The quotient's arrows are the lower-right blocks of `_adapted_blocks` and
+    the projections its quotient functionals; a sub of another ambient, or an
+    unstable tuple, is refused.
+    """
+    _, quo_maps, projections = _adapted_blocks(x, sub)
+    q = QuiverRep(x.quiver, x.p, [len(proj) for proj in projections], quo_maps)
     return q, projections
+
+
+def _adapted_blocks(x: QuiverRep, sub: SubRep):
+    """Each arrow matrix of x in the basis adapted to sub, cut into blocks.
+
+    At each vertex the basis is sub's RREF rows followed by the unit vectors
+    of the non-pivot columns.  A vector u has coordinates u[pivot] on the rows
+    and the values of sub's quotient functionals on the unit vectors, so an
+    arrow s -> t with matrix M, and r_j the source rows of sub, has
+      - upper left: M r_j read at the target pivots (the sub's arrow);
+      - lower left: the target functionals on M r_j, zero iff sub is stable;
+      - lower right: the target functionals on M e_c for each non-pivot
+        source column c (the quotient's arrow).
+    Returns (sub maps, quotient maps, per-vertex quotient functionals), maps
+    as tuples of row tuples; raises InputError if sub lives in another
+    representation or a lower-left block is not zero.
+    """
+    if sub.ambient is not x and sub.ambient != x:
+        raise InputError("subrepresentation does not live in the given representation")
+    p = x.p
+    spaces = sub.spaces
+    functionals = [sp.quotient_functionals() for sp in spaces]
+    sub_maps, quo_maps = [], []
+    for (s, t), mat in zip(x.quiver.arrows, x.maps):
+        source, target, proj = spaces[s], spaces[t], functionals[t]
+        images = [mat_vec_mod(mat, row, p) for row in source.rows]
+        if any(any(mat_vec_mod(proj, img, p)) for img in images):
+            raise InputError("subspaces are not stable under the arrow maps")
+        sub_maps.append(tuple(tuple(img[c] for img in images) for c in target.pivots))
+        free = [c for c in range(x.dims[s]) if c not in source.pivots]
+        quo_maps.append(tuple(
+            tuple(sum(f[i] * mat[i][c] for i in range(len(f))) % p for c in free)
+            for f in proj))
+    return tuple(sub_maps), tuple(quo_maps), functionals
 
 
 def single_vertex_support(x: QuiverRep) -> bool:

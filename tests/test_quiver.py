@@ -2,12 +2,12 @@
 import itertools
 
 import pytest
-from conftest import brute_subreps, small_rep_data
+from conftest import QUIVER_SHAPES, brute_subreps, small_rep_data
 from hypothesis import given, settings, strategies as st
 
 from torsion_lab.errors import InputError
 from torsion_lab.modlinalg import all_subspaces
-from torsion_lab.quiver import (Quiver, QuiverRep, SubRep, a_n_quiver,
+from torsion_lab.quiver import (Quiver, QuiverRep, SubRep, _adapted_blocks, a_n_quiver,
                                 enumerate_subreps, hom_space, is_isomorphic,
                                 iter_subreps, quotient_rep, simple_rep,
                                 single_vertex_support)
@@ -280,3 +280,70 @@ def test_quiver_pull_sub_matches_vector_sets(x, seed):
                 want = frozenset(u for u in itertools.product(range(x.p), repeat=x.dims[v])
                                  if _apply(f.data[v], u, x.p) in target)
                 assert _span(pulled.spaces[v], x.p) == want, (x, v)
+
+
+# -- the adapted basis against separate sub and quotient constructions --------
+
+
+def _reference_as_rep(w):
+    """The subrepresentation by its own algorithm: each arrow image of a row of
+    w, read at the target's pivot columns."""
+    amb = w.ambient
+    dims = [sp.rank for sp in w.spaces]
+    maps = []
+    for k, (s, t) in enumerate(amb.quiver.arrows):
+        cols = [[_apply(amb.maps[k], row, amb.p)[c] for c in w.spaces[t].pivots]
+                for row in w.spaces[s].rows]
+        maps.append([[cols[j][i] for j in range(dims[s])] for i in range(dims[t])])
+    return QuiverRep(amb.quiver, amb.p, dims, maps)
+
+
+def _reference_quotient(x, w):
+    """The quotient by its own algorithm: each non-pivot column of an arrow
+    matrix, projected by the target's quotient functionals."""
+    projections = [sp.quotient_functionals() for sp in w.spaces]
+    maps = []
+    for k, (s, t) in enumerate(x.quiver.arrows):
+        free = [c for c in range(x.dims[s]) if c not in w.spaces[s].pivots]
+        cols = [_apply(projections[t], [row[c] for row in x.maps[k]], x.p) for c in free]
+        maps.append([[col[i] for col in cols] for i in range(len(projections[t]))])
+    return QuiverRep(x.quiver, x.p, [len(f) for f in projections], maps), projections
+
+
+_BLOCK_SHAPES = [QUIVER_SHAPES[name] for name in ("A2", "A3", "source", "triangle")]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=small_rep_data({2: 3, 3: 2, 5: 2}).filter(lambda d: d[:2] in _BLOCK_SHAPES).map(_rep))
+def test_adapted_blocks_match_separate_sub_and_quotient(x):
+    for w in enumerate_subreps(x):
+        sub = _reference_as_rep(w)
+        q, projections = _reference_quotient(x, w)
+        assert _adapted_blocks(x, w) == (sub.maps, q.maps, projections)
+        assert w.as_rep() == sub
+        assert quotient_rep(x, w) == (q, projections)
+
+
+def test_part_test_matches_exhaustive_hom_count():
+    from torsion_lab.engine import QuiverHandle
+    handle = QuiverHandle(A2, 2)
+    for x in _all_a2_reps(4, 4):
+        if x.total_dim() > 4:
+            continue
+        for w in enumerate_subreps(x):
+            sub = _reference_as_rep(w)
+            q, _ = _reference_quotient(x, w)
+            vanishes = 2 ** len(hom_space(sub, q)) == 1
+            assert vanishes == (_brute_hom_count(sub, q) == 1), (x, w)
+            assert handle.part_test(x, w) == vanishes, (x, w)
+
+
+def test_part_test_refuses_unstable_and_foreign_subspaces():
+    from torsion_lab.engine import QuiverHandle
+    handle = QuiverHandle(A2, 2)
+    with pytest.raises(InputError):
+        handle.part_test(P1, SubRep(P1, [[[1]], []], check=False))
+    with pytest.raises(InputError):
+        handle.part_test(P1, SubRep.zero(S1))
+    with pytest.raises(InputError):
+        quotient_rep(P1, SubRep.zero(S1))
