@@ -23,8 +23,8 @@ _EXPORTS = {
               "check_radical_lemma", "conormal_presentation", "determinantal_ideal",
               "hom_I_to_quotient", "mccoy_rank", "nilpotent_minors_check",
               "nullvector_exhaustive"),
-    "quiver": ("Quiver", "QuiverRep", "SubRep", "a_n_quiver", "enumerate_subreps",
-               "hom_space", "iter_subreps", "quotient_rep", "simple_rep"),
+    "quiver": ("Quiver", "QuiverRep", "SubRep", "a_n_quiver", "hom_space",
+               "iter_subreps", "quotient_rep", "simple_rep"),
     "rings": ("Ideal", "Ring", "RingElem", "annihilator", "is_nilpotent"),
 }
 # exported name -> the module that defines it

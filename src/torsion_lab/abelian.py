@@ -266,9 +266,8 @@ class Subobject:
                          la.matmul(la.from_columns(a, gens), la.from_columns(coeffs, len(a))))
 
     def sort_token(self):
-        if self.ambient.is_finite():
-            return (self.order(), self.key())
-        return (0, self.key())
+        """(order, key): the canonical order of the subobjects of a finite module."""
+        return (self.order(), self.key())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subobject) and self.ambient == other.ambient

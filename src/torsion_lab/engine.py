@@ -260,14 +260,9 @@ class QuiverHandle:
     def compose_sub(self, x, w, inner):
         spaces = []
         for v in range(x.quiver.vertex_count):
-            amb_rows = w.spaces[v].rows
-            vecs = []
-            for coeffs in inner.spaces[v].rows:
-                vec = [0] * x.dims[v]
-                for c, row in zip(coeffs, amb_rows):
-                    for i in range(x.dims[v]):
-                        vec[i] = (vec[i] + c * row[i]) % self.p
-                vecs.append(vec)
+            # inner's rows are coordinates on w's rows: map them by w's basis
+            basis = tuple(zip(*w.spaces[v].rows))
+            vecs = [ml.mat_vec_mod(basis, coeffs, self.p) for coeffs in inner.spaces[v].rows]
             spaces.append(ml.Subspace(self.p, x.dims[v], vecs))
         return qv.SubRep(x, spaces, check=False)
 
@@ -406,7 +401,7 @@ def reject(handle, sources, x):
     return r
 
 
-def torsionfree_coradical_cogenerated(handle, sources, x, check: bool = True):
+def torsionfree_coradical_cogenerated(handle, sources, x):
     """(t(x), x/t(x)) for the torsion pair cogenerated by `sources`.
 
     The torsion radical is the stabilised iterated reject; the returned object
@@ -417,6 +412,7 @@ def torsionfree_coradical_cogenerated(handle, sources, x, check: bool = True):
     Z/2 gives Z > 2Z > 4Z > ...), and the input is refused.  A finitely
     generated module has finitely many isomorphism classes of subobjects, and
     each step lowers a representation's dimension, so the loop is bounded.
+    The postcondition Hom(t(x), source) = 0 is checked on every call.
     """
     cur = handle.full_sub(x)
     seen = set()
@@ -430,12 +426,11 @@ def torsionfree_coradical_cogenerated(handle, sources, x, check: bool = True):
         if r.is_full():
             break
         cur = handle.compose_sub(x, cur, r)
-    if check:
-        tobj = handle.sub_as_object(cur)
-        for s in sources:
-            if handle.hom_basis(tobj, s):
-                raise ContradictionError("coradical postcondition Hom(t(x), source) = 0 "
-                                         f"failed for {_instance(handle, sources, x)}")
+    tobj = handle.sub_as_object(cur)
+    for s in sources:
+        if handle.hom_basis(tobj, s):
+            raise ContradictionError("coradical postcondition Hom(t(x), source) = 0 "
+                                     f"failed for {_instance(handle, sources, x)}")
     coradical, _ = handle.quotient(x, cur)
     return cur, coradical
 

@@ -51,17 +51,6 @@ class RingMatrix:
         flat = [self.at(i, j) for j in range(self.cols) for i in range(self.rows)]
         return RingMatrix(self.ring, self.cols, self.rows, flat)
 
-    def apply(self, vec: list[RingElem]) -> list[RingElem]:
-        if len(vec) != self.cols:
-            raise InputError("vector length does not match the column count")
-        out = []
-        for i in range(self.rows):
-            acc = self.ring.zero
-            for j in range(self.cols):
-                acc = acc + self.at(i, j) * vec[j]
-            out.append(acc)
-        return out
-
     def describe_rows(self) -> list[list[str]]:
         return [[str(self.at(i, j)) for j in range(self.cols)] for i in range(self.rows)]
 
@@ -156,9 +145,11 @@ def has_nullvector_theorem(a: RingMatrix) -> bool:
 
 
 def nullvector_exhaustive(a: RingMatrix):
-    """Search all non-zero vectors over a finite ring; None when no nullvector.
+    """The first non-zero nullvector in `Ring.elements()` order, or None.
 
-    A ring or vector space of more than ENUM_LIMIT elements is refused first.
+    An oracle independent of the rank code: each candidate is multiplied out
+    row by row and dropped at its first non-zero row.  A ring or vector space
+    of more than ENUM_LIMIT elements is refused first.
     """
     if not a.ring.is_finite():
         raise InputError("exhaustive nullvector search needs a finite ring")
@@ -166,12 +157,13 @@ def nullvector_exhaustive(a: RingMatrix):
     pool = list(a.ring.elements())
     if len(pool) ** a.cols > ENUM_LIMIT:
         raise InputError("vector space too large for exhaustive search")
+    zero = a.ring.zero
+    rows = [a.entries[i * a.cols:(i + 1) * a.cols] for i in range(a.rows)]
     for combo in iproduct(pool, repeat=a.cols):
-        vec = list(combo)
-        if all(e.is_zero() for e in vec):
+        if all(e.is_zero() for e in combo):
             continue
-        if all(e.is_zero() for e in a.apply(vec)):
-            return vec
+        if all(sum((m * e for m, e in zip(row, combo)), zero).is_zero() for row in rows):
+            return list(combo)
     return None
 
 

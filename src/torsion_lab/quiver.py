@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .errors import InputError
-from .modlinalg import Subspace, all_subspaces, kernel_mod, mat_vec_mod, rref
+from .modlinalg import Subspace, all_subspaces, kernel_mod, mat_vec_mod
 from .primes import is_prime
 
 ENUM_DIM_BOUND = 4
@@ -151,14 +151,10 @@ class SubRep:
             raise InputError("subspaces are not stable under the arrow maps")
 
     def is_stable(self) -> bool:
-        for k, (s, t) in enumerate(self.ambient.quiver.arrows):
-            mat = self.ambient.maps[k]
-            for vec in self.spaces[s].rows:
-                img = tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) % self.ambient.p
-                            for i in range(self.ambient.dims[t]))
-                if not self.spaces[t].contains(img):
-                    return False
-        return True
+        amb = self.ambient
+        return all(self.spaces[t].contains(mat_vec_mod(mat, vec, amb.p))
+                   for (s, t), mat in zip(amb.quiver.arrows, amb.maps)
+                   for vec in self.spaces[s].rows)
 
     @staticmethod
     def zero(ambient: QuiverRep) -> "SubRep":
@@ -318,11 +314,6 @@ def _subreps_in_order(x: QuiverRep):
         yield from fill(0, ranks)
 
 
-def enumerate_subreps(x: QuiverRep) -> list[SubRep]:
-    """All arrow-stable subspace tuples, canonically ordered."""
-    return list(iter_subreps(x))
-
-
 def quotient_rep(x: QuiverRep, sub: SubRep):
     """(quotient representation, per-vertex projection matrices).
 
@@ -372,35 +363,3 @@ def _adapted_blocks(x: QuiverRep, sub: SubRep):
 def single_vertex_support(x: QuiverRep) -> bool:
     """True iff the representation is concentrated in one vertex."""
     return len(x.support()) == 1
-
-
-def is_isomorphic(x: QuiverRep, y: QuiverRep) -> bool:
-    """Isomorphism test by exhaustive search for an invertible morphism."""
-    if x.quiver != y.quiver or x.p != y.p:
-        return False
-    if x.dims != y.dims:
-        return False
-    if x.is_zero():
-        return True
-    basis = hom_space(x, y)
-    if not basis:
-        return False
-    p = x.p
-    if p ** len(basis) > 200_000:
-        raise InputError("isomorphism search space too large")
-    for coeffs in iproduct(range(p), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        good = True
-        for v in range(x.quiver.vertex_count):
-            d = x.dims[v]
-            if d == 0:
-                continue
-            mat = [[sum(c * basis[b][v][i][j] for b, c in enumerate(coeffs)) % p
-                    for j in range(d)] for i in range(d)]
-            if len(rref(mat, p)[0]) != d:
-                good = False
-                break
-        if good:
-            return True
-    return False

@@ -25,7 +25,7 @@ from itertools import product as iter_product
 from typing import Iterator, Optional
 
 from .errors import InputError, UnsupportedRingError
-from .primes import is_prime
+from .primes import is_prime, prime_divisors
 
 # ---------------------------------------------------------------------------
 # univariate polynomial helpers (coefficient tuples, ascending degree, over F_p)
@@ -110,6 +110,19 @@ def _ppow(a, k, p, modulus):
         base = _pmod(_pmul(base, base, p), modulus, p)
         k >>= 1
     return result
+
+
+def _is_irreducible(f, p) -> bool:
+    """Rabin's test for a monic f of degree n >= 1 over F_p: f is irreducible
+    iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x mod f, f) = 1 for every
+    prime q | n (Rabin 1980, "Probabilistic algorithms in finite fields")."""
+    n = len(f) - 1
+
+    def frobenius_minus_x(k):
+        return _pmod(_padd(_ppow((0, 1), p ** k, p, f), (0, p - 1), p), f, p)
+
+    return (not frobenius_minus_x(n)
+            and all(_pgcd(frobenius_minus_x(n // q), f, p) == (1,) for q in prime_divisors(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +292,9 @@ class Ring:
         if self.n is not None:
             return self.n == 0 or is_prime(self.n)
         if self.modulus is not None:
-            # F_p[x]/(f) with f != 0 is not decided here; never needed as a domain
-            return not self.modulus
-        return not self.rels
+            return not self.modulus or _is_irreducible(self.modulus, self.p)
+        # a monomial quotient is a domain iff its relations are among x and y
+        return set(self.rels or ()) <= {(1, 0), (0, 1)}
 
     # -- element construction ----------------------------------------------
 
@@ -427,7 +440,9 @@ class RingElem:
     payload: object
 
     def _check(self, other: "RingElem") -> None:
-        if not isinstance(other, RingElem) or other.ring != self.ring:
+        # identity first: operands of one ring nearly always share its object
+        if not isinstance(other, RingElem) or (other.ring is not self.ring
+                                               and other.ring != self.ring):
             raise InputError("mixed-ring operands")
 
     def __add__(self, other: "RingElem") -> "RingElem":

@@ -140,6 +140,18 @@ def poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return out
 
 
+def poly_quotient_has_zero_divisors(f: list[int], p: int) -> bool:
+    """Whether F_p[x]/(f), f monic, has non-zero a, b with a*b = 0.
+
+    Leading coefficients and constants are units, so the search runs over
+    the monic a, b of degree 1 .. deg f - 1.
+    """
+    monic = [list(tail) + [1] for deg in range(1, len(f) - 1)
+             for tail in itertools.product(range(p), repeat=deg)]
+    return any(not poly_mod(poly_mul(a, b, p), f, p)
+               for i, a in enumerate(monic) for b in monic[i:])
+
+
 def poly_matrix_rank(rows: list[list[list[int]]], p: int) -> int:
     """Rank of a matrix of F_p[x] polynomials over the fraction field,
     via the largest order with a non-vanishing minor (Laplace, test-local)."""
@@ -174,7 +186,7 @@ def poly_matrix_rank(rows: list[list[list[int]]], p: int) -> int:
     return best
 
 
-# -- subrepresentations by exhaustive subset search (oracle for enumerate_subreps) --
+# -- subrepresentations by exhaustive subset search (oracle for iter_subreps) --
 
 # small acyclic quivers for the property tests: (vertex count, (source, target) arrows)
 QUIVER_SHAPES = {

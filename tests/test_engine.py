@@ -24,7 +24,7 @@ from torsion_lab.engine import (AbelianHandle, QuiverHandle,
                                 verify_torsion_pair_axioms)
 from torsion_lab.errors import ContradictionError, InputError
 from torsion_lab.intlinalg import columns, mat_vec, matmul
-from torsion_lab.quiver import (Quiver, QuiverRep, a_n_quiver, enumerate_subreps,
+from torsion_lab.quiver import (Quiver, QuiverRep, a_n_quiver, iter_subreps,
                                 simple_rep)
 from torsion_lab.rings import Ring
 
@@ -702,7 +702,7 @@ def test_brute_force_builds_subreps_only_up_to_the_first_proper_part(monkeypatch
 
     monkeypatch.setattr(handle, "subobjects", counting)
     report = is_torsion_simple(handle, x, method="brute-force", prune=False)
-    keys = [w.key() for w in enumerate_subreps(x)]
+    keys = [w.key() for w in iter_subreps(x)]
     assert not report.verdict
     assert yielded == keys[:keys.index(report.witness.key()) + 1]
     assert len(yielded) < len(keys)

@@ -1,4 +1,5 @@
 """Determinantal ideals, McCoy rank, nullvectors, and the conormal pipeline."""
+import itertools
 import random
 
 import pytest
@@ -91,6 +92,25 @@ def test_nullvector_examples():
         nullvector_exhaustive(_mat(Z, [[2]]))
 
 
+def _first_nullvector_mod(rows, n):
+    """The first non-zero v in Z/n^cols, in lexicographic order, with rows . v = 0."""
+    for vec in itertools.product(range(n), repeat=len(rows[0])):
+        if any(vec) and all(sum(a * v for a, v in zip(row, vec)) % n == 0 for row in rows):
+            return list(vec)
+    return None
+
+
+def test_nullvector_exhaustive_matches_plain_integer_search():
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        rows = [[rng.randrange(n) for _ in range(rng.randint(1, 3))]]
+        rows += [[rng.randrange(n) for _ in rows[0]] for _ in range(rng.randint(0, 2))]
+        found = nullvector_exhaustive(_mat(Ring.integers_mod(n), rows))
+        want = _first_nullvector_mod(rows, n)
+        assert (found if found is None else [e.payload for e in found]) == want, (n, rows)
+
+
 def test_mccoy_equivalence_seeded():
     rng = random.Random(0)
     for n in (4, 6, 8, 9, 12):
@@ -178,6 +198,8 @@ def test_radical_lemma_examples():
     rep3 = check_radical_lemma(b5, Ideal(b5, [b5.gen_x]), b5.gen_x + b5.gen_y)
     assert rep3.premise and not rep3.conclusion
     assert rep3.violation and rep3.expected_for_non_domain
+    f4 = Ring.poly_quotient(2, [1, 1, 1])
+    assert check_radical_lemma(f4, Ideal(f4, [f4.one]), f4.gen_x).domain
 
 
 def test_radical_lemma_refuses_zero_ideal():

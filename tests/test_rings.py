@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from conftest import poly_add, poly_mod, poly_mul
+from conftest import poly_add, poly_mod, poly_mul, poly_quotient_has_zero_divisors
 
 from torsion_lab.errors import InputError, UnsupportedRingError
 from torsion_lab.rings import (Ideal, Ring, RingElem, annihilator, is_nilpotent,
@@ -34,6 +34,28 @@ def test_binomial_square_drops_cross_terms():
 def test_mixed_ring_operands_rejected():
     with pytest.raises(InputError):
         Z.from_int(1) + Ring.integers_mod(4).from_int(1)
+    with pytest.raises(InputError):
+        Ring.integers_mod(4).one * Ring.integers_mod(6).one
+    # equal rings built apart are one ring
+    assert (Ring.integers_mod(4).from_int(3) * Ring.integers_mod(4).from_int(3)).payload == 1
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 4), (3, 4), (5, 3)])
+def test_poly_quotient_is_domain_iff_no_zero_divisors(p, max_deg):
+    for deg in range(1, max_deg + 1):
+        for tail in itertools.product(range(p), repeat=deg):
+            f = list(tail) + [1]
+            assert Ring.poly_quotient(p, f).is_domain == (
+                not poly_quotient_has_zero_divisors(f, p)), f
+
+
+def test_bivariate_quotient_is_domain_iff_relations_among_x_and_y():
+    domains = ([], [(1, 0)], [(0, 1)], [(1, 0), (0, 1)])
+    others = ([(2, 0)], [(0, 2)], [(1, 1)], [(1, 0), (0, 2)], [(2, 0), (1, 1), (0, 3)])
+    for rels in domains:
+        assert Ring.bivariate_quotient(3, rels).is_domain, rels
+    for rels in others:
+        assert not Ring.bivariate_quotient(3, rels).is_domain, rels
 
 
 @pytest.mark.parametrize("ring", [

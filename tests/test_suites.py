@@ -21,7 +21,7 @@ def test_unknown_suite_rejected():
     ("finite-length", {"max_dim": 2}),
     ("ass-singleton", {"max_order": 36}),
     ("gabriel-split", {"max_order": 24}),
-    ("mccoy", {"seed": 1, "mccoy_instances": 40}),
+    ("mccoy", {"seed": 1}),
     ("morphisms", {}),
     ("injective-criterion", {}),
     ("pruning", {"max_order": 32}),
@@ -38,7 +38,7 @@ def test_suite_passes_at_reduced_scale(name, options):
 
 def test_suite_with_no_instance_is_refused():
     with pytest.raises(InputError, match="no instance to check"):
-        run_suite("mccoy", {"mccoy_instances": 0})
+        run_suite("ass-singleton", {"max_order": 0})
 
 
 def test_suite_repeat_runs_match():
