@@ -269,19 +269,11 @@ def _human_lines(command: str, result: dict) -> list[str]:
     def emit(prefix: str, value) -> None:
         if isinstance(value, dict):
             for k in sorted(value):
-                emit(f"{prefix}{k}.", value[k]) if isinstance(value[k], dict) \
-                    else lines.append(f"{prefix}{k}: {json.dumps(value[k], sort_keys=True)}")
+                emit(f"{prefix}.{k}" if prefix else k, value[k])
         else:
-            lines.append(f"{prefix.rstrip('.')}: {json.dumps(value, sort_keys=True)}")
+            lines.append(f"{prefix}: {json.dumps(value, sort_keys=True)}")
 
-    for key in sorted(result):
-        if key == "object":
-            continue
-        value = result[key]
-        if isinstance(value, dict):
-            emit(f"{key}.", value)
-        else:
-            lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
+    emit("", {k: v for k, v in result.items() if k != "object"})
     return lines
 
 

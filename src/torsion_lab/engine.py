@@ -246,25 +246,20 @@ class QuiverHandle:
         return self.push_sub(f, self.full_sub(f.src))
 
     def push_sub(self, f: Morph, w):
-        spaces = []
-        for v in range(f.dst.quiver.vertex_count):
-            mat = f.data[v]
-            vecs = [ml.mat_vec_mod(mat, vec, self.p) for vec in w.spaces[v].rows]
-            spaces.append(ml.Subspace(self.p, f.dst.dims[v], vecs))
-        return qv.SubRep(f.dst, spaces, check=False)
+        return qv.SubRep(f.dst, [
+            ml.Subspace(self.p, d, [ml.mat_vec_mod(mat, vec, self.p) for vec in sp.rows])
+            for d, mat, sp in zip(f.dst.dims, f.data, w.spaces)])
 
     def pull_sub(self, f: Morph, w):
         return qv.SubRep(f.src, [w.spaces[v].preimage(f.data[v], f.src.dims[v])
-                                 for v in range(f.src.quiver.vertex_count)], check=False)
+                                 for v in range(f.src.quiver.vertex_count)])
 
     def compose_sub(self, x, w, inner):
-        spaces = []
-        for v in range(x.quiver.vertex_count):
-            # inner's rows are coordinates on w's rows: map them by w's basis
-            basis = tuple(zip(*w.spaces[v].rows))
-            vecs = [ml.mat_vec_mod(basis, coeffs, self.p) for coeffs in inner.spaces[v].rows]
-            spaces.append(ml.Subspace(self.p, x.dims[v], vecs))
-        return qv.SubRep(x, spaces, check=False)
+        """inner, a subrepresentation of w's own representation, pushed along
+        the inclusion of w into x: at each vertex w's RREF rows transposed,
+        since inner's rows are coordinates on w's rows."""
+        inclusion = tuple(tuple(zip(*sp.rows)) for sp in w.spaces)
+        return self.push_sub(Morph(inner.ambient, x, inclusion), inner)
 
     def part_test(self, x, w) -> bool:
         """Hom(w, x/w) = 0, with w and x/w read off one pass over x in the

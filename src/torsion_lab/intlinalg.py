@@ -158,8 +158,6 @@ def smith_with_inverses(a: Matrix):
             if offender is None:
                 break
             add_row(s, offender, 1)
-        if d[s][s] < 0:
-            neg_row(s)
         s += 1
     return u, ui, d
 

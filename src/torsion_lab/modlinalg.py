@@ -1,14 +1,13 @@
 """Dense linear algebra over prime fields F_p, plus subspace enumeration.
 
 Vectors are tuples of ints in [0, p); subspaces are canonical row-reduced
-echelon bases, which makes equality and deduplication trivial.
+echelon bases, so two subspaces of F_p^d are equal iff their rows are.
 """
 from __future__ import annotations
 
 from itertools import combinations, product
 
 Vec = tuple[int, ...]
-Rows = tuple[Vec, ...]
 
 
 def mat_vec_mod(mat, v: Vec, p: int) -> Vec:
@@ -79,7 +78,7 @@ def kernel_mod(mat, p: int) -> list[Vec]:
 
 
 class Subspace:
-    """Subspace of F_p^dim held as a canonical RREF row basis."""
+    """Subspace of F_p^dim held as a canonical RREF row basis; compare `rows`."""
 
     __slots__ = ("p", "dim", "rows", "pivots")
 
@@ -105,9 +104,6 @@ class Subspace:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def key(self) -> Rows:
-        return self.rows
 
     def quotient_functionals(self) -> list[list[int]]:
         """Rows e_c - sum_r rows[r][c] e_{pivots[r]}, one per non-pivot column c.
@@ -159,12 +155,6 @@ class Subspace:
         at = [[row[r] for row in self.rows] for r in range(self.dim)]
         coeffs = other.preimage(at, len(self.rows))
         return Subspace(self.p, self.dim, [mat_vec_mod(at, c, self.p) for c in coeffs.rows])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and self.rows == other.rows and self.dim == other.dim
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.dim, self.rows))
 
     def __repr__(self) -> str:
         return f"Subspace(p={self.p}, dim={self.dim}, rank={self.rank})"

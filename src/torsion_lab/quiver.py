@@ -130,41 +130,27 @@ def simple_rep(quiver: Quiver, p: int, vertex: int) -> QuiverRep:
 
 
 class SubRep:
-    """Arrow-stable tuple of per-vertex subspaces of an ambient representation."""
+    """A subrepresentation: one canonical `Subspace` per vertex of the ambient.
+
+    Only the library builds one (`iter_subreps`, `zero`/`full`, `sum`/
+    `intersect` and the quiver handle), so it is stored as given.  Arrow
+    stability is tested where a tuple is used: the enumeration prunes on it,
+    and `_adapted_blocks` refuses an unstable tuple before anything is built.
+    """
 
     __slots__ = ("ambient", "spaces")
 
-    def __init__(self, ambient: QuiverRep, spaces, check: bool = True):
-        if len(spaces) != ambient.quiver.vertex_count:
-            raise InputError("one subspace per vertex required")
-        norm = []
-        for v, sp in enumerate(spaces):
-            if isinstance(sp, Subspace):
-                if sp.dim != ambient.dims[v] or sp.p != ambient.p:
-                    raise InputError(f"subspace at vertex {v} has wrong ambient dimension")
-                norm.append(sp)
-            else:
-                norm.append(Subspace(ambient.p, ambient.dims[v], sp))
+    def __init__(self, ambient: QuiverRep, spaces):
         self.ambient = ambient
-        self.spaces = tuple(norm)
-        if check and not self.is_stable():
-            raise InputError("subspaces are not stable under the arrow maps")
-
-    def is_stable(self) -> bool:
-        amb = self.ambient
-        return all(self.spaces[t].contains(mat_vec_mod(mat, vec, amb.p))
-                   for (s, t), mat in zip(amb.quiver.arrows, amb.maps)
-                   for vec in self.spaces[s].rows)
+        self.spaces = tuple(spaces)
 
     @staticmethod
     def zero(ambient: QuiverRep) -> "SubRep":
-        return SubRep(ambient, [Subspace.zero(ambient.p, d) for d in ambient.dims],
-                      check=False)
+        return SubRep(ambient, [Subspace.zero(ambient.p, d) for d in ambient.dims])
 
     @staticmethod
     def full(ambient: QuiverRep) -> "SubRep":
-        return SubRep(ambient, [Subspace.full(ambient.p, d) for d in ambient.dims],
-                      check=False)
+        return SubRep(ambient, [Subspace.full(ambient.p, d) for d in ambient.dims])
 
     def dims(self) -> tuple[int, ...]:
         return tuple(sp.rank for sp in self.spaces)
@@ -188,13 +174,11 @@ class SubRep:
         return all(a.contains_space(b) for a, b in zip(self.spaces, other.spaces))
 
     def sum(self, other: "SubRep") -> "SubRep":
-        return SubRep(self.ambient, [a.sum(b) for a, b in zip(self.spaces, other.spaces)],
-                      check=False)
+        return SubRep(self.ambient, [a.sum(b) for a, b in zip(self.spaces, other.spaces)])
 
     def intersect(self, other: "SubRep") -> "SubRep":
         return SubRep(self.ambient,
-                      [a.intersect(b) for a, b in zip(self.spaces, other.spaces)],
-                      check=False)
+                      [a.intersect(b) for a, b in zip(self.spaces, other.spaces)])
 
     def as_rep(self) -> QuiverRep:
         """The subrepresentation on its own subspace bases: the upper-left
@@ -301,7 +285,7 @@ def _subreps_in_order(x: QuiverRep):
 
     def fill(v: int, ranks):
         if v == n:
-            yield SubRep(x, chosen, check=False)
+            yield SubRep(x, chosen)
             return
         for sp in tables[v][ranks[v]]:
             chosen[v] = sp

@@ -66,11 +66,6 @@ def _pdivmod(a, b, p):
     lead_inv = pow(b[-1], p - 2, p)
     q = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
-        if a and a[-1] == 0:
-            a.pop()
-            continue
-        if len(a) < len(b):
-            break
         f = (a[-1] * lead_inv) % p
         shift = len(a) - len(b)
         q[shift] = f
@@ -709,22 +704,22 @@ class Ideal:
         if not isinstance(other, Ideal) or other.ring != self.ring:
             raise InputError("ideal operands live over different rings")
 
-    def sort_key(self):
-        return tuple(g.sort_key() for g in self.gens)
+    def _canonical(self):
+        """What equality and hashing compare: the PID generator's payload, else
+        the minimal monomial exponents, else the generator payloads."""
+        if self.ring.kind != KIND_BIPOLY:
+            return self._pid_generator().payload
+        try:
+            return self._monomial_gens()
+        except UnsupportedRingError:
+            return tuple(g.payload for g in self.gens)
 
     def __eq__(self, other) -> bool:
-        # generator-list equality after canonicalisation; PID rings compare by gcd
-        if not isinstance(other, Ideal) or other.ring != self.ring:
-            return False
-        if self.ring.kind != KIND_BIPOLY:
-            return self._pid_generator().payload == other._pid_generator().payload
-        try:
-            return self._monomial_gens() == other._monomial_gens()
-        except UnsupportedRingError:
-            return self.gens == other.gens
+        return (isinstance(other, Ideal) and other.ring == self.ring
+                and self._canonical() == other._canonical())
 
     def __hash__(self) -> int:
-        return hash((self.ring, tuple(g.payload for g in self.gens)))
+        return hash((self.ring, self._canonical()))
 
     def __repr__(self) -> str:
         inner = ", ".join(str(g) for g in self.gens) or "0"

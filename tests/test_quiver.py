@@ -6,7 +6,7 @@ from conftest import QUIVER_SHAPES, brute_subreps, small_rep_data
 from hypothesis import given, settings, strategies as st
 
 from torsion_lab.errors import InputError
-from torsion_lab.modlinalg import all_subspaces
+from torsion_lab.modlinalg import Subspace, all_subspaces
 from torsion_lab.quiver import (Quiver, QuiverRep, SubRep, _adapted_blocks, a_n_quiver,
                                 hom_space, iter_subreps, quotient_rep, simple_rep,
                                 single_vertex_support)
@@ -15,6 +15,31 @@ A2 = a_n_quiver(2)
 S1 = simple_rep(A2, 2, 0)
 S2 = simple_rep(A2, 2, 1)
 P1 = QuiverRep(A2, 2, [1, 1], [[[1]]])
+
+
+def _subrep(x, rows):
+    """A SubRep of x from raw per-vertex row lists, which need not be arrow-stable."""
+    return SubRep(x, [Subspace(x.p, d, r) for d, r in zip(x.dims, rows)])
+
+
+def _span(sp, p):
+    """All vectors of the row space of a subspace, by test-local linear combinations."""
+    return frozenset(
+        tuple(sum(c * row[i] for c, row in zip(coeffs, sp.rows)) % p for i in range(sp.dim))
+        for coeffs in itertools.product(range(p), repeat=len(sp.rows)))
+
+
+def _apply(mat, vec, p):
+    return tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) % p for i in range(len(mat)))
+
+
+def _arrow_stable(w):
+    """Test-local stability oracle: every arrow maps every vector of the source
+    span into the target span."""
+    x = w.ambient
+    spans = [_span(sp, x.p) for sp in w.spaces]
+    return all(_apply(mat, u, x.p) in spans[t]
+               for (s, t), mat in zip(x.quiver.arrows, x.maps) for u in spans[s])
 
 
 def test_acyclicity_enforced():
@@ -94,7 +119,7 @@ def test_subrep_lattice_closure_and_stability():
         subs = list(iter_subreps(x))
         keys = {s.key() for s in subs}
         for s in subs:
-            assert s.is_stable()
+            assert _arrow_stable(s)
             for t in subs:
                 assert s.sum(t).key() in keys
                 assert s.intersect(t).key() in keys
@@ -139,9 +164,8 @@ def test_quotient_examples():
 
 def test_unstable_subspaces_rejected():
     with pytest.raises(InputError):
-        SubRep(P1, [[[1]], []])   # vertex-1 line is not arrow-stable in P1
-    with pytest.raises(InputError):
-        quotient_rep(P1, SubRep(P1, [[[1]], []], check=False))
+        # the vertex-0 line is not arrow-stable in P1
+        quotient_rep(P1, _subrep(P1, [[[1]], []]))
 
 
 def test_composition_factors():
@@ -180,8 +204,8 @@ def test_non_prime_fields_refused():
 
 def test_as_rep_refuses_unstable_subspaces():
     with pytest.raises(InputError):
-        SubRep(P1, [[[1]], []], check=False).as_rep()
-    line = SubRep(P1, [[], [[1]]])
+        _subrep(P1, [[[1]], []]).as_rep()
+    line = _subrep(P1, [[], [[1]]])
     assert line.as_rep().dims == (0, 1)
     assert SubRep.full(P1).as_rep() == P1
 
@@ -189,13 +213,6 @@ def test_as_rep_refuses_unstable_subspaces():
 def _rep(data):
     vertex_count, arrows, p, dims, maps = data
     return QuiverRep(Quiver(vertex_count, arrows), p, dims, maps)
-
-
-def _span(sp, p):
-    """All vectors of the row space of a subspace, by test-local linear combinations."""
-    return frozenset(
-        tuple(sum(c * row[i] for c, row in zip(coeffs, sp.rows)) % p for i in range(sp.dim))
-        for coeffs in itertools.product(range(p), repeat=len(sp.rows)))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -212,24 +229,21 @@ def test_subreps_match_exhaustive_subset_search(x):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(x=small_rep_data({2: 3, 3: 2, 5: 2}).map(_rep))
 def test_lazy_enumeration_yields_the_sorted_stable_tuples(x):
-    # reference: every tuple of per-vertex subspaces, kept when is_stable()
-    # holds, then sorted; over F_5 too, which the subset search cannot reach
-    tuples = (SubRep(x, spaces, check=False)
+    # reference: every tuple of per-vertex subspaces, kept when the test-local
+    # oracle finds it arrow-stable, then sorted; over F_5 too, which the subset
+    # search cannot reach
+    tuples = (SubRep(x, spaces)
               for spaces in itertools.product(*[all_subspaces(x.p, d) for d in x.dims]))
-    want = sorted((s.sort_token() for s in tuples if s.is_stable()))
+    want = sorted((s.sort_token() for s in tuples if _arrow_stable(s)))
     lazy = [s.sort_token() for s in iter_subreps(x)]
     assert lazy == want
     assert [s.sort_token() for s in iter_subreps(x)] == want
 
 
-def _random_spaces(rng, x):
-    """Test-local random per-vertex row lists (0-2 rows each), not arrow-stable."""
-    return [[[rng.randrange(x.p) for _ in range(d)] for _ in range(rng.randrange(3))]
-            for d in x.dims]
-
-
-def _apply(mat, vec, p):
-    return tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) % p for i in range(len(mat)))
+def _random_subrep(rng, x):
+    """A SubRep of x from random per-vertex row lists (0-2 rows each), not arrow-stable."""
+    return _subrep(x, [[[rng.randrange(x.p) for _ in range(d)] for _ in range(rng.randrange(3))]
+                       for d in x.dims])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -253,8 +267,7 @@ def test_subrep_intersect_matches_vector_sets(x, seed):
     import random
     rng = random.Random(seed)
     subs = list(iter_subreps(x))
-    pairs = [(SubRep(x, _random_spaces(rng, x), check=False),
-              SubRep(x, _random_spaces(rng, x), check=False)) for _ in range(4)]
+    pairs = [(_random_subrep(rng, x), _random_subrep(rng, x)) for _ in range(4)]
     pairs += [(rng.choice(subs), rng.choice(subs)) for _ in range(4)]
     for a, b in pairs:
         meet = a.intersect(b)
@@ -274,14 +287,39 @@ def test_quiver_pull_sub_matches_vector_sets(x, seed):
     morphs = handle.hom_basis(x, x)
     _, proj = handle.quotient(x, rng.choice(list(iter_subreps(x))))
     for f in morphs[:4] + [proj]:
-        for w in (SubRep(f.dst, _random_spaces(rng, f.dst), check=False),
-                  SubRep.zero(f.dst)):
+        for w in (_random_subrep(rng, f.dst), SubRep.zero(f.dst)):
             pulled = handle.pull_sub(f, w)
             for v in range(x.quiver.vertex_count):
                 target = _span(w.spaces[v], x.p)
                 want = frozenset(u for u in itertools.product(range(x.p), repeat=x.dims[v])
                                  if _apply(f.data[v], u, x.p) in target)
                 assert _span(pulled.spaces[v], x.p) == want, (x, v)
+
+
+_BLOCK_SHAPES = [QUIVER_SHAPES[name] for name in ("A2", "A3", "source", "triangle")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=small_rep_data().filter(lambda d: d[:2] in _BLOCK_SHAPES).map(_rep),
+       seed=st.integers(0, 2 ** 16))
+def test_quiver_compose_sub_matches_vector_sets(x, seed):
+    import random
+
+    from torsion_lab.engine import QuiverHandle
+    rng = random.Random(seed)
+    handle = QuiverHandle(x.quiver, x.p)
+    subs = list(iter_subreps(x))
+    for w in [rng.choice(subs) for _ in range(3)] + [SubRep.full(x)]:
+        inners = list(iter_subreps(w.as_rep()))
+        for inner in [rng.choice(inners) for _ in range(3)]:
+            composed = handle.compose_sub(x, w, inner)
+            for v, (sp, rows) in enumerate(zip(inner.spaces, (s.rows for s in w.spaces))):
+                # inner's vectors are coordinates on w's rows
+                want = frozenset(tuple(sum(c * row[i] for c, row in zip(u, rows)) % x.p
+                                       for i in range(x.dims[v]))
+                                 for u in _span(sp, x.p))
+                assert _span(composed.spaces[v], x.p) == want, (x, v)
+            assert _arrow_stable(composed)
 
 
 # -- the adapted basis against separate sub and quotient constructions --------
@@ -310,9 +348,6 @@ def _reference_quotient(x, w):
         cols = [_apply(projections[t], [row[c] for row in x.maps[k]], x.p) for c in free]
         maps.append([[col[i] for col in cols] for i in range(len(projections[t]))])
     return QuiverRep(x.quiver, x.p, [len(f) for f in projections], maps), projections
-
-
-_BLOCK_SHAPES = [QUIVER_SHAPES[name] for name in ("A2", "A3", "source", "triangle")]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -344,7 +379,7 @@ def test_part_test_refuses_unstable_and_foreign_subspaces():
     from torsion_lab.engine import QuiverHandle
     handle = QuiverHandle(A2, 2)
     with pytest.raises(InputError):
-        handle.part_test(P1, SubRep(P1, [[[1]], []], check=False))
+        handle.part_test(P1, _subrep(P1, [[[1]], []]))
     with pytest.raises(InputError):
         handle.part_test(P1, SubRep.zero(S1))
     with pytest.raises(InputError):

@@ -249,6 +249,31 @@ def test_ideal_ops_examples():
     assert colz._pid_generator().payload == 2
 
 
+def test_equal_ideals_hash_equal_and_collapse_in_a_set():
+    f3x = Ring.poly_ring(3)
+    f2xy = Ring.bivariate_quotient(2, [])
+    x, y = f2xy.gen_x, f2xy.gen_y
+    equal = [
+        (Ideal(Z, [Z.from_int(2)]), Ideal(Z, [Z.from_int(4), Z.from_int(6)])),
+        (Ideal(Z, [Z.from_int(-3)]), Ideal(Z, [Z.from_int(3), Z.from_int(9)])),
+        # x^2 + 2 = (x + 2)(x + 1) over F_3, and 2x + 1 = 2(x + 2)
+        (Ideal(f3x, [f3x.poly([2, 0, 1]), f3x.poly([2, 1])]), Ideal(f3x, [f3x.poly([1, 2])])),
+        (Ideal(f2xy, [x]), Ideal(f2xy, [x, x * y])),
+        (Ideal(f2xy, [y, x * x]), Ideal(f2xy, [x * x * y, x * x, y, y * y])),
+        (Ideal(f2xy, [x + y, x * x]), Ideal(f2xy, [x * x, x + y, x + y])),
+    ]
+    for a, b in equal:
+        assert a == b and hash(a) == hash(b), (a, b)
+        assert len({a, b}) == 1, (a, b)
+    unequal = [Ideal(Z, [Z.from_int(2)]), Ideal(Z, [Z.from_int(3)]), Ideal(Z, []),
+               Ideal(f3x, [f3x.poly([2, 1])]), Ideal(f3x, [f3x.poly([1, 1])]),
+               Ideal(f2xy, [x]), Ideal(f2xy, [y]), Ideal(f2xy, [x + y]),
+               Ideal(f2xy, [x + y, x * x])]
+    for a, b in itertools.combinations(unequal, 2):
+        assert a != b, (a, b)
+    assert len(set(unequal)) == len(unequal)
+
+
 def test_colon_exhaustive_monomials():
     # every monomial of degree <= 8 is in (I : J) iff its product with every
     # generator of J is in I
