@@ -89,16 +89,22 @@ class AxiomCheckResult:
 SUBOBJECT_TABLE_CAP = 10_000
 
 
+def _coordinates(x):
+    """What the subobjects of x are coordinates in: a module's presentation
+    (module equality is isomorphism), or the representation itself (it
+    compares by its maps)."""
+    return x.presentation() if isinstance(x, ab.PresentedModule) else x
+
+
 class _SubobjectTables:
     """The subobject tables of one handle, read by verify_torsion_pair_axioms.
 
     The table of x is [(w, rep)] for every subobject w of x in the order of
     handle.subobjects(x), where rep is the interned object equal to
     sub_as_object(w): one per isomorphism class of modules, one per identical
-    representation.  Tables are keyed by presentation, never by isomorphism
-    class, because subobjects are coordinates in the presentation: a
-    PresentedModule by presentation(), a QuiverRep by itself (it compares by
-    its maps).  A table holds no verdict, so it serves every source set.
+    representation.  Tables are keyed by _coordinates(x), never by
+    isomorphism class.  A table holds no verdict, so it serves every source
+    set.
     Past SUBOBJECT_TABLE_CAP subobjects the oldest presentation goes first,
     and a presentation with more subobjects than the cap is not kept.
     """
@@ -109,7 +115,7 @@ class _SubobjectTables:
         self.size = 0
 
     def get(self, handle, x) -> list:
-        key = x.presentation() if isinstance(x, ab.PresentedModule) else x
+        key = _coordinates(x)
         table = self.tables.get(key)
         if table is None:
             table = []
@@ -262,12 +268,12 @@ class QuiverHandle:
         return self.push_sub(Morph(inner.ambient, x, inclusion), inner)
 
     def part_test(self, x, w) -> bool:
-        """Hom(w, x/w) = 0, with w and x/w read off one pass over x in the
-        basis adapted to w, which also refuses an unstable w."""
+        """Hom(w, x/w) = 0, solved on the blocks of x in the basis adapted to
+        w: one pass, which also refuses an unstable w, and no representation
+        of w or x/w is built."""
         sub_maps, quo_maps, functionals = qv._adapted_blocks(x, w)
-        sub = qv.QuiverRep(x.quiver, x.p, w.dims(), sub_maps)
-        quo = qv.QuiverRep(x.quiver, x.p, [len(f) for f in functionals], quo_maps)
-        return not qv.hom_space(sub, quo)
+        return not qv._hom_space(x.quiver, x.p, w.dims(), sub_maps,
+                                 [len(f) for f in functionals], quo_maps)
 
     def sub_stable(self, x, w, endos) -> bool:
         """Every f in endos maps w into w: the filter of stable_subobjects."""
@@ -432,6 +438,8 @@ def torsionfree_coradical_cogenerated(handle, sources, x):
 
 def is_essential(handle, w, x) -> bool:
     """True iff w meets every non-zero subobject of x non-trivially."""
+    if _coordinates(w.ambient) != _coordinates(x):
+        raise InputError("the subobject does not live in the given object")
     for u in handle.subobjects(x):
         if u.is_zero():
             continue
@@ -447,7 +455,7 @@ def injective_criterion_check(handle, x, f: Morph) -> InjectiveCriterionReport:
     every torsion part T with ker f <= T <= im f must be x itself; a violation
     raises ContradictionError.
     """
-    if f.src != x or f.dst != x:
+    if not _coordinates(f.src) == _coordinates(f.dst) == _coordinates(x):
         raise InputError("the criterion needs an endomorphism of x")
     ker = handle.pull_sub(f, handle.zero_sub(f.dst))
     im = handle.image(f)

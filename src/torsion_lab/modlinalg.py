@@ -57,24 +57,15 @@ def rref(rows_in, p: int) -> tuple[list[list[int]], list[int]]:
     return mat[:r], pivots
 
 
-def kernel_mod(mat, p: int) -> list[Vec]:
-    """Basis of the right kernel {x : mat @ x == 0 mod p}."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    red, pivots = rref(mat, p)
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for c in free:
-        vec = [0] * n
-        vec[c] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-red[r][c]) % p
-        out.append(tuple(vec))
-    return out
+def kernel_mod(mat, p: int, n: int) -> list[list[int]]:
+    """Basis of the right kernel {u in F_p^n : mat @ u == 0 mod p} of a matrix
+    with n columns.
+
+    u is in the kernel iff it vanishes, as a functional, on every row, so the
+    basis is the row space's quotient_functionals(); with no rows it is the
+    identity basis of F_p^n, found without a row reduction.
+    """
+    return Subspace(p, n, mat).quotient_functionals()
 
 
 class Subspace:
@@ -148,7 +139,7 @@ class Subspace:
         if not functionals:
             return Subspace.full(self.p, src_dim)
         return Subspace(self.p, src_dim,
-                        kernel_mod(matmul_mod(functionals, mat, self.p), self.p))
+                        kernel_mod(matmul_mod(functionals, mat, self.p), self.p, src_dim))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # x = A^T c with A^T c in other: the image of other's preimage under A^T

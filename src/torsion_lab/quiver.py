@@ -68,18 +68,11 @@ def a_n_quiver(n: int) -> Quiver:
     return Quiver(n, [(i, i + 1) for i in range(n - 1)])
 
 
-@lru_cache(maxsize=64)
-def _is_prime_field(p: int) -> bool:
-    """is_prime, once per characteristic: quotients and subrepresentations
-    built inside the torsion-part loop all share their ambient's p."""
-    return is_prime(p)
-
-
 class QuiverRep:
     __slots__ = ("quiver", "p", "dims", "maps")
 
     def __init__(self, quiver: Quiver, p: int, dims, maps):
-        if not _is_prime_field(p):
+        if not is_prime(p):
             raise InputError(f"representations need a prime field, got p={p!r}")
         dims = tuple(int(d) for d in dims)
         if len(dims) != quiver.vertex_count:
@@ -187,57 +180,53 @@ class SubRep:
         sub_maps, _, _ = _adapted_blocks(amb, self)
         return QuiverRep(amb.quiver, amb.p, self.dims(), sub_maps)
 
-    def __eq__(self, other):
-        return (isinstance(other, SubRep) and other.ambient == self.ambient
-                and other.key() == self.key())
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         return f"SubRep(dims={self.dims()} of {self.ambient.dims})"
 
 
 def hom_space(x: QuiverRep, y: QuiverRep) -> list[tuple]:
-    """Basis of Hom(x, y): each morphism is a tuple of per-vertex matrices.
-
-    Solves the commuting-square system f_t X_a = Y_a f_s for all arrows.
-    """
+    """Basis of Hom(x, y), each morphism a tuple of per-vertex matrices, from
+    `_hom_space` once x and y share the quiver and the prime."""
     if x.quiver != y.quiver or x.p != y.p:
         raise InputError("hom needs the same quiver and prime field")
-    p = x.p
-    nv = x.quiver.vertex_count
+    return _hom_space(x.quiver, x.p, x.dims, x.maps, y.dims, y.maps)
+
+
+def _hom_space(quiver: Quiver, p: int, xdims, xmaps, ydims, ymaps) -> list[tuple]:
+    """Basis of Hom(x, y) for x and y given by dims and arrow matrices with
+    entries reduced mod p, such as the blocks of `_adapted_blocks`.
+
+    Solves the commuting-square system f_t X_a = Y_a f_s for all arrows
+    a: s -> t, in the entries of the ydims[v] x xdims[v] matrices f_v.  The
+    quiver is acyclic, so s != t and each coefficient of an equation is
+    written once: one entry of X_a on an unknown of f_t, minus one of Y_a on
+    an unknown of f_s.
+    """
+    nv = quiver.vertex_count
     offsets = []
     total = 0
     for v in range(nv):
         offsets.append(total)
-        total += x.dims[v] * y.dims[v]
-    if total == 0:
-        return []
+        total += xdims[v] * ydims[v]
     rows = []
-    for k, (s, t) in enumerate(x.quiver.arrows):
-        xa, ya = x.maps[k], y.maps[k]
-        for i in range(y.dims[t]):
-            for j in range(x.dims[s]):
+    for (s, t), xa, ya in zip(quiver.arrows, xmaps, ymaps):
+        for i in range(ydims[t]):
+            for j in range(xdims[s]):
                 row = [0] * total
                 # (f_t X_a)_{i,j} = sum_m f_t[i][m] * X_a[m][j]
-                for m in range(x.dims[t]):
-                    row[offsets[t] + i * x.dims[t] + m] = (row[offsets[t] + i * x.dims[t] + m]
-                                                           + xa[m][j]) % p
+                for m in range(xdims[t]):
+                    row[offsets[t] + i * xdims[t] + m] = xa[m][j]
                 # (Y_a f_s)_{i,j} = sum_m Y_a[i][m] * f_s[m][j]
-                for m in range(y.dims[s]):
-                    row[offsets[s] + m * x.dims[s] + j] = (row[offsets[s] + m * x.dims[s] + j]
-                                                           - ya[i][m]) % p
+                for m in range(ydims[s]):
+                    row[offsets[s] + m * xdims[s] + j] = (-ya[i][m]) % p
                 if any(row):
                     rows.append(row)
-    basis_vecs = kernel_mod(rows, p) if rows else [
-        tuple(1 if i == j else 0 for i in range(total)) for j in range(total)]
     out = []
-    for vec in basis_vecs:
+    for vec in kernel_mod(rows, p, total):
         mats = []
         for v in range(nv):
-            mat = [[vec[offsets[v] + i * x.dims[v] + j] for j in range(x.dims[v])]
-                   for i in range(y.dims[v])]
+            mat = [[vec[offsets[v] + i * xdims[v] + j] for j in range(xdims[v])]
+                   for i in range(ydims[v])]
             mats.append(tuple(tuple(r) for r in mat))
         out.append(tuple(mats))
     return out

@@ -207,6 +207,42 @@ def test_injective_criterion_examples():
     assert not rep6.kernel_essential
 
 
+def test_criterion_and_essentiality_refuse_another_presentation():
+    # x and y are both Z/2 + Z/4, so they compare equal, but a subobject of y
+    # is a coordinate column in y's presentation and means another subgroup in x
+    x = PresentedModule(Z, 2, [[4, 0], [0, 2]])
+    y = PresentedModule(Z, 2, [[2, 0], [0, 4]])
+    assert x == y
+    m = [[1, 0], [0, 0]]
+    assert m in hom_group(y, y)[1]
+    assert not injective_criterion_check(H, y, engine.Morph(y, y, m)).kernel_essential
+    with pytest.raises(InputError):
+        injective_criterion_check(H, x, engine.Morph(y, y, m))
+    not_essential = [w for w in H.subobjects(y) if not is_essential(H, w, y)]
+    assert len(not_essential) == 6
+    for w in not_essential:
+        with pytest.raises(InputError):
+            is_essential(H, w, x)
+    # a fresh module with x's presentation shares x's coordinates
+    fresh = PresentedModule(Z, 2, [[4, 0], [0, 2]])
+    assert [is_essential(H, w, fresh) for w in H.subobjects(x)] == \
+        [is_essential(H, w, x) for w in H.subobjects(x)]
+    rep = injective_criterion_check(H, x, engine.Morph(fresh, fresh, m))
+    assert rep == injective_criterion_check(H, x, engine.Morph(x, x, m))
+
+
+def test_criterion_and_essentiality_refuse_another_representation():
+    # same dims as P1, another arrow map
+    z = QuiverRep(A2, 2, [1, 1], [[[0]]])
+    line = [w for w in iter_subreps(z) if w.dims() == (1, 0)][0]
+    with pytest.raises(InputError):
+        is_essential(QH, line, P1)
+    with pytest.raises(InputError):
+        injective_criterion_check(QH, P1, engine.Morph(z, z, (((1,),), ((1,),))))
+    same = QuiverRep(A2, 2, [1, 1], [[[1]]])
+    assert [is_essential(QH, w, P1) for w in iter_subreps(same)] == [False, True, True]
+
+
 def test_type_examples():
     assert is_torsion_simple(H, cyclic_module(Z, 9)).type_tag == ("prime", 3)
     assert is_torsion_simple(H, PresentedModule(Z, 1, [[]])).type_tag == ("prime", 0)

@@ -198,7 +198,7 @@ def test_non_prime_fields_refused():
     for p in (4, 1):
         with pytest.raises(InputError):
             QuiverRep(A2, p, [1, 1], [[[1]]])
-    # the cached field check still accepts primes after refusing
+    # the field check still accepts primes after refusing
     assert QuiverRep(A2, 3, [1, 1], [[[2]]]).p == 3
 
 
@@ -384,3 +384,34 @@ def test_part_test_refuses_unstable_and_foreign_subspaces():
         handle.part_test(P1, SubRep.zero(S1))
     with pytest.raises(InputError):
         quotient_rep(P1, SubRep.zero(S1))
+
+
+# -- the part test solves Hom(w, x/w) on the adapted blocks -------------------
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(x=small_rep_data({2: 3, 3: 2, 5: 2}).filter(lambda d: d[:2] in _BLOCK_SHAPES).map(_rep))
+def test_part_test_matches_hom_space_of_built_sub_and_quotient(x):
+    from torsion_lab.engine import QuiverHandle
+    handle = QuiverHandle(x.quiver, x.p)
+    for w in iter_subreps(x):
+        assert handle.part_test(x, w) == (not hom_space(w.as_rep(), quotient_rep(x, w)[0]))
+
+
+def test_unpruned_brute_force_builds_no_representation(monkeypatch):
+    from torsion_lab.engine import QuiverHandle, is_torsion_simple
+    handle = QuiverHandle(A2, 2)
+    reps = [r for r in _all_a2_reps(3, 3) if not r.is_zero()]
+    assert len(reps) == 688
+    real = QuiverRep.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuiverRep, "__init__", counting)
+    verdicts = [is_torsion_simple(handle, x, prune=False).verdict for x in reps]
+    assert built == []
+    # S_0^d and S_1^d for d = 1, 2, 3: the representations at one vertex
+    assert verdicts.count(True) == 6
