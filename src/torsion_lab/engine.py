@@ -178,8 +178,7 @@ class AbelianHandle:
         return q, Morph(x, q, la.identity(x.gens))
 
     def hom_basis(self, a, b):
-        _, basis = ab.hom_group(a, b)
-        return [Morph(a, b, m) for m in basis]
+        return [Morph(a, b, m) for m in ab.hom_basis(a, b)]
 
     def multiplication_morph(self, x, c: int):
         return Morph(x, x, ab.multiplication_endo(x, c))
@@ -188,6 +187,11 @@ class AbelianHandle:
         return ab.Subobject(f.dst, f.data)
 
     def pull_sub(self, f: Morph, w):
+        if f.data == la.identity(f.src.gens):
+            # the quotient projection (x and x/t share generator coordinates):
+            # the preimage of w.lattice under the identity is w.lattice, which
+            # holds f.src's relations because f is a morphism
+            return ab.Subobject.from_lattice(f.src, w.lattice)
         cols = la.preimage(la.columns(f.data), w.lattice.basis, f.dst.gens)
         return ab.Subobject(f.src, la.from_columns(cols, f.src.gens))
 

@@ -178,7 +178,7 @@ def kernel_basis(a: Matrix) -> list[list[int]]:
     n = len(a[0]) if m else 0
     graph = ColumnEchelonLattice(
         m + n, [[row[j] for row in a] + [int(i == j) for i in range(n)] for j in range(n)])
-    return [col[m:] for col, r in zip(graph.basis, graph.pivots) if r >= m]
+    return [list(col[m:]) for col, r in zip(graph.basis, graph.pivots) if r >= m]
 
 
 def preimage(a_cols: list[list[int]], b_cols: list[list[int]], rows: int) -> list[list[int]]:
@@ -187,7 +187,7 @@ def preimage(a_cols: list[list[int]], b_cols: list[list[int]], rows: int) -> lis
     The c-part of the kernel of [A | B]: A c + B d = 0 puts A c = B(-d) in the
     span of B.  Intersections, preimages and submodule relations are all this.
     """
-    return [k[:len(a_cols)] for k in kernel_basis(from_columns(a_cols + b_cols, rows))]
+    return [k[:len(a_cols)] for k in kernel_basis(from_columns([*a_cols, *b_cols], rows))]
 
 
 class ColumnEchelonLattice:
@@ -195,11 +195,12 @@ class ColumnEchelonLattice:
 
     basis[k] is the k-th basis column; pivot rows are strictly increasing,
     pivots positive, and every entry in a pivot row of an earlier column is
-    reduced into [0, pivot).  The form is unique per lattice, so `key` is a
-    canonical identifier.
+    reduced into [0, pivot).  The form is unique per lattice, so the basis,
+    a tuple of tuples that `key` returns, is a canonical identifier, and a
+    lattice can be shared.
     """
 
-    __slots__ = ("rows", "basis", "pivots", "_key")
+    __slots__ = ("rows", "basis", "pivots")
 
     def __init__(self, rows: int, cols: list[list[int]]):
         self.rows = rows
@@ -237,16 +238,15 @@ class ColumnEchelonLattice:
                 q = basis[k][r] // basis[later][r]
                 if q:
                     basis[k] = [x - q * y for x, y in zip(basis[k], basis[later])]
-        self.basis = basis
+        self.basis = tuple(map(tuple, basis))
         self.pivots = pivots
-        self._key = tuple(map(tuple, basis))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     def key(self) -> tuple:
-        return self._key
+        return self.basis
 
     def contains(self, vec: list[int]) -> bool:
         v = list(vec)

@@ -75,6 +75,31 @@ def brute_set_maps_additive(a: int, b: int) -> int:
     return count
 
 
+def _unimodular(rng, n: int) -> list[list[int]]:
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-3, 3)
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        if rng.random() < 0.3:
+            m[i] = [-a for a in m[i]]
+    return m
+
+
+def dense_relations(rng, orders) -> tuple[int, list[list[int]]]:
+    """(n, U diag(d) V) for random unimodular U and V, where d is `orders`
+    shuffled with up to one unit factor: a dense presentation of the sum of
+    the Z/d_i (an order 0 is a free summand)."""
+    d = list(orders) + [1] * rng.randint(0, 1)
+    rng.shuffle(d)
+    n = len(d)
+    u, v = _unimodular(rng, n), _unimodular(rng, n)
+    ud = [[u[i][k] * d[k] for k in range(n)] for i in range(n)]
+    return n, [[sum(ud[i][k] * v[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+
+
 def rational_rank(rows: list[list[int]]) -> int:
     """Rank over Q by fraction Gaussian elimination (oracle for integer matrices)."""
     mat = [[Fraction(x) for x in row] for row in rows]

@@ -1,13 +1,17 @@
 """Presented modules: decomposition, submodule lattices, hom groups, Ass."""
 import itertools
+import random
 
 import pytest
-from conftest import brute_additive_maps, brute_set_maps_additive, brute_subgroups
+from conftest import (brute_additive_maps, brute_set_maps_additive, brute_subgroups,
+                      dense_relations)
 
+from torsion_lab import abelian
+from torsion_lab import intlinalg as la
 from torsion_lab.abelian import (PresentedModule, Subobject, associated_primes,
                                  cyclic_module, direct_sum_module,
                                  enumerate_submodules, finite_abelian_modules,
-                                 fully_invariant_submodules, hom_group,
+                                 fully_invariant_submodules, hom_basis, hom_group,
                                  primary_component, quotient)
 from torsion_lab.errors import InputError
 from torsion_lab.rings import Ring
@@ -115,14 +119,13 @@ def test_hom_bilinearity_oracle():
 
 def test_hom_basis_matrices_are_well_defined_morphisms():
     # each basis matrix must send relations into relations
-    import torsion_lab.intlinalg as la
     for src_orders, dst_orders in itertools.product(
             ([2], [4], [2, 2], [6]), repeat=2):
         src = direct_sum_module(Z, src_orders)
         dst = direct_sum_module(Z, dst_orders)
         _, basis = hom_group(src, dst)
         for mat in basis:
-            for col in la.columns(src._full_relation_matrix()):
+            for col in src.relation_lattice().basis:
                 image = la.mat_vec(mat, col)
                 assert dst.relation_lattice().contains(image)
 
@@ -305,3 +308,93 @@ def test_pull_sub_matches_set_preimage():
                 pulled = handle.pull_sub(f, w)
                 assert _closure(_columns_of(pulled.embedding), orders) == want, orders
                 assert pulled.as_module().order() == len(want), orders
+
+
+# -- the per-presentation caches of the Smith form and the relation lattice ------
+
+
+def test_equal_presentations_share_one_decomposition_and_lattice():
+    a = PresentedModule(Z, 2, [[2, 4], [0, 6]])
+    b = PresentedModule(Z, 2, [[2, 4], [0, 6]])
+    assert a is not b and a.presentation() == b.presentation()
+    assert a._decomposition() is b._decomposition()
+    assert a.relation_lattice() is b.relation_lattice()
+    # the ring is part of the presentation
+    c = PresentedModule(Ring.integers_mod(12), 2, [[2, 4], [0, 6]])
+    assert c._decomposition() is not a._decomposition()
+    assert c.relation_lattice() is not a.relation_lattice()
+    # the cached values are immutable
+    u, ui, coords = dec = a._decomposition()
+    assert type(dec) is tuple and type(u) is tuple and type(ui) is tuple
+    assert all(type(row) is tuple for row in u + ui)
+    assert type(coords) is tuple and all(type(c) is tuple for c in coords)
+    assert type(a.relation_lattice().key()) is tuple
+
+
+def test_cached_decomposition_matches_a_fresh_smith_form():
+    rng = random.Random(31)
+    cases = [(Z, [0]), (Z, [0, 0, 3]), (Z, [2, 0, 12]), (Z, [4, 6, 9]), (Z, [5, 25]),
+             (Ring.integers_mod(12), [0, 4, 6]), (Ring.integers_mod(8), [2, 8, 3]),
+             (Ring.integers_mod(9), [0, 0])]
+    for ring, orders in cases * 4:
+        gens, rels = dense_relations(rng, orders)
+        first, again = PresentedModule(ring, gens, rels), PresentedModule(ring, gens, rels)
+        full = first.relations
+        if ring.n:
+            full = la.hstack(full, [[ring.n * (i == j) for j in range(gens)]
+                                    for i in range(gens)])
+        u, ui, d = la.smith_with_inverses(full)
+        diag = la.diagonal_of(d)
+        deltas = [diag[i] if i < len(diag) else 0 for i in range(gens)]
+        coords = [(i, delta) for i, delta in enumerate(deltas) if delta != 1]
+        want = (sum(1 for _, delta in coords if delta == 0),
+                [delta for _, delta in coords if delta >= 2])
+        for m in (first, again):
+            assert m.canonical_decomposition() == want, (ring, orders)
+            for _ in range(3):
+                coeffs = [rng.randint(-9, 9) for _ in coords]
+                vec = [0] * gens
+                for (idx, _), c in zip(coords, coeffs):
+                    vec[idx] = c
+                assert m.coords_to_generators(coeffs) == la.mat_vec(ui, vec)
+        assert again._decomposition() is first._decomposition()
+
+
+def test_radical_and_axioms_decompose_each_matrix_once(monkeypatch):
+    from torsion_lab.engine import (AbelianHandle, torsion_radical_generated,
+                                    verify_torsion_pair_axioms)
+    real = la.smith_with_inverses
+    seen = []
+
+    def recording(a):
+        seen.append(tuple(map(tuple, a)))
+        return real(a)
+
+    monkeypatch.setattr(la, "smith_with_inverses", recording)
+    abelian._decompose.cache_clear()
+    x = PresentedModule(Z, *dense_relations(random.Random(32), [2, 4, 3, 5]))
+    handle = AbelianHandle(Z)
+    for r in range(4):
+        for primes in itertools.combinations((2, 3, 5), r):
+            sources = [cyclic_module(Z, p) for p in primes]
+            torsion_radical_generated(handle, sources, x)
+            assert all(a.passed for a in verify_torsion_pair_axioms(handle, sources, [x]))
+    assert seen and len(seen) == len(set(seen))
+
+
+def test_hom_basis_is_the_basis_of_hom_group():
+    rng = random.Random(33)
+    z12 = Ring.integers_mod(12)
+    shapes = [(Z, [4, 6]), (Z, [0, 2]), (Z, [0]), (Z, [3, 9, 0]), (Z, [5]),
+              (z12, [0, 4]), (z12, [2, 6]), (z12, [3])]
+    for _ in range(40):
+        (ring, a_orders), (_, b_orders) = rng.choice(
+            [pair for pair in itertools.product(shapes, repeat=2)
+             if pair[0][0] == pair[1][0]])
+        a = PresentedModule(ring, *dense_relations(rng, a_orders))
+        b = PresentedModule(ring, *dense_relations(rng, b_orders))
+        h, basis = hom_group(a, b)
+        assert hom_basis(a, b) == basis
+        assert len(basis) == h.gens
+        with pytest.raises(InputError):
+            hom_basis(a, cyclic_module(Ring.integers_mod(5), 5))

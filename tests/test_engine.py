@@ -7,10 +7,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import small_rep_data
+from conftest import dense_relations, small_rep_data
 from hypothesis import given, settings, strategies as st
 
 from torsion_lab import abelian, engine, modlinalg
+from torsion_lab import intlinalg as la
 from torsion_lab.abelian import (PresentedModule, Subobject, cyclic_module,
                                  direct_sum_module, enumerate_submodules,
                                  finite_abelian_modules,
@@ -23,7 +24,7 @@ from torsion_lab.engine import (AbelianHandle, QuiverHandle,
                                 torsionfree_coradical_cogenerated, trace,
                                 verify_torsion_pair_axioms)
 from torsion_lab.errors import ContradictionError, InputError
-from torsion_lab.intlinalg import columns, mat_vec, matmul
+from torsion_lab.intlinalg import columns, mat_vec
 from torsion_lab.quiver import (Quiver, QuiverRep, a_n_quiver, iter_subreps,
                                 simple_rep)
 from torsion_lab.rings import Ring
@@ -386,26 +387,8 @@ def test_axioms_compute_one_radical_per_iso_class(monkeypatch):
         (0, [2] * k) for k in range(1, 6)]
 
 
-def _unimodular(rng, n):
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-        if i != j:
-            c = rng.randint(-3, 3)
-            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        if rng.random() < 0.3:
-            m[i] = [-a for a in m[i]]
-    return m
-
-
 def _dense_presentation(rng, orders, ring=Z):
-    """The module of `orders` presented as U diag(d) V, with unit factors padding d."""
-    d = list(orders) + [1] * rng.randint(0, 1)
-    rng.shuffle(d)
-    n = len(d)
-    diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    rels = matmul(matmul(_unimodular(rng, n), diag), _unimodular(rng, n))
-    return PresentedModule(ring, n, rels)
+    return PresentedModule(ring, *dense_relations(rng, orders))
 
 
 def _unmemoised_maximal(sources, x, t):
@@ -634,7 +617,7 @@ def test_fully_invariant_candidate_counts(monkeypatch):
     assert len(fully_invariant_submodules(direct_sum_module(Z, [4, 2]))) == 4
     m = direct_sum_module(Z, [2] * 8)
     assert len(fully_invariant_submodules(m)) == 2
-    real = abelian.hom_group
+    real = abelian.hom_basis
     calls = []
 
     def counting(a, b):
@@ -642,10 +625,28 @@ def test_fully_invariant_candidate_counts(monkeypatch):
         return real(a, b)
 
     # the closed form is not filtered again, so no End(x) basis is built
-    monkeypatch.setattr(abelian, "hom_group", counting)
+    monkeypatch.setattr(abelian, "hom_basis", counting)
     assert len(torsion_parts(H, m)) == 2
     assert is_torsion_simple(H, m).verdict
     assert not any(a is m and b is m for a, b in calls)
+
+
+def test_identity_pull_back_matches_the_general_preimage():
+    """The quotient projection pulls back along the identity, which returns w's
+    own lattice; the general path is the preimage of w under [I | B]."""
+    rng = random.Random(34)
+    for orders in ([2, 4], [6, 4], [3, 9, 2], [2, 2, 2], [5, 10]):
+        x = _dense_presentation(rng, orders)
+        subs = enumerate_submodules(x)
+        for t in rng.sample(subs, min(4, len(subs))):
+            q, proj = H.quotient(x, t)
+            assert proj.data == la.identity(x.gens)
+            for w in H.subobjects(q):
+                fast = H.pull_sub(proj, w)
+                cols = la.preimage(columns(proj.data), w.lattice.basis, q.gens)
+                slow = Subobject(x, la.from_columns(cols, x.gens))
+                assert fast.key() == slow.key() and fast.lattice is w.lattice
+                assert t.sum(fast).key() == fast.key()
 
 
 def test_handle_contract_is_the_readme_list():
