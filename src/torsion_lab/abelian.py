@@ -81,7 +81,7 @@ class SpClosedSubset:
 # relation lattice, one process keeps.  An entry is a pure function of the
 # exact presentation and holds no verdict.  On a handful of generators it
 # takes about 1 KB, so the two caches stay under about 10 MB; the 656 items
-# of the gabriel-axioms benchmark fill 667 and 429 entries.
+# of the gabriel-axioms benchmark fill 1,194 and 429 entries.
 PRESENTATION_CACHE_SIZE = 4096
 
 
@@ -227,7 +227,7 @@ class PresentedModule:
 class Subobject:
     """A submodule given by generator-coordinate columns inside a fixed ambient."""
 
-    __slots__ = ("ambient", "embedding", "_lattice")
+    __slots__ = ("ambient", "embedding", "_lattice", "_module")
 
     def __init__(self, ambient: PresentedModule, embedding: Matrix):
         if len(embedding) != ambient.gens:
@@ -235,6 +235,7 @@ class Subobject:
         self.ambient = ambient
         self.embedding = [list(map(int, row)) for row in embedding]
         self._lattice = None
+        self._module = None
 
     @property
     def lattice(self) -> la.ColumnEchelonLattice:
@@ -248,7 +249,10 @@ class Subobject:
 
     @staticmethod
     def zero(ambient: PresentedModule) -> "Subobject":
-        return Subobject(ambient, [[] for _ in range(ambient.gens)])
+        """No embedding column; its lattice is the ambient's relation lattice."""
+        sub = Subobject(ambient, [[] for _ in range(ambient.gens)])
+        sub._lattice = ambient.relation_lattice()
+        return sub
 
     @staticmethod
     def full(ambient: PresentedModule) -> "Subobject":
@@ -266,7 +270,9 @@ class Subobject:
         return self.lattice.key()
 
     def is_zero(self) -> bool:
-        return self.key() == self.ambient.relation_lattice().key()
+        """Every embedding column is a relation: membership in the ambient's
+        shared relation lattice, so no lattice of the subobject is built."""
+        return self.ambient.relation_lattice().contains_all(la.columns(self.embedding))
 
     def is_full(self) -> bool:
         lattice = self.lattice
@@ -282,11 +288,16 @@ class Subobject:
                    // self.lattice.determinant_index())
 
     def as_module(self) -> PresentedModule:
-        """The subobject presented on its own embedding columns (built on each call)."""
-        emb_cols = la.columns(self.embedding)
-        rels = la.preimage(emb_cols, self.ambient.relation_lattice().basis, self.ambient.gens)
-        return PresentedModule(self.ambient.ring, len(emb_cols),
-                               la.from_columns(rels, len(emb_cols)))
+        """The subobject presented on its own embedding columns, built on first
+        use (or preset by `enumerate_submodules`) and kept.  Its relations
+        span the preimage of the ambient's relation lattice."""
+        if self._module is None:
+            emb_cols = la.columns(self.embedding)
+            rels = la.preimage(emb_cols, self.ambient.relation_lattice().basis,
+                               self.ambient.gens)
+            self._module = PresentedModule(self.ambient.ring, len(emb_cols),
+                                           la.from_columns(rels, len(emb_cols)))
+        return self._module
 
     def sum(self, other: "Subobject") -> "Subobject":
         return Subobject(self.ambient, la.hstack(self.embedding, other.embedding))
@@ -302,7 +313,10 @@ class Subobject:
         return (self.order(), self.key())
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Subobject) and self.ambient == other.ambient
+        # the key is in generator coordinates, so the ambients must be the same
+        # presentation, not merely isomorphic modules
+        return (isinstance(other, Subobject)
+                and self.ambient.presentation() == other.ambient.presentation()
                 and self.key() == other.key())
 
     def __hash__(self):
@@ -327,18 +341,23 @@ def quotient(module: PresentedModule, sub: Subobject) -> PresentedModule:
 
 
 def _subgroup_matrices(deltas: list[int]):
-    """All canonical lower-triangular lattice bases T with diag(deltas) <= span(T).
+    """(T, S) for all canonical lower-triangular lattice bases T with
+    diag(deltas) <= span(T), where T S = diag(deltas).
 
     Enumerates each subgroup of  Z/d_1 + ... + Z/d_k  exactly once, by solving
     the divisibility congruences row by row instead of filtering a product
-    space.  `sols[j]` tracks the partial solution of T x = d_j e_j.
+    space.  `sols[j]` tracks the partial solution of T x = d_j e_j, and its
+    final value is column j of S.  T c lies in span(diag(deltas)) exactly
+    when c = T^-1 diag(deltas) y = S y, so the columns of S are the
+    relations of the subgroup on the columns of T.
     """
     k = len(deltas)
-    results: list[list[list[int]]] = []
+    results: list[tuple[Matrix, Matrix]] = []
 
     def extend(i: int, rows: list[list[int]], sols: list[list[int]]):
         if i == k:
-            results.append([row[:] for row in rows])
+            results.append(([row[:] for row in rows],
+                            [[sol[r] for sol in sols] for r in range(k)]))
             return
         for t in _divisors(deltas[i]):
             row = [0] * k
@@ -386,13 +405,19 @@ def _finite_deltas(module: PresentedModule) -> list[int]:
 
 
 def enumerate_submodules(module: PresentedModule) -> list[Subobject]:
-    """Every submodule exactly once, sorted by (order, canonical lattice key)."""
+    """Every submodule exactly once, sorted by (order, canonical lattice key).
+
+    Each one comes presented: `as_module()` returns the relations S that the
+    enumeration solved, and solves no kernel."""
     deltas = _finite_deltas(module)
+    k = len(deltas)
     subs = []
-    for t_mat in _subgroup_matrices(deltas):
-        cols = [module.coords_to_generators([t_mat[r][c] for r in range(len(deltas))])
-                for c in range(len(deltas))]
-        subs.append(Subobject(module, la.from_columns(cols, module.gens)))
+    for t_mat, s_mat in _subgroup_matrices(deltas):
+        cols = [module.coords_to_generators([t_mat[r][c] for r in range(k)])
+                for c in range(k)]
+        sub = Subobject(module, la.from_columns(cols, module.gens))
+        sub._module = PresentedModule(module.ring, k, s_mat)
+        subs.append(sub)
     subs.sort(key=lambda s: s.sort_token())
     return subs
 

@@ -7,6 +7,8 @@ keeps the classical algorithms comfortably fast.
 """
 from __future__ import annotations
 
+import math
+
 Matrix = list[list[int]]
 
 
@@ -204,33 +206,34 @@ class ColumnEchelonLattice:
 
     def __init__(self, rows: int, cols: list[list[int]]):
         self.rows = rows
-        work = [c[:] for c in cols if any(c)]
-        basis: list[list[int]] = []
-        pivots: list[int] = []
-        for r in range(rows):
-            live = [c for c in work if c[r]]
-            if not live:
-                continue
-            rest = [c for c in work if not c[r]]
-            # gcd-reduce the live columns at row r down to a single column
-            while len(live) > 1:
-                live.sort(key=lambda c: abs(c[r]))
-                head = live[0]
-                new_live = [head]
-                for c in live[1:]:
-                    q = c[r] // head[r]
-                    reduced = [x - q * y for x, y in zip(c, head)]
-                    if reduced[r]:
-                        new_live.append(reduced)
-                    elif any(reduced):
-                        rest.append(reduced)
-                live = new_live
-            col = live[0]
-            if col[r] < 0:
-                col = [-x for x in col]
-            basis.append(col)
-            pivots.append(r)
-            work = [c for c in rest if any(c)]
+        # insert the columns one at a time; at[r] is the column whose pivot
+        # sits at row r, and every column is zero above its pivot
+        at: list = [None] * rows
+        for col in cols:
+            v = col
+            for r in range(rows):
+                x = v[r]
+                if not x:
+                    continue
+                b = at[r]
+                if b is None:
+                    at[r] = list(v) if x > 0 else [-y for y in v]
+                    break
+                p = b[r]
+                if x % p:
+                    # unimodular step: with s*p + t*x = g = gcd(p, x) the
+                    # pivot becomes g, and v loses row r
+                    g = math.gcd(p, x)
+                    p, x = p // g, x // g
+                    t = pow(x, -1, p)
+                    s = (1 - t * x) // p
+                    at[r] = [s * z + t * y for z, y in zip(b, v)]
+                    v = [p * y - x * z for y, z in zip(v, b)]
+                else:
+                    q = x // p
+                    v = [y - q * z for y, z in zip(v, b)]
+        pivots = [r for r in range(rows) if at[r] is not None]
+        basis = [at[r] for r in pivots]
         # canonical reduction of earlier columns against later pivots
         for k in range(len(basis)):
             for later in range(k + 1, len(basis)):

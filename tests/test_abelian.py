@@ -90,6 +90,41 @@ def test_subobject_span_equality():
     assert a != c
 
 
+def test_subobjects_of_different_presentations_differ():
+    # the ambients are isomorphic and the keys equal, but a key is in generator
+    # coordinates: here it spans Z/4 in one ambient and Z/2 + Z/2 in the other
+    x = PresentedModule(Z, 2, [[4, 0], [0, 2]])
+    y = PresentedModule(Z, 2, [[2, 0], [0, 4]])
+    a, b = Subobject(x, [[1, 0], [0, 2]]), Subobject(y, [[1, 0], [0, 2]])
+    assert x == y and a.key() == b.key()
+    assert a.as_module().canonical_decomposition() == (0, [4])
+    assert b.as_module().canonical_decomposition() == (0, [2, 2])
+    assert a != b and len({a, b}) == 2
+    # another module with the same presentation shares the coordinates
+    assert a == Subobject(PresentedModule(Z, 2, [[4, 0], [0, 2]]), [[1], [0]])
+
+
+# dense presentations over Z and Z/n: (ring, cyclic orders; 0 is a free summand)
+PRESENTED_CASES = [(Z, [2, 4]), (Z, [6, 4]), (Z, [3, 9, 2]), (Z, [2, 2, 2]), (Z, [5, 10]),
+                   (Ring.integers_mod(12), [2, 6]), (Ring.integers_mod(8), [4, 8, 2]),
+                   (Ring.integers_mod(6), [0, 2])]
+
+
+def test_enumerated_subgroups_come_presented():
+    # the relations that the enumeration solved present the same module, on
+    # the same generators, as the preimage of the relation lattice
+    rng = random.Random(36)
+    for ring, orders in PRESENTED_CASES * 2:
+        x = PresentedModule(ring, *dense_relations(rng, orders))
+        for w in enumerate_submodules(x):
+            preset = w.as_module()
+            assert w.as_module() is preset
+            slow = Subobject(x, w.embedding).as_module()
+            assert preset.relation_lattice().key() == slow.relation_lattice().key()
+            assert preset.canonical_decomposition() == slow.canonical_decomposition()
+            assert preset.order() == w.order()
+
+
 def test_hom_examples():
     h, basis = hom_group(cyclic_module(Z, 4), cyclic_module(Z, 6))
     assert h.canonical_decomposition() == (0, [2])
@@ -380,6 +415,67 @@ def test_radical_and_axioms_decompose_each_matrix_once(monkeypatch):
             torsion_radical_generated(handle, sources, x)
             assert all(a.passed for a in verify_torsion_pair_axioms(handle, sources, [x]))
     assert seen and len(seen) == len(set(seen))
+
+
+def test_radical_and_axioms_solve_no_kernel_for_subgroups_and_no_lattice_for_zero(monkeypatch):
+    """Enumerated subgroups come presented, and the zero test and the zero
+    subobject read the ambient's relation lattice (built once per
+    presentation, so not counted) instead of building a lattice."""
+    from torsion_lab.engine import (AbelianHandle, torsion_radical_generated,
+                                    verify_torsion_pair_axioms)
+    abelian._decompose.cache_clear()
+    abelian._relation_lattice.cache_clear()
+    stack, kept, enumerated = [], [], set()
+    counts = dict.fromkeys(("as_module", "is_zero", "zero", "relations", "kernels", "builds"), 0)
+
+    def watch(label, fn, only=lambda self: True):
+        # count the calls of fn that `only` accepts, and mark them on the stack
+        def watched(*args):
+            active = only(args[0])
+            counts[label] += active
+            stack.append(label if active else None)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+        return watched
+
+    def enumerate_recording(module):
+        subs = real_enumerate(module)
+        kept.extend(subs)
+        enumerated.update(map(id, subs))
+        return subs
+
+    def kernel_counting(a):
+        counts["kernels"] += "as_module" in stack
+        return real_kernel(a)
+
+    def init_counting(self, rows, cols):
+        counts["builds"] += bool(stack) and stack[-1] in ("is_zero", "zero")
+        real_init(self, rows, cols)
+
+    real_enumerate, real_kernel = abelian.enumerate_submodules, la.kernel_basis
+    real_init = la.ColumnEchelonLattice.__init__
+    monkeypatch.setattr(abelian, "enumerate_submodules", enumerate_recording)
+    monkeypatch.setattr(la, "kernel_basis", kernel_counting)
+    monkeypatch.setattr(la.ColumnEchelonLattice, "__init__", init_counting)
+    monkeypatch.setattr(abelian, "_relation_lattice",
+                        watch("relations", abelian._relation_lattice))
+    monkeypatch.setattr(Subobject, "as_module", watch(
+        "as_module", Subobject.as_module, lambda w: id(w) in enumerated))
+    monkeypatch.setattr(Subobject, "is_zero", watch("is_zero", Subobject.is_zero))
+    monkeypatch.setattr(Subobject, "zero", staticmethod(watch("zero", Subobject.zero)))
+    x = PresentedModule(Z, *dense_relations(random.Random(32), [2, 4, 3, 5]))
+    handle = AbelianHandle(Z)
+    for r in range(4):
+        for primes in itertools.combinations((2, 3, 5), r):
+            sources = [cyclic_module(Z, p) for p in primes]
+            torsion_radical_generated(handle, sources, x)
+            assert all(a.passed for a in verify_torsion_pair_axioms(handle, sources, [x]))
+    # an enumerated subgroup's as_module solves no kernel, and neither
+    # is_zero nor Subobject.zero builds a lattice of its own
+    assert counts["kernels"] == 0 and counts["builds"] == 0
+    assert counts["as_module"] and counts["is_zero"] and counts["zero"] and counts["relations"]
 
 
 def test_hom_basis_is_the_basis_of_hom_group():

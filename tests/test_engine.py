@@ -649,6 +649,78 @@ def test_identity_pull_back_matches_the_general_preimage():
                 assert t.sum(fast).key() == fast.key()
 
 
+def _zero_by_key(w) -> bool:
+    """The zero test by Hermite keys, on a copy that builds its own lattice."""
+    return Subobject(w.ambient, w.embedding).key() == w.ambient.relation_lattice().key()
+
+
+def test_zero_test_by_membership_matches_the_key():
+    rng = random.Random(38)
+    z12 = Ring.integers_mod(12)
+    cases = [(Z, [2, 4]), (Z, [6, 4]), (Z, [3, 9, 2]), (Z, [2, 2, 3]),
+             (z12, [2, 6]), (z12, [0, 4]), (Ring.integers_mod(8), [4, 8])]
+    seen = set()
+    for ring, orders in cases * 3:
+        handle = AbelianHandle(ring)
+        x = _dense_presentation(rng, orders, ring)
+        sources = [_dense_presentation(rng, [p], ring) for p in (2, 3)]
+        subs = enumerate_submodules(x)
+        checked = subs + [Subobject.zero(x), trace(handle, sources, x)]
+        for t in rng.sample(subs, min(5, len(subs))):
+            q, proj = handle.quotient(x, t)
+            tr = trace(handle, sources, q)
+            checked += [Subobject.zero(q), tr, handle.pull_sub(proj, tr)]
+            checked += [handle.image(f) for f in handle.hom_basis(sources[0], q)]
+            for f in handle.hom_basis(x, q)[:3]:
+                checked += [handle.pull_sub(f, handle.zero_sub(q)), handle.pull_sub(f, tr)]
+        for w in checked:
+            assert w.is_zero() == _zero_by_key(w), (ring, orders, w.embedding)
+            seen.add(w.is_zero())
+    assert seen == {False, True}
+
+
+def _vector_set(cols, n: int, gens: int) -> frozenset:
+    """The subgroup of (Z/n)^gens that the columns generate, closed by search."""
+    steps = {tuple(x % n for x in col) for col in cols}
+    out = {(0,) * gens}
+    frontier = list(out)
+    while frontier:
+        new = []
+        for v in frontier:
+            for step in steps:
+                u = tuple((a + b) % n for a, b in zip(v, step))
+                if u not in out:
+                    out.add(u)
+                    new.append(u)
+        frontier = new
+    return frozenset(out)
+
+
+def test_compose_sub_on_enumerated_subgroups_matches_vector_sets():
+    # an element of x is a class of Z^g mod its relations, which contain n Z^g
+    # for n = |x|, so a subgroup is a set of vectors mod n closed under +;
+    # the subgroups of w's own module land one to one on subgroups inside w,
+    # with their orders, exactly when w.as_module() presents w
+    rng = random.Random(39)
+    cases = [(Z, [2, 4]), (Z, [2, 6]), (Z, [3, 3]), (Z, [4]),
+             (Ring.integers_mod(4), [0, 2]), (Ring.integers_mod(6), [6, 2])]
+    for ring, orders in cases:
+        handle = AbelianHandle(ring)
+        x = _dense_presentation(rng, orders, ring)
+        n = x.order()
+        rels = columns(x.relations) + [[ring.n * (i == j) for i in range(x.gens)]
+                                       for j in range(x.gens) if ring.n]
+        zero = _vector_set(rels, n, x.gens)
+        for w in enumerate_submodules(x):
+            inside = _vector_set(columns(w.embedding) + rels, n, x.gens)
+            inners = enumerate_submodules(w.as_module())
+            landed = [_vector_set(columns(handle.compose_sub(x, w, inner).embedding) + rels,
+                                  n, x.gens) for inner in inners]
+            assert all(s <= inside for s in landed)
+            assert len(set(landed)) == len(inners) and inside in landed
+            assert [len(s) // len(zero) for s in landed] == [u.order() for u in inners]
+
+
 def test_handle_contract_is_the_readme_list():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     listed = readme.split("these handle methods:", 1)[1].split("Those are 13 methods.", 1)[0]

@@ -127,6 +127,72 @@ def test_lattice_canonical_form_invariance():
             assert lat.contains(vec) == lat2.contains(vec)
 
 
+def _sort_and_reduce(rows, cols):
+    """(basis, pivots) of the column-echelon form by gcd-reducing, row by row,
+    every column that is live at that row (the sort-and-reduce algorithm),
+    then reducing each pivot row of earlier columns into [0, pivot)."""
+    work = [list(c) for c in cols if any(c)]
+    basis, pivots = [], []
+    for r in range(rows):
+        live = [c for c in work if c[r]]
+        if not live:
+            continue
+        rest = [c for c in work if not c[r]]
+        while len(live) > 1:
+            live.sort(key=lambda c: abs(c[r]))
+            head, reduced = live[0], [live[0]]
+            for c in live[1:]:
+                q = c[r] // head[r]
+                c = [x - q * y for x, y in zip(c, head)]
+                if c[r]:
+                    reduced.append(c)
+                elif any(c):
+                    rest.append(c)
+            live = reduced
+        col = live[0] if live[0][r] > 0 else [-x for x in live[0]]
+        basis.append(col)
+        pivots.append(r)
+        work = [c for c in rest if any(c)]
+    for k in range(len(basis)):
+        for later in range(k + 1, len(basis)):
+            q = basis[k][pivots[later]] // basis[later][pivots[later]]
+            basis[k] = [x - q * y for x, y in zip(basis[k], basis[later])]
+    return tuple(map(tuple, basis)), pivots
+
+
+def test_insertion_form_matches_sort_and_reduce():
+    # the Hermite form is unique per lattice, so any correct algorithm gives
+    # the oracle's basis; the sets include no columns, zero and repeated
+    # columns, negative entries and entries up to 10^6
+    rng = random.Random(11)
+    for _ in range(12_000):
+        rows, count = rng.randint(0, 6), rng.randint(0, 7)
+        bound = rng.choice((2, 9, 10 ** 3, 10 ** 6))
+        cols = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+                 for _ in range(rows)] for _ in range(count)]
+        if cols and rng.random() < 0.3:
+            cols.insert(rng.randrange(len(cols) + 1), list(rng.choice(cols)))
+        if rng.random() < 0.2:
+            cols.insert(rng.randrange(len(cols) + 1), [0] * rows)
+        lat = ColumnEchelonLattice(rows, [c[:] for c in cols])
+        assert (lat.basis, lat.pivots) == _sort_and_reduce(rows, cols), (rows, cols)
+
+
+def test_kernel_basis_random_wide_and_large():
+    # more columns than rows and entries up to 10^6: killed by a, and as many
+    # vectors as the kernel's rank n - rank(a)
+    rng = random.Random(12)
+    for _ in range(300):
+        m, n = rng.randint(0, 4), rng.randint(0, 7)
+        bound = rng.choice((3, 10 ** 6))
+        a = [[rng.randint(-bound, bound) if rng.random() < 0.8 else 0 for _ in range(n)]
+             for _ in range(m)]
+        basis = kernel_basis(a)
+        width = n if m else 0
+        assert all(len(vec) == width and not any(mat_vec(a, vec)) for vec in basis)
+        assert len(basis) == width - rational_rank(a)
+
+
 def test_lattice_membership_spans_generators():
     lat = ColumnEchelonLattice(2, [[2, 0], [0, 3]])
     assert lat.contains([2, 3])
