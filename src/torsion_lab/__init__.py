@@ -20,12 +20,11 @@ _EXPORTS = {
     "errors": ("ContradictionError", "InputError", "TorsionLabError",
                "UnsupportedRingError", "WorkBudgetError"),
     "mccoy": ("ConormalReport", "DeterminantalProfile", "RingMatrix",
-              "check_radical_lemma", "conormal_presentation", "determinantal_ideal",
-              "hom_I_to_quotient", "mccoy_rank", "nilpotent_minors_check",
-              "nullvector_exhaustive"),
+              "check_radical_lemma", "conormal_presentation", "hom_I_to_quotient",
+              "mccoy_rank", "nullvector_exhaustive"),
     "quiver": ("Quiver", "QuiverRep", "SubRep", "a_n_quiver", "hom_space",
-               "iter_subreps", "quotient_rep", "simple_rep"),
-    "rings": ("Ideal", "Ring", "RingElem", "annihilator", "is_nilpotent"),
+               "iter_subreps", "quotient_rep"),
+    "rings": ("Ideal", "Ring", "RingElem"),
 }
 # exported name -> the module that defines it
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,14 +1,16 @@
 """Command-line surface: JSON in, deterministic reports out.
 
 Exit codes: 0 verdict delivered, 1 property violation found, 2 input error,
-3 unsupported ring operation or exhausted work budget.  `--json` reports are
-themselves valid input for the `replay` command, which re-runs the embedded
-job and compares results.
+3 unsupported ring operation or exhausted work budget; a reader that closes
+stdout early changes none of them.  `--json` reports are themselves valid
+input for the `replay` command, which re-runs the embedded job and compares
+results.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 # each command imports the layers it reaches, so start-up pays for no other
@@ -278,14 +280,20 @@ def _human_lines(command: str, result: dict) -> list[str]:
 
 
 def _emit(report: dict, command: str, as_json: bool, out_path: str | None) -> None:
+    """Write `--out`, then print.  A reader that closes stdout early (`| head`)
+    costs the rest of the text only: stdout is pointed at os.devnull, so no
+    later flush, at interpreter shutdown either, raises or prints."""
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(io.dumps_report(report) + "\n")
     if as_json:
         text = io.dumps_report(report)
     else:
         text = "\n".join(_human_lines(command, report["result"]))
-    print(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(io.dumps_report(report) + "\n")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _run_command(command: str, payload: dict, options: dict) -> dict:
@@ -319,7 +327,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--max-dim", type=int, default=d if suppress else 3)
     parser.add_argument("--no-prune", action="store_true",
                         default=d if suppress else False,
-                        help="disable endomorphism-stability pruning")
+                        help="list every subobject instead of a finite module's "
+                             "fully invariant subgroups")
 
 
 def _build_parser() -> argparse.ArgumentParser:

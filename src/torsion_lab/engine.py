@@ -1,10 +1,10 @@
 """Torsion machinery over abstract finite-length universes.
 
 The engine never looks inside objects: it talks to a handle that knows how to
-enumerate subobjects and the endomorphism-stable ones, compute hom bases, form
-quotients with projections, and pull subobjects back along morphisms.  Two
-handles are provided, one for finitely generated modules over Z or Z/n and one
-for quiver representations.
+enumerate subobjects and a shorter list that still holds every torsion part,
+compute hom bases, form quotients with projections, and pull subobjects back
+along morphisms.  Two handles are provided, one for finitely generated modules
+over Z or Z/n and one for quiver representations.
 
 A subobject w of x is a torsion part iff Hom(w, x/w) = 0; the engine computes
 the set of all torsion parts, decides torsion-simplicity, and evaluates the
@@ -159,7 +159,7 @@ class AbelianHandle:
     def subobjects(self, x):
         return ab.enumerate_submodules(x)
 
-    def stable_subobjects(self, x):
+    def part_candidates(self, x):
         """The fully invariant subgroups of the finite x, in closed form (Baer;
         Kaplansky), so no endomorphism is consulted."""
         return ab.fully_invariant_submodules(x)
@@ -227,14 +227,10 @@ class QuiverHandle:
     def subobjects(self, x):
         return qv.iter_subreps(x)
 
-    def stable_subobjects(self, x):
-        """The subrepresentations that every endomorphism maps into themselves,
-        lazily: End(x) is built only once the enumeration bound has passed."""
-        subs = self.subobjects(x)
-        endos = self.hom_basis(x, x)
-        for w in subs:
-            if self.sub_stable(x, w, endos):
-                yield w
+    def part_candidates(self, x):
+        """Every subrepresentation: filtering by End(x) costs more part tests
+        than it saves on the representations the enumeration bound admits."""
+        return qv.iter_subreps(x)
 
     def zero_sub(self, x):
         return qv.SubRep.zero(x)
@@ -279,13 +275,6 @@ class QuiverHandle:
         return not qv._hom_space(x.quiver, x.p, w.dims(), sub_maps,
                                  [len(f) for f in functionals], quo_maps)
 
-    def sub_stable(self, x, w, endos) -> bool:
-        """Every f in endos maps w into w: the filter of stable_subobjects."""
-        for f in endos:
-            if not w.contains(self.push_sub(f, w)):
-                return False
-        return True
-
     def describe(self, x) -> str:
         return f"rep dims={list(x.dims)} over F_{self.p}"
 
@@ -296,14 +285,15 @@ class QuiverHandle:
 
 
 def _candidates(handle, x, prune: bool):
-    """The subobjects of x that may be torsion parts, in canonical order.
+    """A list of subobjects of x in canonical order that holds every torsion part.
 
-    A torsion part w is stable under every endomorphism, since Hom(w, x/w) = 0,
-    so with pruning these are the handle's `stable_subobjects`: for a finite
-    module its fully invariant subgroups in closed form, for a representation
-    the subrepresentations that pass `QuiverHandle.sub_stable`.
+    With pruning it is the handle's `part_candidates`, otherwise every
+    subobject.  A torsion part w is stable under every endomorphism, since
+    Hom(w, x/w) = 0, so a finite module's candidates are its fully invariant
+    subgroups in closed form; a representation's are all its
+    subrepresentations.
     """
-    return handle.stable_subobjects(x) if prune else handle.subobjects(x)
+    return handle.part_candidates(x) if prune else handle.subobjects(x)
 
 
 def torsion_parts(handle, x, prune: bool = True) -> TorsionPartSet:

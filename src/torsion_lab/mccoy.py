@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .errors import ContradictionError, InputError, UnsupportedRingError
 from .rings import (ENUM_LIMIT, KIND_BIPOLY, KIND_POLY, KIND_Z, SHAPE_MONOMIAL,
                     Ideal, Ring, RingElem, _in_mono_ideal, _mono_colon, _mono_div,
-                    _mono_lcm, annihilator_payloads, bivariate_shape, is_nilpotent)
+                    _mono_lcm, annihilator_payloads, bivariate_shape)
 
 
 class RingMatrix:
@@ -88,18 +88,6 @@ def minors(a: RingMatrix, order: int) -> list[RingElem]:
         for cs in combinations(range(a.cols), order):
             out.append(det(rs, cs))
     return out
-
-
-def determinantal_ideal(a: RingMatrix, order: int) -> Ideal:
-    """D_r(a): the ideal generated by all r x r minors; D_0 is the unit ideal."""
-    if order < 0:
-        raise InputError("minor order must be >= 0")
-    gens = minors(a, order)
-    try:
-        return Ideal(a.ring, gens)
-    except UnsupportedRingError as exc:
-        raise UnsupportedRingError(
-            f"minor ideal D_{order} not expressible: {exc}") from exc
 
 
 @dataclass
@@ -419,42 +407,3 @@ def check_radical_lemma(s: Ring, ideal: Ideal, d: RingElem) -> RadicalLemmaRepor
             "dI in I^2 with d outside rad(I) over a domain: statement violated")
     return RadicalLemmaReport(premise, conclusion, violation, s.is_domain,
                               violation and not s.is_domain)
-
-
-@dataclass
-class NilpotentMinorsReport:
-    generator_count: int
-    matrix_cols: int
-    top_minors_checked: int
-    all_top_minors_nilpotent: bool
-    mccoy_rank: int
-    rank_below_generators: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "generator_count": self.generator_count,
-            "relation_count": self.matrix_cols,
-            "top_minors_checked": self.top_minors_checked,
-            "all_top_minors_nilpotent": self.all_top_minors_nilpotent,
-            "mccoy_rank": self.mccoy_rank,
-            "rank_below_generators": self.rank_below_generators,
-            "statement": "top-order minors of the conormal presentation are nilpotent "
-                         "and its McCoy rank stays below the generator count",
-        }
-
-
-def nilpotent_minors_check(s: Ring, ideal: Ideal) -> NilpotentMinorsReport:
-    if not s.is_domain:
-        raise InputError("the nilpotent-minors check assumes a domain base ring")
-    if ideal.is_zero():
-        raise InputError("the check needs a non-zero proper ideal")
-    m = conormal_presentation(s, ideal)
-    n = m.rows
-    top = minors(m, n)
-    all_nil = all(is_nilpotent(e) for e in top)
-    if not all_nil:
-        raise ContradictionError("a top-order minor of the presentation is not nilpotent")
-    rank, _ = mccoy_rank(m)
-    if rank >= n:
-        raise ContradictionError("McCoy rank reached the generator count")
-    return NilpotentMinorsReport(n, m.cols, len(top), all_nil, rank, rank < n)

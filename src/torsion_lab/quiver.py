@@ -116,12 +116,6 @@ class QuiverRep:
         return f"QuiverRep(p={self.p}, dims={self.dims})"
 
 
-def simple_rep(quiver: Quiver, p: int, vertex: int) -> QuiverRep:
-    dims = [1 if v == vertex else 0 for v in range(quiver.vertex_count)]
-    maps = [[[0] * dims[s] for _ in range(dims[t])] for s, t in quiver.arrows]
-    return QuiverRep(quiver, p, dims, maps)
-
-
 class SubRep:
     """A subrepresentation: one canonical `Subspace` per vertex of the ambient.
 

@@ -14,7 +14,7 @@ ring: `describe` and the JSON kinds are unchanged.
 Bivariate rings are deliberately restricted: relation ideals are monomial,
 ideal generators are monomials or a two-term combination c*x^a + c'*y^b, and
 anything outside those shapes raises UnsupportedRingError instead of guessing.
-Within the restriction, membership, colon, radical and annihilator are exact
+Within the restriction, membership, radical and annihilator are exact
 monomial combinatorics with no Groebner machinery.
 """
 from __future__ import annotations
@@ -604,7 +604,7 @@ class Ideal:
     def all_monomial(self) -> bool:
         return all(bivariate_shape(g) == SHAPE_MONOMIAL for g in self.gens)
 
-    # -- membership, radical, annihilator -------------------------------------
+    # -- membership, radical -------------------------------------------------
 
     def contains(self, e: RingElem) -> bool:
         if e.ring != self.ring:
@@ -657,48 +657,11 @@ class Ideal:
             return d.is_zero()
         return all(_in_mono_ideal(m, rad) for m, _ in d.payload)
 
-    def annihilator(self) -> "Ideal":
-        """Ann(I) = {r : r*I = 0}, exact on the supported shapes."""
-        gens = annihilator_payloads(self)
-        return Ideal(self.ring, [RingElem(self.ring, g) for g in gens])
-
-    # -- products, colon -------------------------------------------------------
+    # -- products --------------------------------------------------------------
 
     def times(self, other: "Ideal") -> "Ideal":
         self._same_ring(other)
         return Ideal(self.ring, [a * b for a in self.gens for b in other.gens])
-
-    def colon(self, other: "Ideal") -> "Ideal":
-        """(self : other) = {r : r*other subset of self}."""
-        self._same_ring(other)
-        r = self.ring
-        if r.kind != KIND_BIPOLY:
-            # (a : b) = a / gcd(a, b), reading a zero generator as n (or f), which
-            # generates the zero ideal of Z/n.  For Z and F_p[x] that reading is
-            # 0 again: b = 0 gives the unit ideal, and a = 0 gives 0 / b = 0
-            zero = r.modulus if r.n is None else r.n
-            a = self._pid_generator().payload or zero
-            b = other._pid_generator().payload or zero
-            if not b:
-                return Ideal(r, [r.one])
-            if r.n is not None:
-                return Ideal(r, [r.from_int(a // math.gcd(a, b))])
-            return Ideal(r, [r.poly(_pdivmod(a, _pgcd(a, b, r.p), r.p)[0])])
-        if not (self.all_monomial() and other.all_monomial()):
-            raise UnsupportedRingError("colon of bivariate ideals needs monomial generators")
-        # compute upstairs: ((I + rels) : J) then read generators in the quotient
-        lhs = tuple(self._monomial_gens()) + tuple(self.ring.rels or ())
-        if other.is_zero():
-            return Ideal(r, [r.one])
-        if not lhs:
-            # (0 : J): the annihilator of the monomial ideal J
-            return other.annihilator()
-        acc: Optional[tuple[Mono, ...]] = None
-        for g in other._monomial_gens():
-            cur = _mono_colon(lhs, g)
-            acc = cur if acc is None else _mono_intersect(acc, cur)
-        gens = [r.monomial(a, b) for a, b in (acc or ()) if not _in_mono_ideal((a, b), r.rels or ())]
-        return Ideal(r, gens)
 
     def _same_ring(self, other: "Ideal") -> None:
         if not isinstance(other, Ideal) or other.ring != self.ring:
@@ -759,11 +722,6 @@ def annihilator_payloads(ideal: Ideal) -> list:
             "annihilator components is not expressible here")
     gens = [m for m in (acc_mono or ()) if not _in_mono_ideal(m, r.rels or ())]
     return [((m, 1),) for m in gens]
-
-
-def annihilator(e: RingElem) -> Ideal:
-    """Ann(e) = {r : r*e = 0} as an ideal."""
-    return Ideal(e.ring, [RingElem(e.ring, t) for t in _element_ann_payloads(e)])
 
 
 def _element_ann_payloads(e: RingElem) -> list:
@@ -857,7 +815,3 @@ def _binomial_ann_payloads(e: RingElem) -> list:
             seen.add(t)
             uniq.append(t)
     return sorted(uniq)
-
-
-def is_nilpotent(e: RingElem) -> bool:
-    return Ideal(e.ring, []).radical_contains(e)

@@ -206,7 +206,8 @@ def injective_criterion_suite(options) -> SuiteResult:
 
 
 def pruning_suite(options) -> SuiteResult:
-    """Endomorphism-stability pruning never drops a torsion part."""
+    """Pruning never drops a torsion part.  A representation's candidates are
+    all its subrepresentations, so that half runs the part test twice."""
     res = SuiteResult(
         "pruning",
         "torsion parts computed with endomorphism-stability pruning equal the "

@@ -274,3 +274,12 @@ def brute_subreps(quiver, p: int, dims, maps) -> set[tuple[frozenset, ...]]:
                for k, (s, t) in enumerate(quiver.arrows) for u in choice[s]):
             out.add(choice)
     return out
+
+
+def simple_rep(quiver, p: int, vertex: int):
+    """The simple representation at `vertex`: F_p there, 0 elsewhere, zero maps.
+    A builder of test inputs, not an oracle."""
+    from torsion_lab.quiver import QuiverRep
+    dims = [1 if v == vertex else 0 for v in range(quiver.vertex_count)]
+    maps = [[[0] * dims[s] for _ in range(dims[t])] for s, t in quiver.arrows]
+    return QuiverRep(quiver, p, dims, maps)

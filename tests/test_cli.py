@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, report schema, replay, determinism."""
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -342,6 +345,42 @@ def test_replay_detects_tampering(tmp_path, capsys):
     out_path.write_text(json.dumps(stored))
     code, _, _ = run_cli(capsys, "--json", "replay", str(out_path))
     assert code == 1
+
+
+E2_RANK_6 = json.dumps({"ring": {"kind": "Z"}, "generators": 6,
+                        "relations": [[2 if i == j else 0 for j in range(6)] for i in range(6)]})
+
+
+@pytest.mark.parametrize("tamper,want", [(False, 0), (True, 1)])
+def test_closed_stdout_keeps_the_exit_code_and_the_out_file(tmp_path, capsys, tamper, want):
+    # stdout is a pipe whose reader has gone, so every write to it raises
+    # BrokenPipeError: no traceback, the decided exit code, and a full --out
+    args = ["--json", "torsion-parts", "--module", E2_RANK_6]
+    if tamper:
+        stored = tmp_path / "stored.json"
+        run_cli(capsys, "--out", str(stored), *args)
+        report = json.loads(stored.read_text())
+        report["result"]["tampered"] = True
+        stored.write_text(json.dumps(report))
+        args = ["--json", "replay", str(stored)]
+    _, full, _ = run_cli(capsys, *args)
+    out_path = tmp_path / "report.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from torsion_lab.cli import main; "
+                                   "sys.exit(main())", "--out", str(out_path), *args],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == want
+    assert out_path.read_text(encoding="utf-8") == full
 
 
 ASS_PAYLOAD = {"ring": {"kind": "Z"}, "generators": 1, "relations": [[12]]}

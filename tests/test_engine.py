@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import dense_relations, small_rep_data
+from conftest import dense_relations, simple_rep, small_rep_data
 from hypothesis import given, settings, strategies as st
 
 from torsion_lab import abelian, engine, modlinalg
@@ -25,8 +25,7 @@ from torsion_lab.engine import (AbelianHandle, QuiverHandle,
                                 verify_torsion_pair_axioms)
 from torsion_lab.errors import ContradictionError, InputError
 from torsion_lab.intlinalg import columns, mat_vec
-from torsion_lab.quiver import (Quiver, QuiverRep, a_n_quiver, iter_subreps,
-                                simple_rep)
+from torsion_lab.quiver import Quiver, QuiverRep, a_n_quiver, iter_subreps
 from torsion_lab.rings import Ring
 
 Z = Ring.integers()
@@ -554,7 +553,7 @@ def _stable_keys(m, subs):
 @given(m=_dense_modules())
 def test_stable_subobjects_match_filtered_full_enumeration(m):
     want = _stable_keys(m, enumerate_submodules(m))
-    assert [w.key() for w in AbelianHandle(m.ring).stable_subobjects(m)] == want
+    assert [w.key() for w in AbelianHandle(m.ring).part_candidates(m)] == want
     assert len(fully_invariant_submodules(m)) == len(want)
 
 
@@ -728,7 +727,7 @@ def test_handle_contract_is_the_readme_list():
     assert len(names) == 13
     # each handle's own helpers, outside the contract
     helpers = {AbelianHandle: {"multiplication_morph"},
-               QuiverHandle: {"push_sub", "sub_stable"}}
+               QuiverHandle: {"push_sub"}}
     for cls, own in helpers.items():
         public = {n for n, v in vars(cls).items() if not n.startswith("_") and callable(v)}
         assert own <= public and public - own == names, cls

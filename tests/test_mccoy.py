@@ -7,11 +7,9 @@ from conftest import poly_matrix_rank, rational_rank
 
 from torsion_lab.errors import InputError, UnsupportedRingError
 from torsion_lab.mccoy import (RingMatrix, check_radical_lemma,
-                               conormal_presentation, determinantal_ideal,
-                               has_nullvector_theorem, hom_I_to_quotient,
-                               matrix_kernel, mccoy_rank, minors,
-                               nilpotent_minors_check, nullvector_exhaustive,
-                               quotient_ring)
+                               conormal_presentation, has_nullvector_theorem,
+                               hom_I_to_quotient, matrix_kernel, mccoy_rank,
+                               minors, nullvector_exhaustive, quotient_ring)
 from torsion_lab.rings import Ideal, Ring
 
 Z = Ring.integers()
@@ -21,14 +19,19 @@ def _mat(ring, rows):
     return RingMatrix.from_rows(ring, [[ring.from_int(x) for x in row] for row in rows])
 
 
+def _determinantal(a, order):
+    """D_r(a), the ideal of the r x r minors, as `mccoy_rank` builds it."""
+    return Ideal(a.ring, minors(a, order))
+
+
 def test_determinantal_examples():
     ident = _mat(Z, [[1, 0], [0, 1]])
-    assert [g.payload for g in determinantal_ideal(ident, 2).gens] == [1]
+    assert [g.payload for g in _determinantal(ident, 2).gens] == [1]
     z4 = Ring.integers_mod(4)
     a = _mat(z4, [[2, 0], [0, 2]])
-    assert determinantal_ideal(a, 2).is_zero()
-    assert [g.payload for g in determinantal_ideal(a, 0).gens] == [1]
-    assert determinantal_ideal(a, 5).is_zero()
+    assert _determinantal(a, 2).is_zero()
+    assert [g.payload for g in _determinantal(a, 0).gens] == [1]
+    assert _determinantal(a, 5).is_zero()
 
 
 def test_minor_chain_monotonicity():
@@ -41,7 +44,7 @@ def test_minor_chain_monotonicity():
         a = _mat(ring, [[rng.randrange(ring.n) for _ in range(cols)]
                         for _ in range(rows)])
         for r in range(min(rows, cols)):
-            d_r = determinantal_ideal(a, r)
+            d_r = _determinantal(a, r)
             for minor in minors(a, r + 1):
                 assert d_r.contains(minor)
 
@@ -221,27 +224,24 @@ def test_radical_lemma_never_violates_over_domains():
 
 
 def test_nilpotent_minors_families():
+    # over a domain S and for 0 != I != S, the top-order minors of the conormal
+    # presentation of I/I^2 are nilpotent in S/I, and its McCoy rank stays below
+    # the generator count
+    def nilpotent_minors(s, ideal):
+        m = conormal_presentation(s, ideal)
+        n = m.rows
+        assert all(Ideal(e.ring, []).radical_contains(e) for e in minors(m, n))
+        return n, mccoy_rank(m)[0]
+
     for m in range(2, 51):
-        rep = nilpotent_minors_check(Z, Ideal(Z, [Z.from_int(m)]))
-        assert rep.generator_count == 1 and rep.mccoy_rank == 0
+        assert nilpotent_minors(Z, Ideal(Z, [Z.from_int(m)])) == (1, 0)
     b2 = Ring.bivariate_quotient(2, [])
-    rep2 = nilpotent_minors_check(b2, Ideal(b2, [b2.gen_x, b2.gen_y]))
-    assert rep2.generator_count == 2 and rep2.mccoy_rank == 0
+    assert nilpotent_minors(b2, Ideal(b2, [b2.gen_x, b2.gen_y])) == (2, 0)
     p2 = Ring.poly_ring(2)
-    rep3 = nilpotent_minors_check(p2, Ideal(p2, [p2.poly([1, 1, 1])]))
-    assert rep3.generator_count == 1 and rep3.mccoy_rank == 0
-    rep4 = nilpotent_minors_check(b2, Ideal(b2, [b2.monomial(2, 0),
-                                                 b2.monomial(1, 1),
-                                                 b2.monomial(0, 2)]))
-    assert rep4.rank_below_generators
-
-
-def test_nilpotent_minors_preconditions():
-    b5 = Ring.bivariate_quotient(5, [(1, 1)])
-    with pytest.raises(InputError):
-        nilpotent_minors_check(b5, Ideal(b5, [b5.gen_x]))
-    with pytest.raises(InputError):
-        nilpotent_minors_check(Z, Ideal(Z, []))
+    assert nilpotent_minors(p2, Ideal(p2, [p2.poly([1, 1, 1])])) == (1, 0)
+    n, rank = nilpotent_minors(b2, Ideal(b2, [b2.monomial(2, 0), b2.monomial(1, 1),
+                                              b2.monomial(0, 2)]))
+    assert rank < n
 
 
 def test_matrix_kernel_refuses_shapes_the_pipeline_never_builds():
