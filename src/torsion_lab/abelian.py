@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .errors import InputError
@@ -95,15 +96,28 @@ def _full_relation_matrix(presentation: tuple) -> Matrix:
     return rels
 
 
+class _Decomposition(NamedTuple):
+    """The Smith decomposition of one presentation; see PresentedModule._decomposition."""
+
+    u: tuple
+    ui: tuple
+    coords: tuple
+    ui_is_identity: bool
+    free: int
+    factors: tuple
+
+
 @lru_cache(maxsize=PRESENTATION_CACHE_SIZE)
-def _decompose(presentation: tuple) -> tuple:
+def _decompose(presentation: tuple) -> _Decomposition:
     """PresentedModule._decomposition of the module with this presentation."""
     u, ui, d = la.smith_with_inverses(_full_relation_matrix(presentation))
     diag = la.diagonal_of(d)
     gens = presentation[1]
     deltas = [diag[i] if i < len(diag) else 0 for i in range(gens)]
     coords = tuple((i, delta) for i, delta in enumerate(deltas) if delta != 1)
-    return tuple(map(tuple, u)), tuple(map(tuple, ui)), coords
+    return _Decomposition(tuple(map(tuple, u)), tuple(map(tuple, ui)), coords,
+                          ui == la.identity(gens), deltas.count(0),
+                          tuple(delta for delta in deltas if delta >= 2))
 
 
 @lru_cache(maxsize=PRESENTATION_CACHE_SIZE)
@@ -146,13 +160,16 @@ class PresentedModule:
             self._rel_lattice = _relation_lattice(self.presentation())
         return self._rel_lattice
 
-    def _decomposition(self) -> tuple:
-        """(U, Uinv, coords) with coords = ((index, delta), ...) for delta != 1.
+    def _decomposition(self) -> _Decomposition:
+        """(u, ui, coords, ui_is_identity, free, factors) for the Smith form
+        U M V = D of the full relation matrix M, with ui = U^-1.
 
-        delta = 0 marks a free coordinate; the module is the direct sum of
-        Z/delta (resp. Z) over coords, and an element with coordinate vector x
-        has generator coordinates Uinv @ pad(x).  Shared, as tuples, by every
-        module with the same presentation.
+        coords = ((index, delta), ...) for delta != 1; delta = 0 marks a free
+        coordinate.  The module is the direct sum of Z/delta (resp. Z) over
+        coords, and an element with coordinate vector x has generator
+        coordinates Uinv @ pad(x).  free and factors are the free rank and
+        the invariant factors.  Shared, as tuples, by every module with the
+        same presentation.
         """
         if self._dec is None:
             self._dec = _decompose(self.presentation())
@@ -160,39 +177,42 @@ class PresentedModule:
 
     # -- structure invariants --------------------------------------------------
 
+    def _invariants(self) -> tuple[int, tuple[int, ...]]:
+        """(free_rank, invariant factors) as the shared cached tuple."""
+        dec = self._decomposition()
+        return dec.free, dec.factors
+
     def canonical_decomposition(self) -> tuple[int, list[int]]:
         """(free_rank, invariant_factors) with 1 < d1 | d2 | ..."""
-        _, _, coords = self._decomposition()
-        factors = [delta for _, delta in coords if delta >= 2]
-        free = sum(1 for _, delta in coords if delta == 0)
-        return free, factors
+        free, factors = self._invariants()
+        return free, list(factors)
 
     @property
     def free_rank(self) -> int:
-        return self.canonical_decomposition()[0]
+        return self._decomposition().free
 
     @property
     def invariant_factors(self) -> list[int]:
-        return self.canonical_decomposition()[1]
+        return list(self._decomposition().factors)
 
     def is_finite(self) -> bool:
-        return self.free_rank == 0
+        return self._decomposition().free == 0
 
     def order(self) -> int:
         if not self.is_finite():
             raise InputError("module is infinite")
-        return reduce(lambda a, b: a * b, self.invariant_factors, 1)
+        return math.prod(self._decomposition().factors)
 
     def is_zero(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
+        return not self._decomposition().coords
 
     def coords_to_generators(self, coeffs: list[int]) -> list[int]:
         """Generator coordinates of the element with decomposition coords `coeffs`."""
-        _, ui, coords = self._decomposition()
+        dec = self._decomposition()
         vec = [0] * self.gens
-        for (idx, _), c in zip(coords, coeffs):
+        for (idx, _), c in zip(dec.coords, coeffs):
             vec[idx] = c
-        return la.mat_vec(ui, vec)
+        return vec if dec.ui_is_identity else la.mat_vec(dec.ui, vec)
 
     def presentation(self) -> tuple:
         """(ring, gens, relations) as a hashable value, equal exactly for equal
@@ -204,14 +224,13 @@ class PresentedModule:
         # equality of modules, not of presentations
         return (isinstance(other, PresentedModule)
                 and self.ring == other.ring
-                and self.canonical_decomposition() == other.canonical_decomposition())
+                and self._invariants() == other._invariants())
 
     def __hash__(self):
-        free, factors = self.canonical_decomposition()
-        return hash((self.ring, free, tuple(factors)))
+        return hash((self.ring, *self._invariants()))
 
     def describe(self) -> str:
-        free, factors = self.canonical_decomposition()
+        free, factors = self._invariants()
         parts = ["Z"] * free + [f"Z/{d}" for d in factors]
         return " + ".join(parts) if parts else "0"
 
@@ -400,8 +419,7 @@ def _finite_deltas(module: PresentedModule) -> list[int]:
         raise InputError(
             "submodule enumeration needs a finite module; for infinite modules "
             "use the associated-prime criterion instead")
-    _, _, coords = module._decomposition()
-    return [delta for _, delta in coords]
+    return [delta for _, delta in module._decomposition().coords]
 
 
 def enumerate_submodules(module: PresentedModule) -> list[Subobject]:
@@ -422,50 +440,38 @@ def enumerate_submodules(module: PresentedModule) -> list[Subobject]:
     return subs
 
 
-def _invariant_exponents(lams: list[int]) -> list[list[int]]:
-    """Exponent vectors m of the fully invariant subgroups of + Z/p^lam_i.
-
-    For a non-decreasing lam these are the m with m_i <= m_{i+1} and
-    lam_i - m_i <= lam_{i+1} - m_{i+1}, starting from m_0 <= lam_0; a leading
-    lam_i = 0 forces m_i = 0.
-    """
-    chains = [[]]
-    prev = 0
-    for lam in lams:
-        chains = [m + [(m[-1] if m else 0) + s] for m in chains for s in range(lam - prev + 1)]
-        prev = lam
-    return chains
+def _split_subobject(module: PresentedModule, parts: list[int]) -> Subobject:
+    """+ <delta_i / parts_i e_i> over the coordinates e_i of the decomposition
+    with parts_i > 1, where delta_i is the order of e_i, parts_i | delta_i,
+    and parts_i = 1 on a free coordinate.  The generator coordinates of e_i
+    are a column of Uinv, so no matrix product is formed."""
+    dec = module._decomposition()
+    cols = [[delta // part * row[idx] for row in dec.ui]
+            for (idx, delta), part in zip(dec.coords, parts) if part > 1]
+    return Subobject(module, la.from_columns(cols, module.gens))
 
 
-def fully_invariant_submodules(module: PresentedModule) -> list[Subobject]:
-    """The fully invariant submodules, sorted like `enumerate_submodules`.
+def hall_submodules(module: PresentedModule) -> list[Subobject]:
+    """The sums  + _{p in S} x_p  of primary components, one for each set S of
+    primes of |x|, sorted like `enumerate_submodules`.
 
-    With module = Z/delta_1 + ... + Z/delta_k the decomposition of
-    `_decomposition()` (delta_1 | ... | delta_k) and e_i generating the i-th
-    summand, these are  <t_1 e_1> + ... + <t_k e_k>  with t_i the product over
-    the primes p of delta_k of p^{m_{p,i}}, where m_p runs over
-    `_invariant_exponents` of lam_{p,i} = v_p(delta_i).  A fully invariant W
-    is the sum of its primary parts, each fully invariant in the primary
-    component, and in a p-group + Z/p^{lam_i} the fully invariant subgroups
-    are exactly + p^{m_i} Z/p^{lam_i} with lam_i <= lam_j implying m_i <= m_j
-    and lam_i - m_i <= lam_j - m_j (Baer 1935, "Types of elements and
-    characteristic subgroups of abelian groups"; Kaplansky, "Infinite Abelian
-    Groups").
+    For finite w <= x, Hom(w, x/w) = 0 iff gcd(|w|, |x/w|) = 1, iff w is such
+    a sum (a Hall submodule), so these 2^k subobjects are exactly the torsion
+    parts of a finite module.  The sum over S is + <delta_i / s_i e_i> in the
+    decomposition x = + Z/delta_i, with s_i the S-part of delta_i, and its
+    order is the product over p in S of p^{v_p(|x|)}.  Distinct S have
+    distinct orders, so ordering by that closed form is the (order, key)
+    order, and no lattice is built to sort.
     """
     deltas = _finite_deltas(module)
-    multipliers = [[1] * len(deltas)]
+    halls = [(1, [1] * len(deltas))]
     for p in prime_divisors(deltas[-1]) if deltas else ():
-        exponents = _invariant_exponents([p_adic_valuation(d, p) for d in deltas])
-        multipliers = [[t * p ** e for t, e in zip(ts, m)]
-                       for ts in multipliers for m in exponents]
-    units = [module.coords_to_generators([int(i == j) for j in range(len(deltas))])
-             for i in range(len(deltas))]
-    subs = []
-    for ts in multipliers:
-        cols = [[t * x for x in unit] for t, unit in zip(ts, units)]
-        subs.append(Subobject(module, la.from_columns(cols, module.gens)))
-    subs.sort(key=lambda s: s.sort_token())
-    return subs
+        p_parts = [p ** p_adic_valuation(delta, p) for delta in deltas]
+        order_p = math.prod(p_parts)
+        halls += [(order * order_p, [s * q for s, q in zip(parts, p_parts)])
+                  for order, parts in halls]
+    halls.sort(key=lambda hall: hall[0])
+    return [_split_subobject(module, parts) for _, parts in halls]
 
 
 # -- hom groups ---------------------------------------------------------------
@@ -477,11 +483,9 @@ def _hom_summands(src: PresentedModule, dst: PresentedModule):
     order 0 encodes an infinite cyclic summand.  The generator morphism sends
     src coordinate i to coeff times dst coordinate j.
     """
-    _, _, coords_s = src._decomposition()
-    _, _, coords_d = dst._decomposition()
     out = []
-    for i, da in coords_s:
-        for j, db in coords_d:
+    for i, da in src._decomposition().coords:
+        for j, db in dst._decomposition().coords:
             if da == 0 and db == 0:
                 out.append((i, j, 0, 1))
             elif da == 0:
@@ -503,8 +507,7 @@ def hom_basis(src: PresentedModule, dst: PresentedModule) -> list[Matrix]:
     """
     if src.ring != dst.ring:
         raise InputError("hom requires modules over the same ring")
-    u_s, _, _ = src._decomposition()
-    _, ui_d, _ = dst._decomposition()
+    u_s, ui_d = src._decomposition().u, dst._decomposition().ui
     return [[[ui_d[r][j] * coeff * u_s[i][s] for s in range(src.gens)]
              for r in range(dst.gens)]
             for i, j, _, coeff in _hom_summands(src, dst)]
@@ -530,30 +533,17 @@ def hom_group(src: PresentedModule, dst: PresentedModule):
 
 
 def associated_primes(module: PresentedModule) -> PrimeSet:
-    free, factors = module.canonical_decomposition()
+    free, factors = module._invariants()
     primes: set[int] = set()
     for d in factors:
         primes.update(prime_divisors(d))
     return PrimeSet(tuple(sorted(primes)), includes_zero=free > 0)
 
 
-def _p_primary_columns(module: PresentedModule, p: int) -> list[list[int]]:
-    _, _, coords = module._decomposition()
-    cols = []
-    for pos, (idx, delta) in enumerate(coords):
-        if delta == 0:
-            continue
-        v = p_adic_valuation(delta, p)
-        if v > 0:
-            coeffs = [0] * len(coords)
-            coeffs[pos] = delta // (p ** v)
-            cols.append(module.coords_to_generators(coeffs))
-    return cols
-
-
 def primary_component(module: PresentedModule, p: int) -> Subobject:
     """Largest submodule annihilated by a power of p: the p-primary torsion part."""
-    return Subobject(module, la.from_columns(_p_primary_columns(module, p), module.gens))
+    return _split_subobject(module, [p ** p_adic_valuation(delta, p) if delta else 1
+                                     for _, delta in module._decomposition().coords])
 
 
 def multiplication_endo(module: PresentedModule, c: int) -> Matrix:

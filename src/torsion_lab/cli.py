@@ -328,7 +328,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--no-prune", action="store_true",
                         default=d if suppress else False,
                         help="list every subobject instead of a finite module's "
-                             "fully invariant subgroups")
+                             "sums of primary components")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -160,9 +160,10 @@ class AbelianHandle:
         return ab.enumerate_submodules(x)
 
     def part_candidates(self, x):
-        """The fully invariant subgroups of the finite x, in closed form (Baer;
-        Kaplansky), so no endomorphism is consulted."""
-        return ab.fully_invariant_submodules(x)
+        """The 2^k sums of primary components of the finite x, ordered by their
+        closed-form orders: exactly its torsion parts, so no endomorphism is
+        consulted and no lattice is built to sort them."""
+        return ab.hall_submodules(x)
 
     def zero_sub(self, x):
         return ab.Subobject.zero(x)
@@ -288,10 +289,10 @@ def _candidates(handle, x, prune: bool):
     """A list of subobjects of x in canonical order that holds every torsion part.
 
     With pruning it is the handle's `part_candidates`, otherwise every
-    subobject.  A torsion part w is stable under every endomorphism, since
-    Hom(w, x/w) = 0, so a finite module's candidates are its fully invariant
-    subgroups in closed form; a representation's are all its
-    subrepresentations.
+    subobject.  A finite module's torsion parts are the w with coprime |w|
+    and |x/w|, so its candidates are the sums of its primary components,
+    one per set of primes of |x|; a representation's are all its
+    subrepresentations.  `part_test` still runs on every candidate.
     """
     return handle.part_candidates(x) if prune else handle.subobjects(x)
 

@@ -11,7 +11,7 @@ from torsion_lab import intlinalg as la
 from torsion_lab.abelian import (PresentedModule, Subobject, associated_primes,
                                  cyclic_module, direct_sum_module,
                                  enumerate_submodules, finite_abelian_modules,
-                                 fully_invariant_submodules, hom_basis, hom_group,
+                                 hall_submodules, hom_basis, hom_group,
                                  primary_component, quotient)
 from torsion_lab.errors import InputError
 from torsion_lab.rings import Ring
@@ -67,7 +67,7 @@ def test_submodules_are_deduplicated_and_ordered():
 
 
 def test_infinite_module_rejects_enumeration():
-    for enumerate_ in (enumerate_submodules, fully_invariant_submodules):
+    for enumerate_ in (enumerate_submodules, hall_submodules):
         with pytest.raises(InputError):
             enumerate_(PresentedModule(Z, 1, [[]]))
 
@@ -359,11 +359,37 @@ def test_equal_presentations_share_one_decomposition_and_lattice():
     assert c._decomposition() is not a._decomposition()
     assert c.relation_lattice() is not a.relation_lattice()
     # the cached values are immutable
-    u, ui, coords = dec = a._decomposition()
-    assert type(dec) is tuple and type(u) is tuple and type(ui) is tuple
+    u, ui, coords, identity, free, factors = dec = a._decomposition()
+    assert isinstance(dec, tuple) and type(u) is tuple and type(ui) is tuple
     assert all(type(row) is tuple for row in u + ui)
     assert type(coords) is tuple and all(type(c) is tuple for c in coords)
+    assert identity is (ui == ((1, 0), (0, 1)))
+    assert (free, factors) == (0, (2, 6)) and type(factors) is tuple
     assert type(a.relation_lattice().key()) is tuple
+
+
+def test_invariant_lists_are_fresh_copies():
+    m = direct_sum_module(Z, [2, 4])
+    m.invariant_factors.append(3)
+    m.canonical_decomposition()[1].append(5)
+    assert m.invariant_factors == [2, 4] and m.canonical_decomposition() == (0, [2, 4])
+    assert m.order() == 8 and m.free_rank == 0 and m.is_finite()
+    assert m == direct_sum_module(Z, [2, 4]) and m.describe() == "Z/2 + Z/4"
+
+
+def test_identity_inverse_maps_coordinates_without_a_product(monkeypatch):
+    """Uinv = I is decided once per presentation, and then coords_to_generators
+    pads the coordinates instead of multiplying by Uinv."""
+    products = []
+    real = la.mat_vec
+    monkeypatch.setattr(la, "mat_vec", lambda a, v: products.append(a) or real(a, v))
+    square = direct_sum_module(Z, [2, 2, 2])
+    assert square._decomposition().ui_is_identity
+    assert square.coords_to_generators([1, 0, 1]) == [1, 0, 1] and not products
+    mixed = direct_sum_module(Z, [2, 3])
+    assert not mixed._decomposition().ui_is_identity
+    got = mixed.coords_to_generators([1])
+    assert products and got == real(mixed._decomposition().ui, [0, 1])
 
 
 def test_cached_decomposition_matches_a_fresh_smith_form():

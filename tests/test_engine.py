@@ -1,4 +1,5 @@
 """Torsion parts, simplicity verdicts, radicals, coradicals, criterion checks."""
+import functools
 import itertools
 import math
 import random
@@ -7,15 +8,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import dense_relations, simple_rep, small_rep_data
-from hypothesis import given, settings, strategies as st
+from conftest import brute_subgroups, dense_relations, simple_rep, small_rep_data
+from hypothesis import example, given, settings, strategies as st
 
 from torsion_lab import abelian, engine, modlinalg
 from torsion_lab import intlinalg as la
 from torsion_lab.abelian import (PresentedModule, Subobject, cyclic_module,
                                  direct_sum_module, enumerate_submodules,
-                                 finite_abelian_modules,
-                                 fully_invariant_submodules, hom_group,
+                                 finite_abelian_modules, hom_group,
                                  primary_component, quotient)
 from torsion_lab.engine import (AbelianHandle, QuiverHandle,
                                 injective_criterion_check, is_essential,
@@ -543,88 +543,53 @@ def _dense_modules(draw):
     return m
 
 
-def _stable_keys(m, subs):
-    """Keys of the subobjects that every endomorphism of m maps into themselves."""
-    _, endos = hom_group(m, m)
-    return [w.key() for w in subs if _endo_stable(endos, w)]
+@functools.lru_cache(maxsize=None)
+def _brute_coprime_index_count(deltas: tuple) -> int:
+    """How many subgroups H of + Z/delta_i have gcd(|H|, |x|/|H|) = 1, by brute force."""
+    order = math.prod(deltas)
+    return sum(math.gcd(len(h), order // len(h)) == 1 for h in brute_subgroups(list(deltas)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(m=_dense_modules())
-def test_stable_subobjects_match_filtered_full_enumeration(m):
-    want = _stable_keys(m, enumerate_submodules(m))
-    assert [w.key() for w in AbelianHandle(m.ring).part_candidates(m)] == want
-    assert len(fully_invariant_submodules(m)) == len(want)
+@example(m=PresentedModule(Z, 0, []))
+@example(m=PresentedModule(Ring.integers_mod(6), 0, []))
+def test_part_candidates_are_the_coprime_index_subgroups(m):
+    """The candidates are the subgroups w of the unpruned enumeration with
+    gcd(|w|, |x/w|) = 1, in its order: one per set of primes of |x|."""
+    order = m.order()
+    want = [w.key() for w in enumerate_submodules(m)
+            if math.gcd(w.order(), order // w.order()) == 1]
+    candidates = AbelianHandle(m.ring).part_candidates(m)
+    assert [w.key() for w in candidates] == want
+    primes = [p for p in range(2, order + 1)
+              if order % p == 0 and all(p % q for q in range(2, p))]
+    assert len(candidates) == 2 ** len(primes)
+    if order <= 64:  # the brute force did not finish Z/36 + Z/36 in two minutes
+        assert len(candidates) == _brute_coprime_index_count(tuple(m.invariant_factors))
 
 
-def _partitions(n, largest=None):
-    """The partitions of n as non-increasing tuples."""
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k,) + rest
+def test_part_candidates_build_no_lattice_and_no_endomorphism_basis(monkeypatch):
+    """The candidates are sorted by their closed-form orders, so listing them
+    builds no Hermite form, and the pruned path builds no End(x) basis."""
+    real_init, real_hom = la.ColumnEchelonLattice.__init__, abelian.hom_basis
+    builds, calls = [], []
 
+    def init_counting(self, rows, cols):
+        builds.append(rows)
+        real_init(self, rows, cols)
 
-def _p_group_types(p, exponents):
-    return [[p ** e for e in lam] for n in exponents for lam in _partitions(n)]
-
-
-def _split_product(m):
-    """Every <t_1 e_1> + ... + <t_k e_k> with t_i | delta_i, in canonical order.
-
-    Each summand projection is an endomorphism, so a fully invariant W is the
-    sum of its intersections with the cyclic summands: a superset of them.
-    """
-    deltas = m.invariant_factors
-    units = [m.coords_to_generators([int(i == j) for j in range(len(deltas))])
-             for i in range(len(deltas))]
-    divisors = [[t for t in range(1, d + 1) if d % t == 0] for d in deltas]
-    subs = [Subobject(m, [[t * unit[r] for t, unit in zip(ts, units)] for r in range(m.gens)])
-            for ts in itertools.product(*divisors)]
-    return sorted(subs, key=lambda w: w.sort_token())
-
-
-_MIXED_GROUPS = [[4, 2, 3, 9], [2, 6, 12], [6, 30], [2, 2, 15], [3, 9, 10], [60]]
-
-
-def test_fully_invariant_submodules_match_filtered_enumeration():
-    rng = random.Random(11)
-    modules = [direct_sum_module(Z, orders)
-               for orders in (_p_group_types(2, range(1, 6)) + _p_group_types(3, range(1, 5))
-                              + _p_group_types(5, range(1, 4)))]
-    modules += [_dense_presentation(rng, orders) for orders in _MIXED_GROUPS]
-    for n, orders in ((4, [2, 4]), (6, [6, 6]), (8, [2, 2, 8]), (9, [3, 9]),
-                      (12, [2, 6, 12]), (36, [6, 36])):
-        ring = Ring.integers_mod(n)
-        modules += [direct_sum_module(ring, orders), _dense_presentation(rng, orders, ring)]
-    for m in modules:
-        want = _stable_keys(m, enumerate_submodules(m))
-        assert [w.key() for w in fully_invariant_submodules(m)] == want, m
-
-
-def test_fully_invariant_submodules_match_filtered_split_product():
-    rng = random.Random(12)
-    for orders in _p_group_types(2, (6, 7)) + _p_group_types(3, (5,)):
-        for m in (direct_sum_module(Z, orders), _dense_presentation(rng, orders)):
-            want = _stable_keys(m, _split_product(m))
-            assert [w.key() for w in fully_invariant_submodules(m)] == want, m
-
-
-def test_fully_invariant_candidate_counts(monkeypatch):
-    assert len(fully_invariant_submodules(direct_sum_module(Z, [4, 2]))) == 4
-    m = direct_sum_module(Z, [2] * 8)
-    assert len(fully_invariant_submodules(m)) == 2
-    real = abelian.hom_basis
-    calls = []
-
-    def counting(a, b):
+    def hom_counting(a, b):
         calls.append((a, b))
-        return real(a, b)
+        return real_hom(a, b)
 
-    # the closed form is not filtered again, so no End(x) basis is built
-    monkeypatch.setattr(abelian, "hom_basis", counting)
+    modules = [direct_sum_module(Z, orders) for orders in ([4, 2], [2] * 8, [4, 2, 3, 9, 5])]
+    modules.append(_dense_presentation(random.Random(11), [2, 6, 12]))
+    monkeypatch.setattr(la.ColumnEchelonLattice, "__init__", init_counting)
+    counts = [len(H.part_candidates(m)) for m in modules]
+    assert counts == [2, 2, 8, 4] and not builds
+    monkeypatch.setattr(abelian, "hom_basis", hom_counting)
+    m = modules[1]
     assert len(torsion_parts(H, m)) == 2
     assert is_torsion_simple(H, m).verdict
     assert not any(a is m and b is m for a, b in calls)
