@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import intlinalg as la
 from .errors import InputError
-from .primes import factorize, p_adic_valuation, prime_divisors
+from .primes import factorize, is_prime, p_adic_valuation, prime_divisors
 from .rings import KIND_Z, KIND_ZMOD, Ring
 
 Matrix = list[list[int]]
@@ -246,7 +246,7 @@ class PresentedModule:
 class Subobject:
     """A submodule given by generator-coordinate columns inside a fixed ambient."""
 
-    __slots__ = ("ambient", "embedding", "_lattice", "_module")
+    __slots__ = ("ambient", "embedding", "_lattice", "_module", "_order")
 
     def __init__(self, ambient: PresentedModule, embedding: Matrix):
         if len(embedding) != ambient.gens:
@@ -255,6 +255,7 @@ class Subobject:
         self.embedding = [list(map(int, row)) for row in embedding]
         self._lattice = None
         self._module = None
+        self._order = None
 
     @property
     def lattice(self) -> la.ColumnEchelonLattice:
@@ -289,11 +290,21 @@ class Subobject:
         return self.lattice.key()
 
     def is_zero(self) -> bool:
-        """Every embedding column is a relation: membership in the ambient's
-        shared relation lattice, so no lattice of the subobject is built."""
+        """Order 1 when the order is known in closed form (`_split_subobject`);
+        otherwise every embedding column is a relation: membership in the
+        ambient's shared relation lattice, so no lattice of the subobject is
+        built."""
+        if self._order is not None:
+            return self._order == 1
         return self.ambient.relation_lattice().contains_all(la.columns(self.embedding))
 
     def is_full(self) -> bool:
+        """The whole ambient.  A subobject whose order is known in closed form
+        is full exactly when the ambient is finite of that order (a split
+        subobject of an infinite ambient is torsion, so never full); otherwise
+        its lattice is all of Z^g."""
+        if self._order is not None:
+            return self.ambient.is_finite() and self._order == self.ambient.order()
         lattice = self.lattice
         return lattice.rank == self.ambient.gens and lattice.determinant_index() == 1
 
@@ -301,8 +312,13 @@ class Subobject:
         return self.lattice.contains_all(la.columns(other.embedding))
 
     def order(self) -> int:
+        """|w| for a finite ambient: the closed-form order when
+        `_split_subobject` recorded one, otherwise the index of the relation
+        lattice in the subobject's lattice."""
         if not self.ambient.is_finite():
             raise InputError("subobject order needs a finite ambient module")
+        if self._order is not None:
+            return self._order
         return abs(self.ambient.relation_lattice().determinant_index()
                    // self.lattice.determinant_index())
 
@@ -444,11 +460,16 @@ def _split_subobject(module: PresentedModule, parts: list[int]) -> Subobject:
     """+ <delta_i / parts_i e_i> over the coordinates e_i of the decomposition
     with parts_i > 1, where delta_i is the order of e_i, parts_i | delta_i,
     and parts_i = 1 on a free coordinate.  The generator coordinates of e_i
-    are a column of Uinv, so no matrix product is formed."""
+    are a column of Uinv, so no matrix product is formed.
+
+    The sum is  + Z/parts_i, so its order prod parts_i is recorded on the
+    subobject: `order`, `is_zero` and `is_full` then build no lattice."""
     dec = module._decomposition()
     cols = [[delta // part * row[idx] for row in dec.ui]
             for (idx, delta), part in zip(dec.coords, parts) if part > 1]
-    return Subobject(module, la.from_columns(cols, module.gens))
+    sub = Subobject(module, la.from_columns(cols, module.gens))
+    sub._order = math.prod(parts)
+    return sub
 
 
 def hall_submodules(module: PresentedModule) -> list[Subobject]:
@@ -461,7 +482,9 @@ def hall_submodules(module: PresentedModule) -> list[Subobject]:
     decomposition x = + Z/delta_i, with s_i the S-part of delta_i, and its
     order is the product over p in S of p^{v_p(|x|)}.  Distinct S have
     distinct orders, so ordering by that closed form is the (order, key)
-    order, and no lattice is built to sort.
+    order, and no lattice is built to sort.  Each subobject carries that
+    order (see `_split_subobject`), so the part test, `is_zero` and
+    `is_full` build no lattice either; only `key` and `as_module` do.
     """
     deltas = _finite_deltas(module)
     halls = [(1, [1] * len(deltas))]
@@ -541,7 +564,11 @@ def associated_primes(module: PresentedModule) -> PrimeSet:
 
 
 def primary_component(module: PresentedModule, p: int) -> Subobject:
-    """Largest submodule annihilated by a power of p: the p-primary torsion part."""
+    """Largest submodule annihilated by a power of p: the p-primary torsion part.
+
+    p must be prime; any other integer is refused."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise InputError(f"a primary component needs a prime, got {p!r}")
     return _split_subobject(module, [p ** p_adic_valuation(delta, p) if delta else 1
                                      for _, delta in module._decomposition().coords])
 

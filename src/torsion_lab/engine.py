@@ -202,7 +202,9 @@ class AbelianHandle:
 
     def part_test(self, x, w) -> bool:
         """Hom(w, x/w) = 0 by the coprime-order rule; parts are only tested on
-        enumerated subobjects, so x is finite."""
+        enumerated subobjects, so x is finite.  A pruned candidate carries its
+        closed-form order, so testing it builds no lattice; an enumerated
+        subgroup reads its order off its own lattice."""
         order_w = w.order()
         return math.gcd(order_w, x.order() // order_w) == 1
 

@@ -123,6 +123,10 @@ def prime_divisors(n: int) -> list[int]:
 
 
 def p_adic_valuation(n: int, p: int) -> int:
+    """The exponent of p in n != 0; p < 2 is refused, since p = 1 would never
+    stop dividing."""
+    if p < 2:
+        raise ValueError("valuation needs a base p >= 2")
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     v = 0

@@ -100,6 +100,23 @@ def dense_relations(rng, orders) -> tuple[int, list[list[int]]]:
                for i in range(n)]
 
 
+# divisors of n for the rings Z/n that dense_module_data draws from
+ZMOD_ORDERS = {n: [d for d in range(1, n + 1) if n % d == 0] for n in (4, 6, 8, 9, 12, 36)}
+
+
+@st.composite
+def dense_module_data(draw, groups):
+    """(n, orders, gens, relations) of a dense presentation of the sum of the
+    Z/d for d in orders: over Z (n = 0) with orders drawn from `groups`, or
+    over Z/n with at most two factors."""
+    n = draw(st.sampled_from([0, *ZMOD_ORDERS]))
+    if n:
+        orders = draw(st.lists(st.sampled_from(ZMOD_ORDERS[n]), min_size=1, max_size=2))
+    else:
+        orders = draw(st.sampled_from(groups))
+    return (n, orders, *dense_relations(random.Random(draw(st.integers(0, 2 ** 32))), orders))
+
+
 def rational_rank(rows: list[list[int]]) -> int:
     """Rank over Q by fraction Gaussian elimination (oracle for integer matrices)."""
     mat = [[Fraction(x) for x in row] for row in rows]

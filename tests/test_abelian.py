@@ -1,10 +1,12 @@
 """Presented modules: decomposition, submodule lattices, hom groups, Ass."""
 import itertools
+import math
 import random
 
 import pytest
 from conftest import (brute_additive_maps, brute_set_maps_additive, brute_subgroups,
-                      dense_relations)
+                      dense_module_data, dense_relations)
+from hypothesis import given, settings
 
 from torsion_lab import abelian
 from torsion_lab import intlinalg as la
@@ -239,6 +241,64 @@ def test_primary_component_examples():
     assert primary_component(cyclic_module(Z, 8), 2).is_full()
     # Hom(component, quotient) = 0
     assert not hom_group(comp.as_module(), quotient(z12, comp))[1]
+
+
+def test_primary_component_refuses_a_p_that_is_not_prime():
+    x = direct_sum_module(Z, [8, 3])
+    for p in (1, 0, -2, 4, 6):
+        with pytest.raises(InputError):
+            primary_component(x, p)
+    got = {p: primary_component(x, p).as_module().canonical_decomposition() for p in (2, 3, 5)}
+    assert got == {2: (0, [8]), 3: (0, [3]), 5: (0, [])}
+
+
+def _split_subobjects(m):
+    """Every sum of primary components of m (none if m is infinite) and its
+    p-primary component for each prime p <= 7 or dividing the torsion order."""
+    torsion = math.prod(m.invariant_factors)
+    primes = [p for p in range(2, max(torsion, 7) + 1)
+              if _is_prime_small(p) and (p <= 7 or torsion % p == 0)]
+    return ((hall_submodules(m) if m.is_finite() else [])
+            + [primary_component(m, p) for p in primes])
+
+
+def _check_closed_form_order(m) -> int:
+    """order, is_zero and is_full of every split subobject of m equal those of
+    a copy that builds its own lattice; the count of subobjects checked."""
+    subs = _split_subobjects(m)
+    for w in subs:
+        fresh = Subobject(w.ambient, w.embedding)
+        assert (w.is_zero(), w.is_full()) == (fresh.is_zero(), fresh.is_full()), m
+        if m.is_finite():
+            assert w.order() == fresh.order(), m
+        else:
+            for sub in (w, fresh):
+                with pytest.raises(InputError):
+                    sub.order()
+    return len(subs)
+
+
+def test_closed_form_orders_match_fresh_lattices():
+    """Every group of order <= 128, and Z^r + T for r <= 2 in diagonal and
+    dense presentations."""
+    rng = random.Random(23)
+    modules = [m for n in range(1, 129) for m in finite_abelian_modules(n)]
+    for r in (1, 2):
+        for torsion in ([], [2], [12], [4, 6], [3, 9, 5], [12, 18, 5]):
+            orders = [0] * r + torsion
+            modules.append(direct_sum_module(Z, orders))
+            modules.append(PresentedModule(Z, *dense_relations(rng, orders)))
+    assert sum(_check_closed_form_order(m) for m in modules) > 2000
+
+
+_GROUPS_TO_32 = [m.invariant_factors for n in range(2, 33) for m in finite_abelian_modules(n)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=dense_module_data(_GROUPS_TO_32))
+def test_closed_form_orders_match_fresh_lattices_on_dense_presentations(data):
+    n, _, gens, rels = data
+    _check_closed_form_order(PresentedModule(Ring.integers_mod(n) if n else Z, gens, rels))
 
 
 def test_finite_abelian_catalogue():

@@ -8,7 +8,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import brute_subgroups, dense_relations, simple_rep, small_rep_data
+from conftest import (brute_subgroups, dense_module_data, dense_relations, simple_rep,
+                      small_rep_data)
 from hypothesis import example, given, settings, strategies as st
 
 from torsion_lab import abelian, engine, modlinalg
@@ -526,19 +527,11 @@ def test_tables_evict_the_oldest_presentation_past_the_cap(enumerations, monkeyp
     assert tables.size == 9 and len(tables.classes) == 5
 
 
-_ZMOD_ORDERS = {n: [d for d in range(1, n + 1) if n % d == 0] for n in (4, 6, 8, 9, 12, 36)}
-
-
 @st.composite
 def _dense_modules(draw):
     """A dense presentation over Z (order <= 32) or over Z/n (at most two factors)."""
-    n = draw(st.sampled_from([0, *_ZMOD_ORDERS]))
-    if n:
-        ring = Ring.integers_mod(n)
-        orders = draw(st.lists(st.sampled_from(_ZMOD_ORDERS[n]), min_size=1, max_size=2))
-    else:
-        ring, orders = Z, draw(st.sampled_from(_GROUPS))
-    m = _dense_presentation(random.Random(draw(st.integers(0, 2 ** 32))), orders, ring)
+    n, orders, gens, rels = draw(dense_module_data(_GROUPS))
+    m = PresentedModule(Ring.integers_mod(n) if n else Z, gens, rels)
     assert m.order() == math.prod(orders)
     return m
 
@@ -570,8 +563,9 @@ def test_part_candidates_are_the_coprime_index_subgroups(m):
 
 
 def test_part_candidates_build_no_lattice_and_no_endomorphism_basis(monkeypatch):
-    """The candidates are sorted by their closed-form orders, so listing them
-    builds no Hermite form, and the pruned path builds no End(x) basis."""
+    """The candidates carry their closed-form orders, so listing them, testing
+    them and deciding torsion-simplicity build no Hermite form, and the pruned
+    path builds no End(x) basis."""
     real_init, real_hom = la.ColumnEchelonLattice.__init__, abelian.hom_basis
     builds, calls = [], []
 
@@ -588,6 +582,8 @@ def test_part_candidates_build_no_lattice_and_no_endomorphism_basis(monkeypatch)
     monkeypatch.setattr(la.ColumnEchelonLattice, "__init__", init_counting)
     counts = [len(H.part_candidates(m)) for m in modules]
     assert counts == [2, 2, 8, 4] and not builds
+    answers = [(len(torsion_parts(H, m)), is_torsion_simple(H, m).verdict) for m in modules]
+    assert answers == [(2, True), (2, True), (8, False), (4, False)] and not builds
     monkeypatch.setattr(abelian, "hom_basis", hom_counting)
     m = modules[1]
     assert len(torsion_parts(H, m)) == 2

@@ -9,7 +9,10 @@ cogenerated) on random representations of the A2, A3, sink and source quivers
 over F_2 and F_3 that reach the subspace intersection and the quiver pull-back
 and composition of subobjects, brute-force `check` (pruned and `--no-prune`)
 and `--no-prune torsion-parts` on random representations of the source and
-triangle quivers over F_2 and F_3, and four `verify` suites.  A refactor that claims
+triangle quivers over F_2 and F_3, `check` (auto, brute-force, ass-criterion),
+`torsion-parts` and `--no-prune torsion-parts` on modules with three primes,
+dense presentations over Z and Z/12 and the infinite Z + Z/6, and four
+`verify` suites.  A refactor that claims
 "same bytes from less code" must leave every entry unchanged.
 
 Regenerate the stored exit codes and stdout (argv lists unchanged) with
