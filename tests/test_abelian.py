@@ -10,11 +10,12 @@ from hypothesis import given, settings
 
 from torsion_lab import abelian
 from torsion_lab import intlinalg as la
-from torsion_lab.abelian import (PresentedModule, Subobject, associated_primes,
-                                 cyclic_module, direct_sum_module,
-                                 enumerate_submodules, finite_abelian_modules,
-                                 hall_submodules, hom_basis, hom_group,
-                                 primary_component, quotient)
+from torsion_lab.abelian import (PresentedModule, PrimeSet, SpClosedSubset,
+                                 Subobject, associated_primes, cyclic_module,
+                                 direct_sum_module, enumerate_submodules,
+                                 finite_abelian_modules, hall_submodules,
+                                 hom_basis, hom_group, primary_component,
+                                 quotient)
 from torsion_lab.errors import InputError
 from torsion_lab.rings import Ring
 
@@ -580,3 +581,26 @@ def test_hom_basis_is_the_basis_of_hom_group():
         assert len(basis) == h.gens
         with pytest.raises(InputError):
             hom_basis(a, cyclic_module(Ring.integers_mod(5), 5))
+
+
+def test_prime_set_is_a_sorted_set():
+    a, b = PrimeSet((5, 2, 2)), PrimeSet((2, 5))
+    assert a.primes == (2, 5)
+    assert a == b and hash(a) == hash(b) and len(a) == len(b) == 2
+    assert a != PrimeSet((2, 5), True)
+    assert a != (2, 5)
+    zero = PrimeSet(primes=[3, 3], includes_zero=True)
+    assert zero.primes == (3,) and zero.includes_zero and len(zero) == 2
+    assert zero.as_list() == [0, 3]
+    assert not PrimeSet(()).includes_zero
+
+
+def test_specialisation_closed_subsets_compare_and_hash_by_value():
+    a = SpClosedSubset.from_primes([3, 2, 3])
+    b = SpClosedSubset((2, 3))
+    assert a == b and hash(a) == hash(b) and not b.whole_spectrum
+    assert SpClosedSubset(primes=(), whole_spectrum=True) == \
+        SpClosedSubset.from_primes([7], include_zero=True)
+    assert a != SpClosedSubset((2, 3), True)
+    assert a != PrimeSet((2, 3))
+    assert len({a, b, SpClosedSubset((2,))}) == 2

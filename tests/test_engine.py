@@ -792,3 +792,36 @@ def test_brute_force_tests_parts_only_up_to_the_first_proper_one(monkeypatch):
         report = is_torsion_simple(handle, P1, method="brute-force", prune=prune)
         assert not report.verdict and report.witness.dims() == (0, 1)
         assert calls == [(0, 1)]
+
+
+def test_morphisms_compare_by_value():
+    x, y = cyclic_module(Z, 6), cyclic_module(Z, 6)
+    f = engine.Morph(x, x, [[5]])
+    assert f == engine.Morph(src=x, dst=x, data=[[5]])
+    assert f == engine.Morph(y, y, [[5]])   # x == y: modules compare up to isomorphism
+    assert f != engine.Morph(x, x, [[1]])
+    assert f != (x, x, [[5]])
+    g = engine.Morph(x, x, ((5,),))
+    assert hash(g) == hash(engine.Morph(y, y, ((5,),)))
+
+
+def test_engine_value_classes_construct_with_defaults():
+    x = cyclic_module(Z, 6)
+    f = engine.Morph(x, cyclic_module(Z, 3), [[1]])
+    assert (f.src, f.dst.order(), f.data) == (x, 3, [[1]])
+    parts = engine.TorsionPartSet(obj=x, parts=[Subobject.zero(x)], pruned=False)
+    assert (parts.obj, len(parts), parts.pruned) == (x, 1, False)
+    assert parts.keys() == [Subobject.zero(x).key()]
+    report = engine.SimplicityReport(True, "parts")
+    assert (report.verdict, report.method, report.witness, report.type_tag) == \
+        (True, "parts", None, None)
+    report = engine.SimplicityReport(verdict=False, method="m", witness=x, type_tag=("prime", 2))
+    assert (report.witness, report.type_tag) == (x, ("prime", 2))
+    crit = engine.InjectiveCriterionReport(True, False, False)
+    assert (crit.kernel_essential, crit.kernel_in_image, crit.hypotheses_hold,
+            crit.checked_parts) == (True, False, False, 0)
+    assert engine.InjectiveCriterionReport(True, True, True, checked_parts=4).checked_parts == 4
+    axioms = engine.AxiomCheckResult("Z/6", True, True, False)
+    assert (axioms.object_desc, axioms.passed) == ("Z/6", False)
+    assert engine.AxiomCheckResult(object_desc="0", orthogonal=True, maximal=True,
+                                   idempotent=True).passed

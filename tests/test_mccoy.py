@@ -6,10 +6,12 @@ import pytest
 from conftest import poly_matrix_rank, rational_rank
 
 from torsion_lab.errors import InputError, UnsupportedRingError
-from torsion_lab.mccoy import (RingMatrix, check_radical_lemma,
-                               conormal_presentation, has_nullvector_theorem,
-                               hom_I_to_quotient, matrix_kernel, mccoy_rank,
-                               minors, nullvector_exhaustive, quotient_ring)
+from torsion_lab.mccoy import (ConormalReport, DeterminantalProfile,
+                               KernelDescription, RadicalLemmaReport, RingMatrix,
+                               check_radical_lemma, conormal_presentation,
+                               has_nullvector_theorem, hom_I_to_quotient,
+                               matrix_kernel, mccoy_rank, minors,
+                               nullvector_exhaustive, quotient_ring)
 from torsion_lab.rings import Ideal, Ring
 
 Z = Ring.integers()
@@ -263,3 +265,31 @@ def test_mccoy_unsupported_minor_shapes():
     assert str(minors(mat, 2)[0]) == "x^2y+x^2y^2"
     with pytest.raises(UnsupportedRingError):
         mccoy_rank(mat)
+
+
+def test_report_classes_construct_with_defaults_and_fresh_lists():
+    a, b = DeterminantalProfile(), DeterminantalProfile()
+    assert a.as_dict() == {"steps": [], "mccoy_rank": 0}
+    a.steps.append({"order": 0})
+    assert b.steps == [] and a.steps is not b.steps
+    assert DeterminantalProfile([{"order": 0}], mccoy_rank=1).mccoy_rank == 1
+    k1, k2 = KernelDescription(), KernelDescription()
+    assert k1.as_dict() == {"free_rank": 0, "invariant_factors": [], "generators": [],
+                            "nonzero": False}
+    k1.invariant_factors.append(2)
+    k1.generators.append(["x"])
+    assert k2.invariant_factors == [] and k2.generators == []
+    k = KernelDescription(1, [2], [["x"]], True)
+    assert (k.free_rank, k.invariant_factors, k.generators, k.nonzero) == (1, [2], [["x"]], True)
+    assert KernelDescription(nonzero=True, free_rank=2).as_dict()["free_rank"] == 2
+    conormal = ConormalReport("Z", ["2"], "Z/4", 1, 1, [["2"]], k, True)
+    assert conormal.statement.startswith("Hom_S(I, S/I) != 0")
+    assert conormal.as_dict()["kernel_of_transpose"] == k.as_dict()
+    assert ConormalReport(base_ring="Z", ideal_gens=[], quotient_ring="Z", matrix_rows=0,
+                          matrix_cols=0, matrix=[], kernel=k2, hom_nonzero=False,
+                          statement="s").as_dict()["statement"] == "s"
+    lemma = RadicalLemmaReport(True, False, True, False, True)
+    assert lemma.as_dict()["premise_dI_in_I2"] and lemma.as_dict()["expected_for_non_domain"]
+    lemma = RadicalLemmaReport(premise=False, conclusion=True, violation=False, domain=True,
+                               expected_for_non_domain=False)
+    assert lemma.as_dict()["ring_is_domain"] and not lemma.violation

@@ -406,3 +406,50 @@ def test_finite_ring_enumeration():
     assert len(list(b.elements())) == 16
     with pytest.raises(InputError):
         list(Z.elements())
+
+
+# one builder per ring kind; each call builds a new, equal ring
+RING_BUILDERS = (Ring.integers, lambda: Ring.integers_mod(6), lambda: Ring.prime_field(5),
+                 lambda: Ring.poly_ring(3), lambda: Ring.poly_quotient(2, [1, 1, 1]),
+                 lambda: Ring.bivariate_quotient(5, [(1, 1)]))
+
+
+def test_rings_compare_and_hash_by_value():
+    rings = [build() for build in RING_BUILDERS]
+    assert len({r.kind for r in rings}) == 6
+    index = {r: i for i, r in enumerate(rings)}
+    assert len(index) == 6
+    for i, build in enumerate(RING_BUILDERS):
+        again = build()
+        assert again is not rings[i]
+        assert again == rings[i] and not again != rings[i]
+        assert hash(again) == hash(rings[i])
+        assert index[again] == i
+    for a, b in itertools.combinations(rings, 2):
+        assert a != b
+    assert Ring.integers_mod(4) != Ring.integers_mod(6)
+    for r in rings:
+        assert r != r.one
+        assert r != (r.kind, r.n, r.p, r.modulus, r.rels)
+
+
+def test_ring_elements_compare_and_hash_by_value():
+    for build in RING_BUILDERS:
+        a, b = build(), build()
+        assert a.one == b.one and hash(a.one) == hash(b.one)
+        assert a.one != a.zero and a.one != b.zero
+        assert len({a.one, b.one, a.zero, b.zero}) == 2
+    assert Ring.integers_mod(4).one != Ring.integers_mod(6).one
+    assert Z.one != (Z, 1)
+
+
+def test_ring_and_element_construction():
+    assert Ring("Z", 0) == Ring(kind="Z", n=0) == Z
+    r = Ring("UniPoly", p=3)
+    assert (r.kind, r.n, r.p, r.modulus, r.rels) == ("UniPoly", None, 3, None, None)
+    assert Ring("PrimeField", 5, 5) == Ring.prime_field(5)
+    assert Ring("UniPolyQuot", None, 2, (1, 1, 1)) == Ring.poly_quotient(2, [1, 1, 1])
+    assert Ring("BiPolyMonomialQuot", p=5, rels=((1, 1),)) == \
+        Ring.bivariate_quotient(5, [(1, 1)])
+    assert RingElem(Z, 3) == RingElem(ring=Z, payload=3) == Z.from_int(3)
+    assert repr(Z) == "Ring(Z)" and repr(Z.from_int(3)) == "<3 in Z>"

@@ -2,7 +2,7 @@
 import pytest
 
 from torsion_lab.errors import InputError
-from torsion_lab.suites import SUITES, run_suite
+from torsion_lab.suites import SUITES, SuiteResult, run_suite
 
 
 def test_all_suites_registered():
@@ -45,3 +45,15 @@ def test_suite_repeat_runs_match():
     first = run_suite("ass-singleton", {"max_order": 24}).as_dict()
     second = run_suite("ass-singleton", {"max_order": 24}).as_dict()
     assert first == second
+
+
+def test_suite_results_do_not_share_failures():
+    a, b = SuiteResult("a", "s"), SuiteResult(name="b", statement="t")
+    assert (a.instances, a.failures, a.passed) == (0, [], True)
+    a.check(False, "broken")
+    b.check(True, "fine")
+    assert (a.instances, a.failures, a.passed) == (1, ["broken"], False)
+    assert (b.instances, b.failures, b.passed) == (1, [], True)
+    c = SuiteResult("c", "u", 2, ["x"])
+    assert c.as_dict() == {"suite": "c", "statement": "u", "instances": 2,
+                           "failures": ["x"], "passed": False}
