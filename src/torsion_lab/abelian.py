@@ -8,7 +8,7 @@ meaningful (identical canonical forms on both sides).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -20,6 +20,14 @@ from .rings import KIND_Z, KIND_ZMOD, Ring
 Matrix = list[list[int]]
 
 
+def _integer_rows(rows, what: str) -> Matrix:
+    """rows as lists of ints; an entry that is not an integer (a float, a
+    numeric string) is refused, where int() would truncate or parse it."""
+    try:
+        return [list(map(operator.index, row)) for row in rows]
+    except TypeError:
+        raise InputError(f"{what} entries must be integers") from None
+
 def _divisors(n: int) -> list[int]:
     """Positive divisors of n >= 1 in ascending order, built from its factorisation."""
     out = [1]
@@ -28,15 +36,22 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
 class PrimeSet:
     """A finite set of associated primes of Spec Z (or Spec Z/n)."""
 
-    primes: tuple[int, ...]
-    includes_zero: bool = False
+    __slots__ = ("primes", "includes_zero")
 
-    def __post_init__(self):
-        object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
+    def __init__(self, primes, includes_zero: bool = False):
+        self.primes = tuple(sorted(set(primes)))
+        self.includes_zero = includes_zero
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.primes, self.includes_zero) == (other.primes, other.includes_zero)
+
+    def __hash__(self) -> int:
+        return hash((self.primes, self.includes_zero))
 
     def __len__(self) -> int:
         return len(self.primes) + (1 if self.includes_zero else 0)
@@ -46,7 +61,6 @@ class PrimeSet:
         return out + list(self.primes)
 
 
-@dataclass(frozen=True)
 class SpClosedSubset:
     """Specialisation-closed subset of Spec Z: a set of maximal primes, or everything.
 
@@ -54,8 +68,19 @@ class SpClosedSubset:
     closure; that case is the explicit whole-spectrum marker.
     """
 
-    primes: tuple[int, ...]
-    whole_spectrum: bool = False
+    __slots__ = ("primes", "whole_spectrum")
+
+    def __init__(self, primes: tuple[int, ...], whole_spectrum: bool = False):
+        self.primes = primes
+        self.whole_spectrum = whole_spectrum
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.primes, self.whole_spectrum) == (other.primes, other.whole_spectrum)
+
+    def __hash__(self) -> int:
+        return hash((self.primes, self.whole_spectrum))
 
     @staticmethod
     def from_primes(primes, include_zero: bool = False) -> "SpClosedSubset":
@@ -137,7 +162,7 @@ class PresentedModule:
             raise InputError("presented modules live over Z or Z/n")
         if gens < 0:
             raise InputError("generator count must be >= 0")
-        rels = [list(map(int, row)) for row in relations]
+        rels = _integer_rows(relations, "relation matrix")
         if len(rels) != gens:
             raise InputError(f"relation matrix must have {gens} rows, got {len(rels)}")
         width = {len(r) for r in rels}
@@ -252,7 +277,7 @@ class Subobject:
         if len(embedding) != ambient.gens:
             raise InputError("embedding matrix must have one row per ambient generator")
         self.ambient = ambient
-        self.embedding = [list(map(int, row)) for row in embedding]
+        self.embedding = _integer_rows(embedding, "embedding matrix")
         self._lattice = None
         self._module = None
         self._order = None

@@ -14,8 +14,6 @@ and cogenerated torsion pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from . import abelian as ab
 from . import intlinalg as la
@@ -27,20 +25,32 @@ from .rings import KIND_Z, KIND_ZMOD, Ring
 qv = ml = None
 
 
-@dataclass(frozen=True)
 class Morph:
     """Handle-specific morphism: matrix (modules) or per-vertex matrices (quivers)."""
 
-    src: object
-    dst: object
-    data: object
+    __slots__ = ("src", "dst", "data")
+
+    def __init__(self, src, dst, data):
+        self.src = src
+        self.dst = dst
+        self.data = data
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.src, self.dst, self.data) == (other.src, other.dst, other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst, self.data))
 
 
-@dataclass
 class TorsionPartSet:
-    obj: object
-    parts: list
-    pruned: bool
+    __slots__ = ("obj", "parts", "pruned")
+
+    def __init__(self, obj, parts: list, pruned: bool):
+        self.obj = obj
+        self.parts = parts
+        self.pruned = pruned
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -49,28 +59,47 @@ class TorsionPartSet:
         return [w.key() for w in self.parts]
 
 
-@dataclass
 class SimplicityReport:
-    verdict: bool
-    method: str
-    witness: Optional[object] = None
-    type_tag: Optional[tuple] = None
+    __slots__ = ("verdict", "method", "witness", "type_tag")
+
+    def __init__(self, verdict: bool, method: str, witness=None, type_tag: tuple = None):
+        self.verdict = verdict
+        self.method = method
+        self.witness = witness
+        self.type_tag = type_tag
 
 
-@dataclass
 class InjectiveCriterionReport:
-    kernel_essential: bool
-    kernel_in_image: bool
-    hypotheses_hold: bool
-    checked_parts: int = 0
+    __slots__ = ("kernel_essential", "kernel_in_image", "hypotheses_hold", "checked_parts")
+
+    def __init__(self, kernel_essential: bool, kernel_in_image: bool,
+                 hypotheses_hold: bool, checked_parts: int = 0):
+        self.kernel_essential = kernel_essential
+        self.kernel_in_image = kernel_in_image
+        self.hypotheses_hold = hypotheses_hold
+        self.checked_parts = checked_parts
+
+    # the one report compared by value: checks of one endomorphism in two
+    # equal presentations agree
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kernel_essential, self.kernel_in_image, self.hypotheses_hold,
+                 self.checked_parts)
+                == (other.kernel_essential, other.kernel_in_image, other.hypotheses_hold,
+                    other.checked_parts))
+
+    __hash__ = None
 
 
-@dataclass
 class AxiomCheckResult:
-    object_desc: str
-    orthogonal: bool
-    maximal: bool
-    idempotent: bool
+    __slots__ = ("object_desc", "orthogonal", "maximal", "idempotent")
+
+    def __init__(self, object_desc: str, orthogonal: bool, maximal: bool, idempotent: bool):
+        self.object_desc = object_desc
+        self.orthogonal = orthogonal
+        self.maximal = maximal
+        self.idempotent = idempotent
 
     @property
     def passed(self) -> bool:
@@ -204,7 +233,10 @@ class AbelianHandle:
         """Hom(w, x/w) = 0 by the coprime-order rule; parts are only tested on
         enumerated subobjects, so x is finite.  A pruned candidate carries its
         closed-form order, so testing it builds no lattice; an enumerated
-        subgroup reads its order off its own lattice."""
+        subgroup reads its order off its own lattice.  A w of another
+        presentation is refused: its columns mean other elements in x."""
+        if w.ambient is not x and w.ambient.presentation() != x.presentation():
+            raise InputError("the subobject does not live in the given object")
         order_w = w.order()
         return math.gcd(order_w, x.order() // order_w) == 1
 

@@ -12,8 +12,6 @@ quotient, so `matrix_kernel` answers only those two shapes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ContradictionError, InputError, UnsupportedRingError
 from .rings import (ENUM_LIMIT, KIND_BIPOLY, KIND_POLY, KIND_Z, SHAPE_MONOMIAL,
                     Ideal, Ring, RingElem, _in_mono_ideal, _mono_colon, _mono_div,
@@ -90,12 +88,14 @@ def minors(a: RingMatrix, order: int) -> list[RingElem]:
     return out
 
 
-@dataclass
 class DeterminantalProfile:
     """The chain D_0 >= D_1 >= ... with annihilator status and the McCoy rank."""
 
-    steps: list[dict] = field(default_factory=list)
-    mccoy_rank: int = 0
+    __slots__ = ("steps", "mccoy_rank")
+
+    def __init__(self, steps: list[dict] = None, mccoy_rank: int = 0):
+        self.steps = [] if steps is None else steps
+        self.mccoy_rank = mccoy_rank
 
     def as_dict(self) -> dict:
         return {"steps": self.steps, "mccoy_rank": self.mccoy_rank}
@@ -239,14 +239,17 @@ def conormal_presentation(s: Ring, ideal: Ideal) -> RingMatrix:
     return RingMatrix(q, n, len(cols), flat)
 
 
-@dataclass
 class KernelDescription:
     """ker(M^t) over S/I: free rank, cyclic invariant factors, generator vectors."""
 
-    free_rank: int = 0
-    invariant_factors: list[int] = field(default_factory=list)
-    generators: list[list[str]] = field(default_factory=list)
-    nonzero: bool = False
+    __slots__ = ("free_rank", "invariant_factors", "generators", "nonzero")
+
+    def __init__(self, free_rank: int = 0, invariant_factors: list[int] = None,
+                 generators: list[list[str]] = None, nonzero: bool = False):
+        self.free_rank = free_rank
+        self.invariant_factors = [] if invariant_factors is None else invariant_factors
+        self.generators = [] if generators is None else generators
+        self.nonzero = nonzero
 
     def as_dict(self) -> dict:
         return {
@@ -325,17 +328,24 @@ def matrix_kernel(mt: RingMatrix) -> KernelDescription:
     return _kernel_over_bipoly(mt)
 
 
-@dataclass
 class ConormalReport:
-    base_ring: str
-    ideal_gens: list[str]
-    quotient_ring: str
-    matrix_rows: int
-    matrix_cols: int
-    matrix: list[list[str]]
-    kernel: KernelDescription
-    hom_nonzero: bool
-    statement: str = "Hom_S(I, S/I) != 0 for a proper non-zero ideal of a noetherian domain"
+    __slots__ = ("base_ring", "ideal_gens", "quotient_ring", "matrix_rows", "matrix_cols",
+                 "matrix", "kernel", "hom_nonzero", "statement")
+
+    def __init__(self, base_ring: str, ideal_gens: list[str], quotient_ring: str,
+                 matrix_rows: int, matrix_cols: int, matrix: list[list[str]],
+                 kernel: KernelDescription, hom_nonzero: bool,
+                 statement: str = "Hom_S(I, S/I) != 0 for a proper non-zero ideal "
+                                  "of a noetherian domain"):
+        self.base_ring = base_ring
+        self.ideal_gens = ideal_gens
+        self.quotient_ring = quotient_ring
+        self.matrix_rows = matrix_rows
+        self.matrix_cols = matrix_cols
+        self.matrix = matrix
+        self.kernel = kernel
+        self.hom_nonzero = hom_nonzero
+        self.statement = statement
 
     def as_dict(self) -> dict:
         return {
@@ -373,13 +383,16 @@ def hom_I_to_quotient(s: Ring, ideal: Ideal) -> ConormalReport:
     return report
 
 
-@dataclass
 class RadicalLemmaReport:
-    premise: bool          # d*I subset of I^2
-    conclusion: bool       # d in rad(I)
-    violation: bool
-    domain: bool
-    expected_for_non_domain: bool
+    __slots__ = ("premise", "conclusion", "violation", "domain", "expected_for_non_domain")
+
+    def __init__(self, premise: bool, conclusion: bool, violation: bool, domain: bool,
+                 expected_for_non_domain: bool):
+        self.premise = premise          # d*I subset of I^2
+        self.conclusion = conclusion    # d in rad(I)
+        self.violation = violation
+        self.domain = domain
+        self.expected_for_non_domain = expected_for_non_domain
 
     def as_dict(self) -> dict:
         return {

@@ -20,7 +20,6 @@ monomial combinatorics with no Groebner machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator, Optional
 
@@ -222,13 +221,28 @@ KIND_BIPOLY = "BiPolyMonomialQuot"
 ENUM_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
 class Ring:
-    kind: str
-    n: Optional[int] = None  # the modulus of Z/n; 0 for Z and p for F_p
-    p: Optional[int] = None
-    modulus: Optional[tuple[int, ...]] = None  # f of F_p[x]/(f); () for F_p[x]
-    rels: Optional[tuple[Mono, ...]] = None
+    """A ring, equal and hashed by its fields; build one with the constructors."""
+
+    __slots__ = ("kind", "n", "p", "modulus", "rels")
+
+    def __init__(self, kind: str, n: Optional[int] = None, p: Optional[int] = None,
+                 modulus: Optional[tuple[int, ...]] = None,
+                 rels: Optional[tuple[Mono, ...]] = None):
+        self.kind = kind
+        self.n = n  # the modulus of Z/n; 0 for Z and p for F_p
+        self.p = p
+        self.modulus = modulus  # f of F_p[x]/(f); () for F_p[x]
+        self.rels = rels
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.n, self.p, self.modulus, self.rels)
+                == (other.kind, other.n, other.p, other.modulus, other.rels))
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.n, self.p, self.modulus, self.rels))
 
     # -- constructors ------------------------------------------------------
 
@@ -429,10 +443,22 @@ def _poly_str(coeffs) -> str:
     return "+".join(reversed(parts))
 
 
-@dataclass(frozen=True)
 class RingElem:
-    ring: Ring
-    payload: object
+    """An element of `ring`, equal and hashed by (ring, payload)."""
+
+    __slots__ = ("ring", "payload")
+
+    def __init__(self, ring: Ring, payload: object):
+        self.ring = ring
+        self.payload = payload
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.payload) == (other.ring, other.payload)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.payload))
 
     def _check(self, other: "RingElem") -> None:
         # identity first: operands of one ring nearly always share its object

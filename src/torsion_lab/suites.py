@@ -5,7 +5,6 @@ fails the suite, and failures carry a printable description of the instance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations, product as iproduct
 
 from . import abelian as ab
@@ -17,12 +16,15 @@ from .primes import prime_divisors
 from .rings import Ideal, Ring
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    statement: str
-    instances: int = 0
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("name", "statement", "instances", "failures")
+
+    def __init__(self, name: str, statement: str, instances: int = 0,
+                 failures: list[str] = None):
+        self.name = name
+        self.statement = statement
+        self.instances = instances
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

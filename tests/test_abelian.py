@@ -604,3 +604,24 @@ def test_specialisation_closed_subsets_compare_and_hash_by_value():
     assert a != SpClosedSubset((2, 3), True)
     assert a != PrimeSet((2, 3))
     assert len({a, b, SpClosedSubset((2,))}) == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: direct_sum_module(Z, [2.5]), lambda: cyclic_module(Z, 6.9),
+    lambda: cyclic_module(Z, 6.0), lambda: cyclic_module(Z, "6"),
+    lambda: PresentedModule(Ring.integers_mod(4), 2, [[2, 0], [0, "1"]]),
+    lambda: Subobject(cyclic_module(Z, 6), [[2.0]]),
+    lambda: Subobject(cyclic_module(Z, 6), [["3"]])],
+    ids=["sum-2.5", "cyclic-6.9", "cyclic-6.0", "cyclic-str", "zmod-str", "sub-2.0",
+         "sub-str"])
+def test_non_integral_entries_are_refused_not_truncated(build):
+    with pytest.raises(InputError, match="entries must be integers"):
+        build()
+
+
+def test_integer_and_boolean_entries_are_accepted():
+    assert direct_sum_module(Z, [2, 3]).describe() == "Z/6"
+    assert PresentedModule(Z, 2, [[True, 0], [False, 4]]).describe() == "Z/4"
+    assert cyclic_module(Z, False).describe() == "Z"
+    x = cyclic_module(Z, 6)
+    assert Subobject(x, [[True]]).is_full() and Subobject(x, [[3]]).order() == 2

@@ -825,3 +825,17 @@ def test_engine_value_classes_construct_with_defaults():
     assert (axioms.object_desc, axioms.passed) == ("Z/6", False)
     assert engine.AxiomCheckResult(object_desc="0", orthogonal=True, maximal=True,
                                    idempotent=True).passed
+
+
+def test_module_part_test_refuses_another_presentation():
+    z6 = cyclic_module(Z, 6)
+    foreign = Subobject(cyclic_module(Z, 4), [[2]])
+    with pytest.raises(InputError, match="does not live"):
+        H.part_test(z6, foreign)
+    # Z/2 + Z/3 is Z/6, but its coordinates are not z6's
+    with pytest.raises(InputError):
+        H.part_test(z6, Subobject(direct_sum_module(Z, [2, 3]), [[1, 0], [0, 0]]))
+    # a module with the same presentation shares its coordinates
+    z4, twin = cyclic_module(Z, 4), cyclic_module(Z, 4)
+    assert [H.part_test(z4, Subobject(twin, [[c]])) for c in range(4)] == \
+        [H.part_test(z4, Subobject(z4, [[c]])) for c in range(4)] == [True, True, False, True]

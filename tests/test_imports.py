@@ -1,7 +1,8 @@
 """Import footprint and public surface of the lazily exporting package.
 
 Each footprint runs in a fresh interpreter and records which `torsion_lab.*`
-modules are loaded after each step, so it counts modules, not milliseconds.
+modules, and which of the costly standard-library modules in HEAVY_STDLIB, are
+loaded after each step, so it counts modules, not milliseconds.
 """
 import ast
 import importlib
@@ -19,6 +20,7 @@ import torsion_lab
 ROOT = Path(__file__).resolve().parents[1]
 Z6 = '{"ring":{"kind":"Z"},"generators":1,"relations":[[6]]}'
 MCCOY = '{"ring":{"kind":"IntegersMod","n":4},"matrix":[[2]]}'
+REP = '{"quiver":{"vertices":2,"arrows":[[0,1]]},"p":2,"dims":[1,1],"maps":[[[1]]]}'
 
 # the names the package exported when it imported every module eagerly, less
 # the deleted `enumerate_subreps` and five names that only tests called
@@ -42,11 +44,16 @@ EXPORTED = {
     "rings": ("Ideal", "Ring", "RingElem"),
 }
 
+# standard-library modules no command needs: `dataclasses` and the `inspect`,
+# `ast`, `dis` and `tokenize` it imports cost about 10 ms of every start-up
+# when the sources are compiled afresh
+HEAVY_STDLIB = ("dataclasses", "inspect")
+
 # steps run in order in one interpreter; after each, the loaded layer modules
-# are recorded
+# (by their names in the package) and heavy modules (by their own) are recorded
 FOOTPRINT_SCRIPT = """
 import contextlib, io, json, sys
-steps = json.loads(sys.argv[1])
+steps, heavy = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 loaded = []
 for step in steps:
     if step == "package":
@@ -58,7 +65,8 @@ for step in steps:
             code = torsion_lab.cli.main(step)
         assert code == 0, (step, code)
     loaded.append(sorted(name.split(".", 1)[1] for name in sys.modules
-                         if name.startswith("torsion_lab.")))
+                         if name.startswith("torsion_lab."))
+                  + [name for name in heavy if name in sys.modules])
 print(json.dumps(loaded))
 """
 
@@ -67,7 +75,8 @@ def footprint(*steps) -> list[set]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(steps)],
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(steps),
+                           json.dumps(HEAVY_STDLIB)],
                           capture_output=True, text=True, env=env, cwd=ROOT, check=True)
     return [set(names) for names in json.loads(proc.stdout)]
 
@@ -90,6 +99,26 @@ def test_mccoy_rank_loads_no_module_or_quiver_layer():
     assert "mccoy" in after
     assert not after & {"abelian", "engine", "intlinalg", "quiver", "modlinalg",
                         "suites"}
+
+
+def test_commands_import_no_heavy_standard_library_module():
+    steps = footprint("package", "cli", ["check", "--module", Z6], ["check", "--rep", REP],
+                      ["mccoy", "rank", MCCOY], ["verify", "morphisms"])
+    assert len(steps) == 6
+    for after in steps:
+        assert not after & set(HEAVY_STDLIB)
+
+
+def test_library_never_imports_dataclasses():
+    for path in (ROOT / "src" / "torsion_lab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
 
 
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTED.items()
