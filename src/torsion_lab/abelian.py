@@ -28,6 +28,7 @@ def _integer_rows(rows, what: str) -> Matrix:
     except TypeError:
         raise InputError(f"{what} entries must be integers") from None
 
+
 def _divisors(n: int) -> list[int]:
     """Positive divisors of n >= 1 in ascending order, built from its factorisation."""
     out = [1]
@@ -160,8 +161,8 @@ class PresentedModule:
     def __init__(self, ring: Ring, gens: int, relations: Matrix):
         if ring.kind not in (KIND_Z, KIND_ZMOD):
             raise InputError("presented modules live over Z or Z/n")
-        if gens < 0:
-            raise InputError("generator count must be >= 0")
+        if not isinstance(gens, int) or gens < 0:
+            raise InputError("generator count must be an integer >= 0")
         rels = _integer_rows(relations, "relation matrix")
         if len(rels) != gens:
             raise InputError(f"relation matrix must have {gens} rows, got {len(rels)}")

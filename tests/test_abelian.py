@@ -619,6 +619,13 @@ def test_non_integral_entries_are_refused_not_truncated(build):
         build()
 
 
+def test_non_integral_generator_count_is_refused():
+    with pytest.raises(InputError, match="generator count"):
+        PresentedModule(Z, 1.0, [[6]])
+    with pytest.raises(InputError, match="generator count"):
+        PresentedModule(Z, -1, [])
+
+
 def test_integer_and_boolean_entries_are_accepted():
     assert direct_sum_module(Z, [2, 3]).describe() == "Z/6"
     assert PresentedModule(Z, 2, [[True, 0], [False, 4]]).describe() == "Z/4"
