@@ -62,7 +62,8 @@ class TorsionPartSet:
 class SimplicityReport:
     __slots__ = ("verdict", "method", "witness", "type_tag")
 
-    def __init__(self, verdict: bool, method: str, witness=None, type_tag: tuple = None):
+    def __init__(self, verdict: bool, method: str, witness=None,
+                 type_tag: tuple | None = None):
         self.verdict = verdict
         self.method = method
         self.witness = witness

@@ -93,7 +93,7 @@ class DeterminantalProfile:
 
     __slots__ = ("steps", "mccoy_rank")
 
-    def __init__(self, steps: list[dict] = None, mccoy_rank: int = 0):
+    def __init__(self, steps: list[dict] | None = None, mccoy_rank: int = 0):
         self.steps = [] if steps is None else steps
         self.mccoy_rank = mccoy_rank
 
@@ -244,8 +244,8 @@ class KernelDescription:
 
     __slots__ = ("free_rank", "invariant_factors", "generators", "nonzero")
 
-    def __init__(self, free_rank: int = 0, invariant_factors: list[int] = None,
-                 generators: list[list[str]] = None, nonzero: bool = False):
+    def __init__(self, free_rank: int = 0, invariant_factors: list[int] | None = None,
+                 generators: list[list[str]] | None = None, nonzero: bool = False):
         self.free_rank = free_rank
         self.invariant_factors = [] if invariant_factors is None else invariant_factors
         self.generators = [] if generators is None else generators

@@ -20,7 +20,7 @@ class SuiteResult:
     __slots__ = ("name", "statement", "instances", "failures")
 
     def __init__(self, name: str, statement: str, instances: int = 0,
-                 failures: list[str] = None):
+                 failures: list[str] | None = None):
         self.name = name
         self.statement = statement
         self.instances = instances
