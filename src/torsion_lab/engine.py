@@ -304,12 +304,25 @@ class QuiverHandle:
         return self.push_sub(Morph(inner.ambient, x, inclusion), inner)
 
     def part_test(self, x, w) -> bool:
-        """Hom(w, x/w) = 0, solved on the blocks of x in the basis adapted to
-        w: one pass, which also refuses an unstable w, and no representation
-        of w or x/w is built."""
+        """Hom(w, x/w) = 0, on the blocks of x in the basis adapted to w: one
+        pass, which also refuses an unstable w, and no representation of w or
+        x/w is built.
+
+        With m = dim w and n = dim x/w, the Hom system has U = sum_v m_v n_v
+        unknowns and E = sum_{a: s->t} m_s n_t equations.  U = 0 leaves only
+        the zero map, so w is a part; U > E leaves a kernel of dimension at
+        least U - E = <m, n> (the Euler form), so w is not.  Only U <= E
+        needs the solve.
+        """
         sub_maps, quo_maps, functionals = qv._adapted_blocks(x, w)
-        return not qv._hom_space(x.quiver, x.p, w.dims(), sub_maps,
-                                 [len(f) for f in functionals], quo_maps)
+        m = w.dims()
+        n = [len(f) for f in functionals]
+        unknowns = sum(a * b for a, b in zip(m, n))
+        if not unknowns:
+            return True
+        if unknowns > sum(m[s] * n[t] for s, t in x.quiver.arrows):
+            return False
+        return not qv._hom_space(x.quiver, x.p, m, sub_maps, n, quo_maps)
 
     def describe(self, x) -> str:
         return f"rep dims={list(x.dims)} over F_{self.p}"

@@ -7,6 +7,7 @@ deterministic enumeration order and cheap equality.
 """
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -18,15 +19,34 @@ ENUM_DIM_BOUND = 4
 ENUM_PRIMES = (2, 3, 5)
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; a float or a numeric string is refused, where int()
+    would truncate or parse it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _rows_mod(mat, p: int) -> list[tuple[int, ...]]:
+    """mat's rows as tuples of ints mod p; a non-integral entry, or a row
+    that is not a sequence, is refused."""
+    try:
+        return [tuple(operator.index(x) % p for x in row) for row in mat]
+    except TypeError:
+        raise InputError("matrix entries must be integers") from None
+
+
 class Quiver:
     __slots__ = ("vertex_count", "arrows")
 
     def __init__(self, vertex_count: int, arrows):
+        vertex_count = _integer(vertex_count, "vertex count")
         if vertex_count < 1:
             raise InputError("a quiver needs at least one vertex")
         arr = []
         for s, t in arrows:
-            s, t = int(s), int(t)
+            s, t = _integer(s, "arrow source"), _integer(t, "arrow target")
             if not (0 <= s < vertex_count and 0 <= t < vertex_count):
                 raise InputError(f"arrow ({s},{t}) references a missing vertex")
             arr.append((s, t))
@@ -72,9 +92,10 @@ class QuiverRep:
     __slots__ = ("quiver", "p", "dims", "maps")
 
     def __init__(self, quiver: Quiver, p: int, dims, maps):
+        p = _integer(p, "p")
         if not is_prime(p):
             raise InputError(f"representations need a prime field, got p={p!r}")
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_integer(d, "dimension") for d in dims)
         if len(dims) != quiver.vertex_count:
             raise InputError("one dimension per vertex required")
         if any(d < 0 for d in dims):
@@ -83,7 +104,7 @@ class QuiverRep:
             raise InputError("one matrix per arrow required")
         norm_maps = []
         for (s, t), mat in zip(quiver.arrows, maps):
-            rows = [tuple(int(x) % p for x in row) for row in mat]
+            rows = _rows_mod(mat, p)
             if len(rows) != dims[t] or any(len(r) != dims[s] for r in rows):
                 raise InputError(
                     f"arrow ({s},{t}) needs a {dims[t]}x{dims[s]} matrix")
@@ -194,7 +215,10 @@ def _hom_space(quiver: Quiver, p: int, xdims, xmaps, ydims, ymaps) -> list[tuple
     a: s -> t, in the entries of the ydims[v] x xdims[v] matrices f_v.  The
     quiver is acyclic, so s != t and each coefficient of an equation is
     written once: one entry of X_a on an unknown of f_t, minus one of Y_a on
-    an unknown of f_s.
+    an unknown of f_s.  So the system has U = sum_v xdims[v] ydims[v]
+    unknowns and E = sum_{a: s->t} xdims[s] ydims[t] equations, and the
+    basis has at least U - E elements; the quiver part test decides U = 0
+    and U > E from the dimensions and calls this only when U <= E.
     """
     nv = quiver.vertex_count
     offsets = []

@@ -202,6 +202,21 @@ def test_non_prime_fields_refused():
     assert QuiverRep(A2, 3, [1, 1], [[[2]]]).p == 3
 
 
+def test_non_integral_quiver_inputs_refused():
+    # a float, a numeric string or a float p is refused, not truncated or parsed
+    for args in [(2, [1, 1], [[[1.5]]]), (2, [1, 1], [[["1"]]]), (2, [1, 1], [[[3.0]]]),
+                 (2, [1.0, 1], [[[1]]]), (2, ["1", 1], [[[1]]]), (2.0, [1, 1], [[[1]]]),
+                 ("2", [1, 1], [[[1]]]), (2, [1, 1], [[1]])]:
+        with pytest.raises(InputError):
+            QuiverRep(A2, *args)
+    for count, arrows in [(2, [(0.5, 1)]), (2, [(0, "1")]), (2.0, [(0, 1)]), ("2", [])]:
+        with pytest.raises(InputError):
+            Quiver(count, arrows)
+    # ints still work, entries reduced mod p
+    assert Quiver(2, [(0, 1)]) == A2
+    assert QuiverRep(A2, 2, [1, 1], [[[3]]]).maps == (((1,),),)
+
+
 def test_as_rep_refuses_unstable_subspaces():
     with pytest.raises(InputError):
         _subrep(P1, [[[1]], []]).as_rep()
@@ -396,11 +411,75 @@ def test_part_test_matches_hom_space_of_built_sub_and_quotient(x):
         assert handle.part_test(x, w) == (not hom_space(w.as_rep(), quotient_rep(x, w)[0]))
 
 
+def _dimension_count(x, w):
+    """(U, E): the unknowns and equations of the Hom(w, x/w) system, counted
+    from the dimension vectors m of w and n of x/w."""
+    m = w.dims()
+    n = [d - e for d, e in zip(x.dims, m)]
+    return (sum(a * b for a, b in zip(m, n)),
+            sum(m[s] * n[t] for s, t in x.quiver.arrows))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(x=small_rep_data({2: 3, 3: 2, 5: 2}).map(_rep))
+def test_dimension_count_never_contradicts_the_solver(x):
+    # every quiver shape, sink and double-arrow included: dim Hom(w, x/w) is at
+    # least U - E, it is 0 when U = 0, and the part test agrees with the solver
+    from torsion_lab.engine import QuiverHandle
+    handle = QuiverHandle(x.quiver, x.p)
+    for w in iter_subreps(x):
+        unknowns, equations = _dimension_count(x, w)
+        hom = hom_space(w.as_rep(), quotient_rep(x, w)[0])
+        assert len(hom) >= unknowns - equations, (x, w)
+        if unknowns == 0:
+            assert not hom, (x, w)
+        assert handle.part_test(x, w) == (not hom), (x, w)
+
+
+def _a2_round():
+    reps = [r for r in _all_a2_reps(3, 3) if not r.is_zero()]
+    assert len(reps) == 688
+    return reps
+
+
+def test_unpruned_brute_force_solves_only_what_the_count_leaves_open(monkeypatch):
+    import torsion_lab.quiver as qv
+    from torsion_lab.engine import QuiverHandle, is_torsion_simple
+
+    class SolvingHandle(QuiverHandle):
+        def part_test(self, x, w):
+            sub_maps, quo_maps, functionals = _adapted_blocks(x, w)
+            return not qv._hom_space(x.quiver, x.p, w.dims(), sub_maps,
+                                     [len(f) for f in functionals], quo_maps)
+
+    def outcomes(handle):
+        reports = [is_torsion_simple(handle, x, prune=False) for x in reps]
+        return ([r.verdict for r in reports],
+                [r.witness and r.witness.key() for r in reports])
+
+    reps = _a2_round()
+    real = qv._hom_space
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qv, "_hom_space", counting)
+    solved = outcomes(SolvingHandle(A2, 2))
+    assert len(calls) == 9766
+    calls.clear()
+    counted = outcomes(QuiverHandle(A2, 2))
+    # the count decides all but 659 of the 9,766 part tests
+    assert len(calls) == 659
+    assert counted == solved
+    assert counted[0].count(True) == 6
+
+
 def test_unpruned_brute_force_builds_no_representation(monkeypatch):
     from torsion_lab.engine import QuiverHandle, is_torsion_simple
     handle = QuiverHandle(A2, 2)
-    reps = [r for r in _all_a2_reps(3, 3) if not r.is_zero()]
-    assert len(reps) == 688
+    reps = _a2_round()
     real = QuiverRep.__init__
     built = []
 
