@@ -34,6 +34,8 @@ def _load_payload(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"payload is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a number past the interpreter's int-string limit
+        raise InputError(f"payload cannot be read: {exc}") from None
 
 
 def _load_report(path: str) -> dict:
@@ -45,6 +47,8 @@ def _load_report(path: str) -> dict:
         raise InputError(f"cannot read the report file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"report file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a number past the interpreter's int-string limit
+        raise InputError(f"report file cannot be read: {exc}") from None
     if not isinstance(stored, dict):
         raise InputError("report file must hold a JSON object")
     for key in ("command", "payload", "options", "result"):
@@ -68,20 +72,20 @@ def _load_report(path: str) -> dict:
 
 
 def _sub_to_json(w) -> dict:
-    from . import abelian as ab
-    if isinstance(w, ab.Subobject):
-        # report the canonical lattice basis: it generates the same submodule
-        # and is independent of how the subobject was constructed
-        basis = w.lattice.basis
+    """A subrepresentation (it has per-vertex spaces) or a submodule."""
+    if hasattr(w, "spaces"):
         return {
-            "order": io.encode_int(w.order()) if w.ambient.is_finite() else None,
-            "module": w.as_module().describe(),
-            "embedding": [[io.encode_int(col[i]) for col in basis]
-                          for i in range(w.ambient.gens)],
+            "dims": list(w.dims()),
+            "spaces": [[list(r) for r in sp.rows] for sp in w.spaces],
         }
+    # report the canonical lattice basis: it generates the same submodule and
+    # is independent of how the subobject was constructed
+    basis = w.lattice.basis
     return {
-        "dims": list(w.dims()),
-        "spaces": [[list(r) for r in sp.rows] for sp in w.spaces],
+        "order": io.encode_int(w.order()) if w.ambient.is_finite() else None,
+        "module": w.as_module().describe(),
+        "embedding": [[io.encode_int(col[i]) for col in basis]
+                      for i in range(w.ambient.gens)],
     }
 
 
@@ -284,8 +288,11 @@ def _emit(report: dict, command: str, as_json: bool, out_path: str | None) -> No
     costs the rest of the text only: stdout is pointed at os.devnull, so no
     later flush, at interpreter shutdown either, raises or prints."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(io.dumps_report(report) + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(io.dumps_report(report) + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write the report file: {exc}") from exc
     if as_json:
         text = io.dumps_report(report)
     else:
@@ -429,6 +436,7 @@ def main(argv=None) -> int:
             given = [getattr(args, key, None) for key in ("payload", "module", "rep")]
             payload = _load_payload(next(text for text in given if text is not None))
         report = _run_command(name, payload, options)
+        _emit(report, args.command, args.json, args.out)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -442,7 +450,6 @@ def main(argv=None) -> int:
         print(f"verified statement violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 
-    _emit(report, args.command, args.json, args.out)
     if args.command == "verify" and not report["result"]["passed"]:
         return EXIT_VIOLATION
     return EXIT_OK

@@ -14,15 +14,17 @@ and cogenerated torsion pairs.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from . import abelian as ab
-from . import intlinalg as la
 from .errors import ContradictionError, InputError
-from .rings import KIND_Z, KIND_ZMOD, Ring
 
-# `quiver` and `modlinalg`, bound by the first QuiverHandle: a run that only
-# handles modules never imports them
-qv = ml = None
+if TYPE_CHECKING:
+    from .rings import Ring
+
+# `abelian` and `intlinalg`, bound by the first AbelianHandle, and `quiver` and
+# `modlinalg`, bound by the first QuiverHandle: a run imports only the layers
+# of the objects it handles
+ab = la = qv = ml = None
 
 
 class Morph:
@@ -119,22 +121,15 @@ class AxiomCheckResult:
 SUBOBJECT_TABLE_CAP = 10_000
 
 
-def _coordinates(x):
-    """What the subobjects of x are coordinates in: a module's presentation
-    (module equality is isomorphism), or the representation itself (it
-    compares by its maps)."""
-    return x.presentation() if isinstance(x, ab.PresentedModule) else x
-
-
 class _SubobjectTables:
     """The subobject tables of one handle, read by verify_torsion_pair_axioms.
 
     The table of x is [(w, rep)] for every subobject w of x in the order of
-    handle.subobjects(x), where rep is the interned object equal to
-    sub_as_object(w): one per isomorphism class of modules, one per identical
-    representation.  Tables are keyed by _coordinates(x), never by
-    isomorphism class.  A table holds no verdict, so it serves every source
-    set.
+    handle.subobjects(x), kept as handle.table_sub(w), where rep is the
+    interned object equal to sub_as_object(w): one per isomorphism class of
+    modules, one per identical representation.  Tables are keyed by
+    handle.coordinates(x), never by isomorphism class.  A table holds no
+    verdict, so it serves every source set.
     Past SUBOBJECT_TABLE_CAP subobjects the oldest presentation goes first,
     and a presentation with more subobjects than the cap is not kept.
     """
@@ -145,17 +140,13 @@ class _SubobjectTables:
         self.size = 0
 
     def get(self, handle, x) -> list:
-        key = _coordinates(x)
+        key = handle.coordinates(x)
         table = self.tables.get(key)
         if table is None:
             table = []
             for w in handle.subobjects(x):
                 obj = handle.sub_as_object(w)
-                if isinstance(w, ab.Subobject):
-                    # the maximality loop reads only w's embedding, so keep a
-                    # copy without the lattice the enumeration built to sort
-                    w = ab.Subobject(w.ambient, w.embedding)
-                table.append((w, self.classes.setdefault(obj, obj)))
+                table.append((handle.table_sub(w), self.classes.setdefault(obj, obj)))
             self._store(key, table)
         return table
 
@@ -176,6 +167,11 @@ class AbelianHandle:
     """Finitely generated modules over Z or Z/n as a torsion universe."""
 
     def __init__(self, ring: Ring):
+        global ab, la
+        if ab is None:
+            from . import abelian as ab
+            from . import intlinalg as la
+        from .rings import KIND_Z, KIND_ZMOD
         if ring.kind not in (KIND_Z, KIND_ZMOD):
             raise InputError("the module handle works over Z or Z/n")
         self.ring = ring
@@ -183,11 +179,21 @@ class AbelianHandle:
 
     # objects are PresentedModule, subobjects are ab.Subobject
 
+    def coordinates(self, x):
+        """What the subobjects of x are coordinates in: its presentation, since
+        module equality is isomorphism."""
+        return x.presentation()
+
     def enumerable(self, x) -> bool:
         return x.is_finite()
 
     def subobjects(self, x):
         return ab.enumerate_submodules(x)
+
+    def table_sub(self, w):
+        """w as a subobject table keeps it: the maximality loop reads only w's
+        embedding, so a copy without the lattice the enumeration built to sort."""
+        return ab.Subobject(w.ambient, w.embedding)
 
     def part_candidates(self, x):
         """The 2^k sums of primary components of the finite x, ordered by their
@@ -257,11 +263,19 @@ class QuiverHandle:
         self.p = p
         self._subobject_tables = _SubobjectTables()
 
+    def coordinates(self, x):
+        """A representation compares by its maps, so it is its own coordinates."""
+        return x
+
     def enumerable(self, x) -> bool:
         return True
 
     def subobjects(self, x):
         return qv.iter_subreps(x)
+
+    def table_sub(self, w):
+        """A subrepresentation holds only its spaces, so the tables keep w."""
+        return w
 
     def part_candidates(self, x):
         """Every subrepresentation: filtering by End(x) costs more part tests
@@ -481,7 +495,7 @@ def torsionfree_coradical_cogenerated(handle, sources, x):
 
 def is_essential(handle, w, x) -> bool:
     """True iff w meets every non-zero subobject of x non-trivially."""
-    if _coordinates(w.ambient) != _coordinates(x):
+    if handle.coordinates(w.ambient) != handle.coordinates(x):
         raise InputError("the subobject does not live in the given object")
     for u in handle.subobjects(x):
         if u.is_zero():
@@ -498,7 +512,7 @@ def injective_criterion_check(handle, x, f: Morph) -> InjectiveCriterionReport:
     every torsion part T with ker f <= T <= im f must be x itself; a violation
     raises ContradictionError.
     """
-    if not _coordinates(f.src) == _coordinates(f.dst) == _coordinates(x):
+    if not handle.coordinates(f.src) == handle.coordinates(f.dst) == handle.coordinates(x):
         raise InputError("the criterion needs an endomorphism of x")
     ker = handle.pull_sub(f, handle.zero_sub(f.dst))
     im = handle.image(f)

@@ -11,13 +11,12 @@ import re
 from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .rings import (KIND_BIPOLY, KIND_FP, KIND_POLY, KIND_POLYQUOT, KIND_Z,
-                    KIND_ZMOD, Ideal, Ring, RingElem, _mono_str)
 
 if TYPE_CHECKING:
     from .abelian import PresentedModule
     from .mccoy import RingMatrix
     from .quiver import Quiver, QuiverRep
+    from .rings import Ideal, Ring, RingElem
 
 _JSON_SAFE = 2 ** 53
 
@@ -30,12 +29,20 @@ def parse_int(value, what: str = "integer") -> int:
     if isinstance(value, str):
         text = value.strip()
         if re.fullmatch(r"-?\d+", text):
-            return int(text)
+            try:
+                return int(text)
+            except ValueError as exc:  # past the interpreter's int-string limit
+                raise InputError(f"{what} cannot be read: {exc}") from None
     raise InputError(f"{what} must be an integer or decimal string, got {value!r}")
 
 
 def encode_int(n: int):
-    return n if abs(n) <= _JSON_SAFE else str(n)
+    if abs(n) <= _JSON_SAFE:
+        return n
+    try:
+        return str(n)
+    except ValueError as exc:  # past the interpreter's int-string limit
+        raise InputError(f"the result holds an integer that cannot be written: {exc}") from None
 
 
 def _require_keys(obj: dict, required: set, optional: set, what: str) -> None:
@@ -96,6 +103,8 @@ def parse_bivariate_text(ring: Ring, text: str) -> RingElem:
 
 
 def parse_ring(obj) -> Ring:
+    from .rings import (KIND_BIPOLY, KIND_FP, KIND_POLY, KIND_POLYQUOT, KIND_Z,
+                        KIND_ZMOD, Ring)
     _require_keys(obj, {"kind"}, {"n", "p", "modulus", "rels"}, "ring")
     kind = obj["kind"]
     if kind == KIND_Z:
@@ -134,6 +143,8 @@ def parse_ring(obj) -> Ring:
 
 
 def ring_to_json(ring: Ring) -> dict:
+    from .rings import (KIND_BIPOLY, KIND_FP, KIND_POLY, KIND_POLYQUOT, KIND_Z,
+                        KIND_ZMOD, _mono_str)
     if ring.kind == KIND_Z:
         return {"kind": KIND_Z}
     if ring.kind == KIND_ZMOD:
@@ -164,6 +175,7 @@ def parse_element(ring: Ring, value) -> RingElem:
 
 
 def parse_ideal(ring: Ring, gens) -> Ideal:
+    from .rings import Ideal
     return Ideal(ring, [parse_element(ring, g) for g in parse_array(gens, "ideal generators")])
 
 

@@ -14,8 +14,17 @@ from __future__ import annotations
 
 from .errors import ContradictionError, InputError, UnsupportedRingError
 from .rings import (ENUM_LIMIT, KIND_BIPOLY, KIND_POLY, KIND_Z, SHAPE_MONOMIAL,
-                    Ideal, Ring, RingElem, _in_mono_ideal, _mono_colon, _mono_div,
-                    _mono_lcm, annihilator_payloads, bivariate_shape)
+                    Ideal, Ring, RingElem, annihilator_payloads, bivariate_shape)
+
+# `_polyarith`, whose monomial helpers only the bivariate branches use: bound
+# by the first of them, so McCoy ranks over Z/n never compile it
+pa = None
+
+
+def _load_polyarith() -> None:
+    global pa
+    if pa is None:
+        from . import _polyarith as pa
 
 
 class RingMatrix:
@@ -216,21 +225,22 @@ def conormal_presentation(s: Ring, ideal: Ideal) -> RingMatrix:
         # principal ideal of a PID domain: I/I^2 is free of rank one over S/I
         return RingMatrix(q, 1, 0, [])
     # bivariate monomial case: pair syzygies then annihilator syzygies
+    _load_polyarith()
     monos = [g.payload[0][0] for g in gens]
     rels = s.rels or ()
     cols: list[list[RingElem]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            w = _mono_lcm(monos[i], monos[j])
+            w = pa.mono_lcm(monos[i], monos[j])
             col = [q.zero] * n
-            col[i] = q.monomial(*_mono_div(w, monos[i]))
-            col[j] = -q.monomial(*_mono_div(w, monos[j]))
+            col[i] = q.monomial(*pa.mono_div(w, monos[i]))
+            col[j] = -q.monomial(*pa.mono_div(w, monos[j]))
             cols.append(col)
     for i in range(n):
         if not rels:
             continue
-        for z in _mono_colon(rels, monos[i]):
-            if _in_mono_ideal(z, rels):
+        for z in pa.mono_colon(rels, monos[i]):
+            if pa.in_mono_ideal(z, rels):
                 continue
             col = [q.zero] * n
             col[i] = q.monomial(*z)
@@ -261,6 +271,7 @@ class KernelDescription:
 
 
 def _kernel_over_bipoly(mt: RingMatrix) -> KernelDescription:
+    _load_polyarith()
     q = mt.ring
     # matrix_kernel has already answered the all-zero matrix
     live_rows = [i for i in range(mt.rows)
@@ -286,20 +297,20 @@ def _kernel_over_bipoly(mt: RingMatrix) -> KernelDescription:
             for j in range(n) if not row[j].is_zero()]
     p = q.p
     for idx, (j, mono, coeff) in enumerate(live):
-        for z in _mono_colon(rels, mono) if rels else ():
-            if _in_mono_ideal(z, rels):
+        for z in pa.mono_colon(rels, mono) if rels else ():
+            if pa.in_mono_ideal(z, rels):
                 continue
             vec = [q.zero] * n
             vec[j] = q.monomial(*z)
             if any(not e.is_zero() for e in vec):
                 gens.append(vec)
         for j2, mono2, coeff2 in live[idx + 1:]:
-            w = _mono_lcm(mono, mono2)
+            w = pa.mono_lcm(mono, mono2)
             inv1 = pow(coeff, p - 2, p)
             inv2 = pow(coeff2, p - 2, p)
             vec = [q.zero] * n
-            vec[j] = q.monomial(*_mono_div(w, mono), inv1)
-            vec[j2] = -q.monomial(*_mono_div(w, mono2), inv2)
+            vec[j] = q.monomial(*pa.mono_div(w, mono), inv1)
+            vec[j2] = -q.monomial(*pa.mono_div(w, mono2), inv2)
             if any(not e.is_zero() for e in vec):
                 gens.append(vec)
     desc = KernelDescription()

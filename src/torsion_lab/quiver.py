@@ -28,6 +28,14 @@ def _integer(value, what: str) -> int:
         raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _sequence(value, what: str) -> tuple:
+    """value as a tuple; a value that is not iterable is refused."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence, got {value!r}") from None
+
+
 def _rows_mod(mat, p: int) -> list[tuple[int, ...]]:
     """mat's rows as tuples of ints mod p; a non-integral entry, or a row
     that is not a sequence, is refused."""
@@ -45,8 +53,11 @@ class Quiver:
         if vertex_count < 1:
             raise InputError("a quiver needs at least one vertex")
         arr = []
-        for s, t in arrows:
-            s, t = _integer(s, "arrow source"), _integer(t, "arrow target")
+        for arrow in _sequence(arrows, "arrows"):
+            pair = _sequence(arrow, "an arrow")
+            if len(pair) != 2:
+                raise InputError(f"an arrow is a (source, target) pair, got {arrow!r}")
+            s, t = _integer(pair[0], "arrow source"), _integer(pair[1], "arrow target")
             if not (0 <= s < vertex_count and 0 <= t < vertex_count):
                 raise InputError(f"arrow ({s},{t}) references a missing vertex")
             arr.append((s, t))
@@ -95,11 +106,12 @@ class QuiverRep:
         p = _integer(p, "p")
         if not is_prime(p):
             raise InputError(f"representations need a prime field, got p={p!r}")
-        dims = tuple(_integer(d, "dimension") for d in dims)
+        dims = tuple(_integer(d, "dimension") for d in _sequence(dims, "dims"))
         if len(dims) != quiver.vertex_count:
             raise InputError("one dimension per vertex required")
         if any(d < 0 for d in dims):
             raise InputError("dimensions must be >= 0")
+        maps = _sequence(maps, "maps")
         if len(maps) != len(quiver.arrows):
             raise InputError("one matrix per arrow required")
         norm_maps = []

@@ -21,188 +21,28 @@ from __future__ import annotations
 
 import math
 from itertools import product as iter_product
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import InputError, UnsupportedRingError
-from .primes import is_prime, prime_divisors
+from .primes import is_prime
 
-# ---------------------------------------------------------------------------
-# univariate polynomial helpers (coefficient tuples, ascending degree, over F_p)
-# ---------------------------------------------------------------------------
+if TYPE_CHECKING:
+    from ._polyarith import Mono
 
-
-def _pnorm(coeffs, p: int) -> tuple[int, ...]:
-    cs = [c % p for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+# `_polyarith`, the F_p[x] and F_p[x,y] arithmetic, bound by the first ring
+# that is not Z, Z/n or F_p: a run over the integer rings never compiles it
+pa = None
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _pnorm([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)], p)
-
-
-def _pneg(a, p):
-    return tuple((-c) % p for c in a)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _pnorm(out, p)
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    lead_inv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        f = (a[-1] * lead_inv) % p
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - f * c) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return _pnorm(q, p), _pnorm(a, p)
-
-
-def _pmod(a, b, p):
-    """a mod b; the zero modulus () of F_p[x] leaves a as it is."""
-    return _pdivmod(a, b, p)[1] if b else a
+def _load_polyarith() -> None:
+    global pa
+    if pa is None:
+        from . import _polyarith as pa
 
 
 def _zmod(k: int, n: int) -> int:
     """k mod n; the zero modulus of Z leaves k as it is."""
     return k % n if n else k
-
-
-def _pgcd(a, b, p):
-    a, b = _pnorm(a, p), _pnorm(b, p)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _ppow(a, k, p, modulus):
-    result = (1,)
-    base = a
-    while k:
-        if k & 1:
-            result = _pmod(_pmul(result, base, p), modulus, p)
-        base = _pmod(_pmul(base, base, p), modulus, p)
-        k >>= 1
-    return result
-
-
-def _is_irreducible(f, p) -> bool:
-    """Rabin's test for a monic f of degree n >= 1 over F_p: f is irreducible
-    iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x mod f, f) = 1 for every
-    prime q | n (Rabin 1980, "Probabilistic algorithms in finite fields")."""
-    n = len(f) - 1
-
-    def frobenius_minus_x(k):
-        return _pmod(_padd(_ppow((0, 1), p ** k, p, f), (0, p - 1), p), f, p)
-
-    return (not frobenius_minus_x(n)
-            and all(_pgcd(frobenius_minus_x(n // q), f, p) == (1,) for q in prime_divisors(n)))
-
-
-# ---------------------------------------------------------------------------
-# bivariate monomial helpers (monomials are exponent pairs (a, b))
-# ---------------------------------------------------------------------------
-
-Mono = tuple[int, int]
-
-
-def _mono_divides(d: Mono, m: Mono) -> bool:
-    return d[0] <= m[0] and d[1] <= m[1]
-
-
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _mono_lcm(a: Mono, b: Mono) -> Mono:
-    return (max(a[0], b[0]), max(a[1], b[1]))
-
-
-def _mono_gcd(a: Mono, b: Mono) -> Mono:
-    return (min(a[0], b[0]), min(a[1], b[1]))
-
-
-def _mono_div(a: Mono, b: Mono) -> Mono:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _minimalize(monos) -> tuple[Mono, ...]:
-    """Minimal generating set of the monomial ideal generated by `monos`."""
-    out = []
-    for m in sorted(set(monos)):
-        # a divisor of m is lexicographically <= m, so it was seen before m
-        if not any(_mono_divides(g, m) for g in out):
-            out.append(m)
-    return tuple(out)
-
-
-def _in_mono_ideal(m: Mono, gens) -> bool:
-    return any(_mono_divides(g, m) for g in gens)
-
-
-def _mono_colon(gens, u: Mono) -> tuple[Mono, ...]:
-    """(gens : u) for a monomial ideal, exact:  generated by g / gcd(g, u)."""
-    return _minimalize(_mono_div(g, _mono_gcd(g, u)) for g in gens)
-
-
-def _mono_intersect(gens_a, gens_b) -> tuple[Mono, ...]:
-    """Intersection of monomial ideals: generated by pairwise lcms."""
-    return _minimalize(_mono_lcm(a, b) for a in gens_a for b in gens_b)
-
-
-def _mono_radical(gens) -> tuple[Mono, ...]:
-    return _minimalize((min(a, 1), min(b, 1)) for a, b in gens)
-
-
-# bivariate payloads: sorted tuples of ((ax, ay), coeff) with coeff in [1, p)
-
-
-def _bnorm(terms, p: int, rels) -> tuple:
-    acc: dict[Mono, int] = {}
-    for mono, c in terms:
-        c %= p
-        if not c:
-            continue
-        if rels and _in_mono_ideal(mono, rels):
-            continue
-        acc[mono] = (acc.get(mono, 0) + c) % p
-    return tuple(sorted((m, c) for m, c in acc.items() if c))
-
-
-def _badd(a, b, p, rels):
-    return _bnorm(list(a) + list(b), p, rels)
-
-
-def _bneg(a, p):
-    return tuple((m, (-c) % p) for m, c in a)
-
-
-def _bmul(a, b, p, rels):
-    terms = []
-    for ma, ca in a:
-        for mb, cb in b:
-            terms.append((_mono_mul(ma, mb), ca * cb))
-    return _bnorm(terms, p, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +69,8 @@ class Ring:
     def __init__(self, kind: str, n: Optional[int] = None, p: Optional[int] = None,
                  modulus: Optional[tuple[int, ...]] = None,
                  rels: Optional[tuple[Mono, ...]] = None):
+        if n is None:
+            _load_polyarith()
         self.kind = kind
         self.n = n  # the modulus of Z/n; 0 for Z and p for F_p
         self.p = p
@@ -272,7 +114,8 @@ class Ring:
     def poly_quotient(p: int, modulus) -> "Ring":
         if not is_prime(p):
             raise InputError(f"F_p[x]/(f) needs a prime p, got {p!r}")
-        f = _pnorm(modulus, p)
+        _load_polyarith()
+        f = pa.pnorm(modulus, p)
         if len(f) < 2:
             raise InputError("quotient modulus must have degree >= 1")
         if f[-1] != 1:
@@ -289,7 +132,8 @@ class Ring:
             if a < 0 or b < 0:
                 raise InputError(f"monomial exponents must be >= 0, got {m!r}")
             gens.append((a, b))
-        mins = _minimalize(gens) if gens else ()
+        _load_polyarith()
+        mins = pa.minimalize(gens) if gens else ()
         if (0, 0) in mins:
             raise InputError("relation 1 would make the zero ring")
         return Ring(KIND_BIPOLY, p=p, rels=mins)
@@ -301,7 +145,7 @@ class Ring:
         if self.n is not None:
             return self.n == 0 or is_prime(self.n)
         if self.modulus is not None:
-            return not self.modulus or _is_irreducible(self.modulus, self.p)
+            return not self.modulus or pa.is_irreducible(self.modulus, self.p)
         # a monomial quotient is a domain iff its relations are among x and y
         return set(self.rels or ()) <= {(1, 0), (0, 1)}
 
@@ -312,7 +156,7 @@ class Ring:
             return RingElem(self, _zmod(int(k), self.n))
         if self.modulus is not None:
             return self.poly([k])
-        return RingElem(self, _bnorm([((0, 0), k)], self.p, self.rels))
+        return RingElem(self, pa.bnorm([((0, 0), k)], self.p, self.rels))
 
     @property
     def zero(self) -> "RingElem":
@@ -325,7 +169,7 @@ class Ring:
     def poly(self, coeffs) -> "RingElem":
         if self.modulus is None:
             raise InputError(f"{self.kind} has no univariate elements")
-        return RingElem(self, _pmod(_pnorm(coeffs, self.p), self.modulus, self.p))
+        return RingElem(self, pa.pmod(pa.pnorm(coeffs, self.p), self.modulus, self.p))
 
     @property
     def gen_x(self) -> "RingElem":
@@ -344,13 +188,13 @@ class Ring:
     def monomial(self, a: int, b: int, coeff: int = 1) -> "RingElem":
         if self.kind != KIND_BIPOLY:
             raise InputError(f"{self.kind} has no bivariate monomials")
-        return RingElem(self, _bnorm([((a, b), coeff)], self.p, self.rels))
+        return RingElem(self, pa.bnorm([((a, b), coeff)], self.p, self.rels))
 
     def bipoly(self, terms) -> "RingElem":
         """terms: iterable of ((a, b), coeff)."""
         if self.kind != KIND_BIPOLY:
             raise InputError(f"{self.kind} has no bivariate elements")
-        return RingElem(self, _bnorm(list(terms), self.p, self.rels))
+        return RingElem(self, pa.bnorm(list(terms), self.p, self.rels))
 
     # -- enumeration (finite rings only) ------------------------------------
 
@@ -369,7 +213,7 @@ class Ring:
         xb = min(a for a, b in self.rels if b == 0)
         yb = min(b for a, b in self.rels if a == 0)
         return [(a, b) for a in range(xb) for b in range(yb)
-                if not _in_mono_ideal((a, b), self.rels)]
+                if not pa.in_mono_ideal((a, b), self.rels)]
 
     def elements(self) -> Iterator["RingElem"]:
         """Iterate all ring elements in a fixed canonical order (finite rings).
@@ -384,11 +228,11 @@ class Ring:
         elif self.modulus is not None:
             deg = len(self.modulus) - 1
             count = self.p ** deg
-            payloads = (_pnorm(c, self.p) for c in iter_product(range(self.p), repeat=deg))
+            payloads = (pa.pnorm(c, self.p) for c in iter_product(range(self.p), repeat=deg))
         else:
             basis = self.normal_monomials()
             count = self.p ** len(basis)
-            payloads = (_bnorm(list(zip(basis, c)), self.p, self.rels)
+            payloads = (pa.bnorm(list(zip(basis, c)), self.p, self.rels)
                         for c in iter_product(range(self.p), repeat=len(basis)))
         if count > ENUM_LIMIT:
             raise InputError(f"finite ring too large to enumerate: {self.describe()} "
@@ -472,16 +316,16 @@ class RingElem:
         if r.n is not None:
             return RingElem(r, _zmod(self.payload + other.payload, r.n))
         if r.modulus is not None:
-            return RingElem(r, _padd(self.payload, other.payload, r.p))
-        return RingElem(r, _badd(self.payload, other.payload, r.p, r.rels))
+            return RingElem(r, pa.padd(self.payload, other.payload, r.p))
+        return RingElem(r, pa.badd(self.payload, other.payload, r.p, r.rels))
 
     def __neg__(self) -> "RingElem":
         r = self.ring
         if r.n is not None:
             return RingElem(r, _zmod(-self.payload, r.n))
         if r.modulus is not None:
-            return RingElem(r, _pneg(self.payload, r.p))
-        return RingElem(r, _bneg(self.payload, r.p))
+            return RingElem(r, pa.pneg(self.payload, r.p))
+        return RingElem(r, pa.bneg(self.payload, r.p))
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
@@ -492,8 +336,8 @@ class RingElem:
         if r.n is not None:
             return RingElem(r, _zmod(self.payload * other.payload, r.n))
         if r.modulus is not None:
-            return RingElem(r, _pmod(_pmul(self.payload, other.payload, r.p), r.modulus, r.p))
-        return RingElem(r, _bmul(self.payload, other.payload, r.p, r.rels))
+            return RingElem(r, pa.pmod(pa.pmul(self.payload, other.payload, r.p), r.modulus, r.p))
+        return RingElem(r, pa.bmul(self.payload, other.payload, r.p, r.rels))
 
     def __pow__(self, k: int) -> "RingElem":
         if k < 0:
@@ -613,8 +457,8 @@ class Ideal:
         if r.modulus is not None:
             g = r.modulus
             for e in self.gens:
-                g = _pgcd(g, e.payload, r.p)
-            return RingElem(r, _pmod(g, r.modulus, r.p))
+                g = pa.pgcd(g, e.payload, r.p)
+            return RingElem(r, pa.pmod(g, r.modulus, r.p))
         raise UnsupportedRingError(f"{r.describe()} is not treated as a principal ideal ring")
 
     def _monomial_gens(self) -> tuple[Mono, ...]:
@@ -625,7 +469,7 @@ class Ideal:
                 raise UnsupportedRingError(
                     f"operation needs a monomial ideal; generator {g} is not a monomial")
             out.append(g.payload[0][0])
-        return _minimalize(out)
+        return pa.minimalize(out)
 
     def all_monomial(self) -> bool:
         return all(bivariate_shape(g) == SHAPE_MONOMIAL for g in self.gens)
@@ -644,14 +488,14 @@ class Ideal:
                 return False  # the zero ideal, and e != 0
             if r.n is not None:
                 return e.payload % g == 0
-            return not _pmod(e.payload, g, r.p)
+            return not pa.pmod(e.payload, g, r.p)
         if self.is_zero():
             return e.is_zero()
         if not self.all_monomial():
             raise UnsupportedRingError(
                 "membership in bivariate ideals is supported for monomial generators only")
         gens = self._monomial_gens()
-        return all(_in_mono_ideal(m, gens) for m, _ in e.payload)
+        return all(pa.in_mono_ideal(m, gens) for m, _ in e.payload)
 
     def radical_contains(self, d: RingElem) -> bool:
         """True iff some power of d lies in the ideal."""
@@ -670,7 +514,7 @@ class Ideal:
             # polynomials k * deg q <= deg g gives k <= deg g
             if r.n is not None:
                 return pow(d.payload, max(1, g.bit_length()), g) == 0
-            return not _ppow(d.payload, max(1, len(g) - 1), r.p, g)
+            return not pa.ppow(d.payload, max(1, len(g) - 1), r.p, g)
         # bivariate: radical of a monomial ideal is the squarefree-part ideal,
         # together with the squarefree parts of the ring relations (nilpotents).
         if not self.all_monomial():
@@ -678,10 +522,10 @@ class Ideal:
                 "radical membership in bivariate ideals needs monomial generators")
         gens = [g.payload[0][0] for g in self.gens]
         gens.extend(r.rels or ())
-        rad = _mono_radical(gens) if gens else ()
+        rad = pa.mono_radical(gens) if gens else ()
         if not rad:
             return d.is_zero()
-        return all(_in_mono_ideal(m, rad) for m, _ in d.payload)
+        return all(pa.in_mono_ideal(m, rad) for m, _ in d.payload)
 
     # -- products --------------------------------------------------------------
 
@@ -738,15 +582,15 @@ def annihilator_payloads(ideal: Ideal) -> list:
         rest = [t for t in payloads if len(t) != 1]
         if rest:
             extra.extend(rest)
-        cur = _minimalize(monos) if monos else ()
-        acc_mono = cur if acc_mono is None else _mono_intersect(acc_mono, cur)
+        cur = pa.minimalize(monos) if monos else ()
+        acc_mono = cur if acc_mono is None else pa.mono_intersect(acc_mono, cur)
     if extra:
         if len(ideal.gens) == 1:
             return extra + [((m, 1),) for m in (acc_mono or ())]
         raise UnsupportedRingError(
             "annihilator of a multi-generator bivariate ideal with non-monomial "
             "annihilator components is not expressible here")
-    gens = [m for m in (acc_mono or ()) if not _in_mono_ideal(m, r.rels or ())]
+    gens = [m for m in (acc_mono or ()) if not pa.in_mono_ideal(m, r.rels or ())]
     return [((m, 1),) for m in gens]
 
 
@@ -759,85 +603,16 @@ def _element_ann_payloads(e: RingElem) -> list:
         g = _zmod(r.n // math.gcd(r.n, e.payload), r.n)
         return [g] if g else []
     if r.modulus is not None:
-        g = _pmod(_pdivmod(r.modulus, _pgcd(e.payload, r.modulus, r.p), r.p)[0], r.modulus, r.p)
+        g = pa.pmod(pa.pdivmod(r.modulus, pa.pgcd(e.payload, r.modulus, r.p), r.p)[0], r.modulus, r.p)
         return [g] if g else []
     shape = bivariate_shape(e)
     if shape == SHAPE_MONOMIAL:
         rels = r.rels or ()
         m = e.payload[0][0]
-        gens = [g for g in _mono_colon(rels, m) if not _in_mono_ideal(g, rels)] if rels else []
-        return [((g, 1),) for g in _minimalize(gens)] if gens else []
+        gens = [g for g in pa.mono_colon(rels, m) if not pa.in_mono_ideal(g, rels)] if rels else []
+        return [((g, 1),) for g in pa.minimalize(gens)] if gens else []
     if shape == SHAPE_BINOMIAL:
-        return _binomial_ann_payloads(e)
+        return pa.binomial_ann_payloads(e)
     raise UnsupportedRingError(
         f"annihilator of bivariate element {e} (neither monomial nor pure "
         "x-power + y-power) is unsupported")
-
-
-def _binomial_ann_payloads(e: RingElem) -> list:
-    """Ann(ca*x^a + cb*y^b) over F_p[x,y]/(monomial rels), exactly.
-
-    An annihilating element decomposes into monomials killed by both x^a and
-    y^b, plus 'chain' vectors: a monomial whose y^b-image dies in the relations
-    starts a chain m -> m*x^a/y^b of forced coefficient cancellations, which
-    must terminate by having its last x^a-image die.  Heads only need to be
-    scanned up to the relation exponents (membership saturates beyond them,
-    making larger chains translates of smaller ones).
-    """
-    r = e.ring
-    p = r.p
-    rels = r.rels or ()
-    (m1, c1), (m2, c2) = sorted(e.payload)
-    # m1 is the pure-y term, m2 the pure-x term after sorting
-    b, a = m1[1], m2[0]
-    cb, ca = c1, c2
-    if not rels:
-        return []
-    in_r = lambda m: _in_mono_ideal(m, rels)
-    out: list = []
-    # monomial annihilators: (rels : x^a) intersect (rels : y^b)
-    mono = _mono_intersect(_mono_colon(rels, (a, 0)), _mono_colon(rels, (0, b)))
-    for m in mono:
-        if not in_r(m):
-            out.append(((m, 1),))
-    sx = max((g[0] for g in rels), default=0)
-    ty = max((g[1] for g in rels), default=0)
-    ratio = (-ca * pow(cb, p - 2, p)) % p  # coefficient step: r_{k+1} = -(ca/cb) r_k
-    for s in range(sx + 1):
-        for t in range(ty + 1):
-            head = (s, t)
-            if in_r(head):
-                continue
-            if not in_r((s, t + b)):
-                continue  # head's y-image survives: coefficient forced elsewhere
-            chain = [head]
-            cur = head
-            closed = False
-            while True:
-                image = (cur[0] + a, cur[1])
-                if in_r(image):
-                    closed = True
-                    break
-                if image[1] < b:
-                    break
-                partner = (image[0], image[1] - b)
-                if in_r(partner):
-                    break
-                chain.append(partner)
-                cur = partner
-            if not closed:
-                continue
-            coeff = 1
-            terms = []
-            for m in chain:
-                terms.append((m, coeff))
-                coeff = (coeff * ratio) % p
-            out.append(_bnorm(terms, p, rels))
-    # deduplicate and drop anything that normalised to zero
-    uniq = []
-    seen = set()
-    for t in out:
-        if t and t not in seen:
-            seen.add(t)
-            uniq.append(t)
-    return sorted(uniq)

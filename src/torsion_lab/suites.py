@@ -7,13 +7,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, product as iproduct
 
-from . import abelian as ab
-from . import engine as eng
-from . import mccoy as mc
-from . import quiver as qv
+# each suite imports the layers it runs, so `torsim verify` compiles no other
 from .errors import InputError
-from .primes import prime_divisors
-from .rings import Ideal, Ring
 
 
 class SuiteResult:
@@ -46,6 +41,7 @@ class SuiteResult:
 
 
 def _all_a2_reps(max_dim: int, p: int = 2):
+    from . import quiver as qv
     quiver = qv.a_n_quiver(2)
     reps = []
     for d1 in range(max_dim + 1):
@@ -65,6 +61,8 @@ FINITE_LENGTH_REP_CAP = 10_000
 
 def finite_length_suite(options) -> SuiteResult:
     """Torsion-simple iff concentrated in a single vertex, brute force vs criterion."""
+    from . import engine as eng
+    from . import quiver as qv
     res = SuiteResult(
         "finite-length",
         "a finite-length representation is torsion-simple iff it has a unique "
@@ -96,6 +94,10 @@ def finite_length_suite(options) -> SuiteResult:
 
 def ass_singleton_suite(options) -> SuiteResult:
     """|torsion parts| = 2 iff the associated primes are a singleton iff p-group."""
+    from . import abelian as ab
+    from . import engine as eng
+    from .primes import prime_divisors
+    from .rings import Ring
     res = SuiteResult(
         "ass-singleton",
         "a finite module is torsion-simple iff its associated primes are a "
@@ -118,6 +120,9 @@ def ass_singleton_suite(options) -> SuiteResult:
 
 def gabriel_split_suite(options) -> SuiteResult:
     """Iterated-trace radical of {Z/p : p in V} = direct sum of p-primary parts."""
+    from . import abelian as ab
+    from . import engine as eng
+    from .rings import Ring
     res = SuiteResult(
         "gabriel-split",
         "the radical of the torsion pair generated by {Z/p : p in V} is the "
@@ -144,6 +149,8 @@ def gabriel_split_suite(options) -> SuiteResult:
 
 def mccoy_suite(options) -> SuiteResult:
     """Theorem-mode vs exhaustive nullvector verdicts, 500 seeded matrices per modulus."""
+    from . import mccoy as mc
+    from .rings import Ring
     res = SuiteResult(
         "mccoy",
         "a matrix over Z/n has a non-zero nullvector iff its McCoy rank is "
@@ -167,6 +174,8 @@ def mccoy_suite(options) -> SuiteResult:
 
 def morphisms_suite(options) -> SuiteResult:
     """Hom_S(I, S/I) != 0 for proper non-zero ideals of the supported domains."""
+    from . import mccoy as mc
+    from .rings import Ideal, Ring
     res = SuiteResult(
         "morphisms",
         "Hom_S(I, S/I) is non-zero for every proper non-zero ideal of a "
@@ -190,6 +199,9 @@ def morphisms_suite(options) -> SuiteResult:
 
 def injective_criterion_suite(options) -> SuiteResult:
     """Multiplication by p on Z/p^k satisfies the no-intermediate-part statement."""
+    from . import abelian as ab
+    from . import engine as eng
+    from .rings import Ring
     res = SuiteResult(
         "injective-criterion",
         "multiplication by p on Z/p^k has essential kernel inside its image and "
@@ -210,6 +222,9 @@ def injective_criterion_suite(options) -> SuiteResult:
 def pruning_suite(options) -> SuiteResult:
     """Pruning never drops a torsion part.  A representation's candidates are
     all its subrepresentations, so that half runs the part test twice."""
+    from . import abelian as ab
+    from . import engine as eng
+    from .rings import Ring
     res = SuiteResult(
         "pruning",
         "torsion parts computed with endomorphism-stability pruning equal the "
@@ -238,6 +253,9 @@ def type_closure_suite(options) -> SuiteResult:
     The A2 universe is the representations at one vertex, whose arrow
     matrices are empty, so extensions are recognised by dimension vectors.
     """
+    from . import abelian as ab
+    from . import engine as eng
+    from .rings import Ring
     res = SuiteResult(
         "type-closure",
         "images of morphisms between same-type torsion-simple objects are zero "
@@ -312,6 +330,9 @@ def _zmod_module_orders(n: int, max_order: int) -> list[tuple[int, ...]]:
 
 def localisation_invariance_suite(options) -> SuiteResult:
     """Torsion-part sets agree when a Z/n-module is viewed over Z and over Z/n."""
+    from . import abelian as ab
+    from . import engine as eng
+    from .rings import Ring
     res = SuiteResult(
         "localisation-invariance",
         "for a module annihilated by n, the subobject list and torsion parts "

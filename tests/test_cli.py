@@ -478,6 +478,52 @@ def test_big_integers_round_trip(capsys):
     assert result["associated_primes"] == [2]
 
 
+@pytest.fixture
+def int_string_limit():
+    """The interpreter's default limit on int <-> decimal string conversion,
+    whatever the environment set; int() and str() past it raise ValueError."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("where", ["decimal string", "JSON number", "report file"])
+def test_integer_past_the_int_string_limit_is_an_input_error(tmp_path, capsys,
+                                                             int_string_limit, where):
+    digits = "7" * (int_string_limit + 700)
+    entry = f'"{digits}"' if where == "decimal string" else digits
+    module = '{"ring":{"kind":"Z"},"generators":1,"relations":[[%s]]}' % entry
+    if where == "report file":
+        path = tmp_path / "report.json"
+        path.write_text('{"command":"check","payload":%s,"options":{},"result":{}}' % module)
+        args = ("replay", str(path))
+    else:
+        args = ("check", "--module", module)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == "" and "cannot be read" in err
+
+
+def test_result_integer_past_the_int_string_limit_is_an_input_error(capsys, int_string_limit):
+    # Z/3^6000 + Z/3^6001 (2,863 digits each) is its own cogenerated radical for
+    # the source Z/2, and its order 3^12001 has 5,727 digits
+    obj = {"ring": {"kind": "Z"}, "generators": 2,
+           "relations": [[str(3 ** 6000), 0], [0, str(3 ** 6001)]]}
+    source = {"ring": {"kind": "Z"}, "generators": 1, "relations": [[2]]}
+    payload = json.dumps({"mode": "cogenerated", "object": obj, "sources": [source]})
+    code, out, err = run_cli(capsys, "--json", "radical", payload)
+    assert code == 2 and out == "" and "cannot be written" in err
+
+
+def test_unwritable_out_path_is_an_input_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "--json", "--out", str(out_path), "check", "--module", Z8)
+    assert code == 2 and out == "" and "cannot write the report file" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("flag,obj,method", [
     ("--module", Z6, "single-vertex-criterion"),
     ("--rep", P1, "ass-criterion"),

@@ -683,9 +683,9 @@ def test_compose_sub_on_enumerated_subgroups_matches_vector_sets():
 
 def test_handle_contract_is_the_readme_list():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    listed = readme.split("these handle methods:", 1)[1].split("Those are 13 methods.", 1)[0]
+    listed = readme.split("these handle methods:", 1)[1].split("Those are 15 methods.", 1)[0]
     names = set(re.findall(r"`(\w+)`", listed))
-    assert len(names) == 13
+    assert len(names) == 15
     # each handle's own helpers, outside the contract
     helpers = {AbelianHandle: {"multiplication_morph"},
                QuiverHandle: {"push_sub"}}

@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 Z6 = '{"ring":{"kind":"Z"},"generators":1,"relations":[[6]]}'
 MCCOY = '{"ring":{"kind":"IntegersMod","n":4},"matrix":[[2]]}'
 REP = '{"quiver":{"vertices":2,"arrows":[[0,1]]},"p":2,"dims":[1,1],"maps":[[[1]]]}'
+BIPOLY = '{"ring":{"kind":"BiPolyMonomialQuot","p":5,"rels":["xy"]},"ideal":["x"]}'
 
 # the names the package exported when it imported every module eagerly, less
 # the deleted `enumerate_subreps` and five names that only tests called
@@ -91,14 +92,36 @@ def test_package_and_cli_import_no_layer_they_do_not_use():
 def test_module_check_loads_no_quiver_mccoy_or_suites():
     *_, after = footprint("package", "cli", ["check", "--module", Z6])
     assert {"abelian", "engine"} <= after
-    assert not after & {"quiver", "modlinalg", "mccoy", "suites"}
+    assert not after & {"quiver", "modlinalg", "mccoy", "suites", "_polyarith"}
+
+
+@pytest.mark.parametrize("command", ["check", "torsion-parts"])
+def test_rep_command_loads_no_module_or_ring_layer(command):
+    *_, after = footprint("package", "cli", [command, "--rep", REP])
+    assert {"engine", "quiver", "modlinalg"} <= after
+    assert not after & {"abelian", "intlinalg", "rings", "_polyarith", "mccoy", "suites"}
 
 
 def test_mccoy_rank_loads_no_module_or_quiver_layer():
-    *_, after = footprint("package", "cli", ["mccoy", "rank", MCCOY])
+    *_, after, bivariate = footprint("package", "cli", ["mccoy", "rank", MCCOY],
+                                     ["hom-conormal", BIPOLY])
     assert "mccoy" in after
     assert not after & {"abelian", "engine", "intlinalg", "quiver", "modlinalg",
-                        "suites"}
+                        "suites", "_polyarith"}
+    # the F_p[x] and F_p[x,y] arithmetic is the one module a ring past F_p adds
+    assert bivariate - after == {"_polyarith"}
+
+
+@pytest.mark.parametrize("suite,runs,skips", [
+    (["morphisms"], {"suites", "mccoy", "rings", "_polyarith"},
+     {"abelian", "engine", "intlinalg", "quiver", "modlinalg"}),
+    (["gabriel-split", "--max-order", "12"], {"suites", "abelian", "engine", "intlinalg"},
+     {"mccoy", "quiver", "modlinalg", "_polyarith"}),
+], ids=["morphisms", "gabriel-split"])
+def test_verify_loads_only_the_layers_its_suite_runs(suite, runs, skips):
+    *_, after = footprint("package", "cli", ["verify", *suite])
+    assert runs <= after
+    assert not after & skips
 
 
 def test_commands_import_no_heavy_standard_library_module():

@@ -217,6 +217,17 @@ def test_non_integral_quiver_inputs_refused():
     assert QuiverRep(A2, 2, [1, 1], [[[3]]]).maps == (((1,),),)
 
 
+def test_malformed_quiver_shapes_refused():
+    # an arrow that is no pair, dims or maps that are no sequence: once a bare
+    # TypeError or ValueError
+    for count, arrows in [(2, [5]), (2, [(0, 1, 1)]), (2, 5)]:
+        with pytest.raises(InputError):
+            Quiver(count, arrows)
+    for dims, maps in [(5, [[[1]]]), ([1, 1], 5)]:
+        with pytest.raises(InputError):
+            QuiverRep(A2, 2, dims, maps)
+
+
 def test_as_rep_refuses_unstable_subspaces():
     with pytest.raises(InputError):
         _subrep(P1, [[[1]], []]).as_rep()
