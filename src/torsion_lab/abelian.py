@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import intlinalg as la
-from .errors import InputError
+from .errors import InputError, decimal
 from .primes import factorize, is_prime, p_adic_valuation, prime_divisors
 from .rings import KIND_Z, KIND_ZMOD, Ring
 
@@ -257,7 +257,7 @@ class PresentedModule:
 
     def describe(self) -> str:
         free, factors = self._invariants()
-        parts = ["Z"] * free + [f"Z/{d}" for d in factors]
+        parts = ["Z"] * free + ["Z/" + decimal(d) for d in factors]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:

@@ -114,30 +114,44 @@ class AxiomCheckResult:
 # ---------------------------------------------------------------------------
 
 
-# The most subobjects one handle's tables hold in all.  A cached subobject
-# takes about 0.6 KB (an abelian one on at most 5 generators, without its
-# lattice) or 0.3 KB (a representation of dimension <= 3 per vertex), so the
-# tables stay under about 6 MB.
+# The most subobjects one handle's tables hold in all, and the most radicals
+# its memo holds.  A cached subobject takes about 0.6 KB (an abelian one on at
+# most 5 generators, without its lattice) or 0.3 KB (a representation of
+# dimension <= 3 per vertex), so the tables stay under about 6 MB; a memo
+# entry (key, radical and the lattice and module its checks built) took
+# 1.5 KB on average over a gabriel-axioms round, so the memo stays under
+# about 15 MB.
 SUBOBJECT_TABLE_CAP = 10_000
 
 
 class _SubobjectTables:
-    """The subobject tables of one handle, read by verify_torsion_pair_axioms.
+    """The subobject tables and the radical memo of one handle.
 
     The table of x is [(w, rep)] for every subobject w of x in the order of
     handle.subobjects(x), kept as handle.table_sub(w), where rep is the
     interned object equal to sub_as_object(w): one per isomorphism class of
     modules, one per identical representation.  Tables are keyed by
-    handle.coordinates(x), never by isomorphism class.  A table holds no
-    verdict, so it serves every source set.
+    handle.coordinates(x), never by isomorphism class, and hold no verdict,
+    so they serve every source set; verify_torsion_pair_axioms reads them.
     Past SUBOBJECT_TABLE_CAP subobjects the oldest presentation goes first,
     and a presentation with more subobjects than the cap is not kept.
+
+    The radical memo maps (tuple(sources), handle.coordinates(x)) to the
+    subobject t(x) that torsion_radical_generated's iterated trace stopped
+    at.  It is sound because t(x) is fixed by x and by the torsion class the
+    sources generate, which depends only on their isomorphism classes (and
+    sources compare by isomorphism class or by value), and t is a subobject
+    in the coordinates of x.  An interned rep keeps its presentation, so the
+    subobjects of one class share an entry.  The memo holds at most
+    SUBOBJECT_TABLE_CAP radicals and drops the oldest first.  It saves only
+    the loop: the checked postconditions run on every call.
     """
 
     def __init__(self):
         self.tables: dict = {}
         self.classes: dict = {}
         self.size = 0
+        self.radicals: dict = {}
 
     def get(self, handle, x) -> list:
         key = handle.coordinates(x)
@@ -161,6 +175,15 @@ class _SubobjectTables:
         if dropped:
             # keep only the representatives that a kept table still uses
             self.classes = {rep: rep for t in self.tables.values() for _, rep in t}
+
+    def radical(self, handle, sources, x):
+        key = (tuple(sources), handle.coordinates(x))
+        t = self.radicals.get(key)
+        if t is None:
+            t = self.radicals[key] = _iterated_trace(handle, sources, x)
+            while len(self.radicals) > SUBOBJECT_TABLE_CAP:
+                del self.radicals[next(iter(self.radicals))]
+        return t
 
 
 class AbelianHandle:
@@ -278,9 +301,11 @@ class QuiverHandle:
         return w
 
     def part_candidates(self, x):
-        """Every subrepresentation: filtering by End(x) costs more part tests
-        than it saves on the representations the enumeration bound admits."""
-        return qv.iter_subreps(x)
+        """The subrepresentations whose dimension vector m can hold a part:
+        those of a vector with U > E (see part_test) are skipped before any is
+        built.  Filtering by End(x) costs more part tests than it saves on the
+        representations the enumeration bound admits."""
+        return qv.iter_subreps(x, prune=True)
 
     def zero_sub(self, x):
         return qv.SubRep.zero(x)
@@ -331,10 +356,10 @@ class QuiverHandle:
         sub_maps, quo_maps, functionals = qv._adapted_blocks(x, w)
         m = w.dims()
         n = [len(f) for f in functionals]
-        unknowns = sum(a * b for a, b in zip(m, n))
+        unknowns, equations = qv._hom_system_size(x.quiver, m, n)
         if not unknowns:
             return True
-        if unknowns > sum(m[s] * n[t] for s, t in x.quiver.arrows):
+        if unknowns > equations:
             return False
         return not qv._hom_space(x.quiver, x.p, m, sub_maps, n, quo_maps)
 
@@ -353,8 +378,9 @@ def _candidates(handle, x, prune: bool):
     With pruning it is the handle's `part_candidates`, otherwise every
     subobject.  A finite module's torsion parts are the w with coprime |w|
     and |x/w|, so its candidates are the sums of its primary components,
-    one per set of primes of |x|; a representation's are all its
-    subrepresentations.  `part_test` still runs on every candidate.
+    one per set of primes of |x|; a representation's are its
+    subrepresentations of the dimension vectors m with U <= E (see
+    QuiverHandle.part_test).  `part_test` still runs on every candidate.
     """
     return handle.part_candidates(x) if prune else handle.subobjects(x)
 
@@ -428,17 +454,11 @@ def trace(handle, sources, x):
 
 
 def torsion_radical_generated(handle, sources, x, check: bool = True):
-    """t(x) for the torsion pair generated by `sources`, by stabilising iterated trace."""
-    t = handle.zero_sub(x)
-    while True:
-        q, proj = handle.quotient(x, t)
-        tr = trace(handle, sources, q)
-        if tr.is_zero():
-            break
-        t_new = handle.pull_sub(proj, tr)
-        if t_new.key() == t.key():
-            break
-        t = t_new
+    """t(x) for the torsion pair generated by `sources`, by stabilising iterated
+    trace, which runs once per source set and coordinates of x in the
+    handle's radical memo (see _SubobjectTables).  The checked postconditions
+    run on every call, a memo hit included."""
+    t = handle._subobject_tables.radical(handle, sources, x)
     if check:
         q, _ = handle.quotient(x, t)
         if handle.hom_basis(handle.sub_as_object(t), q):
@@ -448,6 +468,21 @@ def torsion_radical_generated(handle, sources, x, check: bool = True):
             raise ContradictionError("radical postcondition t(x/t(x)) = 0 failed "
                                      f"for {_instance(handle, sources, x)}")
     return t
+
+
+def _iterated_trace(handle, sources, x):
+    """t_0 = 0 and t_{k+1} the preimage in x of the trace of the sources in
+    x/t_k, until the trace is zero or the preimage stops growing."""
+    t = handle.zero_sub(x)
+    while True:
+        q, proj = handle.quotient(x, t)
+        tr = trace(handle, sources, q)
+        if tr.is_zero():
+            return t
+        t_new = handle.pull_sub(proj, tr)
+        if t_new.key() == t.key():
+            return t
+        t = t_new
 
 
 def reject(handle, sources, x):
@@ -546,21 +581,23 @@ def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult
 
     Maximality asks whether some subobject w of x is torsion (its own radical
     is all of w) without lying inside t = t(x).  A w with t.contains(w)
-    cannot break maximality, so its radical is never computed.  Two memos
-    keep the rest cheap:
+    cannot break maximality, so its radical is never asked.  Torsion classes
+    are closed under isomorphism, so the radical is asked once per class of
+    the w outside t.  Two memos of the handle (see _SubobjectTables) keep the
+    rest cheap:
 
-    - the handle's subobject table of x (see _SubobjectTables) lists every w
-      with its object sub_as_object(w), built once per presentation and read
-      by every later call with any source set.  It is keyed by presentation
-      because subobjects are coordinates in it, and it holds no verdict, so
-      each call still tests t.contains(w) for every w and asks every radical
-      of its own sources;
-    - "is w torsion" is memoised for the duration of one call, keyed by that
-      object.  Torsion classes are closed under isomorphism, so any key
-      equality that implies isomorphism is sound.  PresentedModule compares
-      by (ring, canonical decomposition), so each isomorphism class costs one
-      radical; QuiverRep compares by (quiver, p, dims, maps), so only
-      identical representations share an entry.
+    - the subobject table of x lists every w with its object
+      sub_as_object(w), built once per presentation and read by every later
+      call with any source set.  It is keyed by presentation because
+      subobjects are coordinates in it, and it holds no verdict, so each
+      call still tests t.contains(w) for every w;
+    - the radical memo runs the iterated trace once per source set and
+      coordinates, across calls: t(x) is a hit when the caller already
+      asked for the radical of x, as the gabriel-split suite does.  The
+      objects in a table are interned, so for modules each isomorphism
+      class of w costs one loop per source set; QuiverRep compares by
+      (quiver, p, dims, maps), so only identical representations share an
+      entry.
     """
     results = []
     for x in sample:
@@ -568,17 +605,9 @@ def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult
         q, _ = handle.quotient(x, t)
         orthogonal = not handle.hom_basis(handle.sub_as_object(t), q)
         idempotent = trace(handle, sources, q).is_zero()
-        maximal = True
-        is_torsion: dict = {}
-        for w, wobj in handle._subobject_tables.get(handle, x):
-            if t.contains(w):
-                continue
-            torsion = is_torsion.get(wobj)
-            if torsion is None:
-                tw = torsion_radical_generated(handle, sources, wobj, check=False)
-                torsion = is_torsion[wobj] = tw.is_full()
-            if torsion:
-                maximal = False
-                break
+        outside = dict.fromkeys(wobj for w, wobj in handle._subobject_tables.get(handle, x)
+                                if not t.contains(w))
+        maximal = not any(torsion_radical_generated(handle, sources, wobj, check=False).is_full()
+                          for wobj in outside)
         results.append(AxiomCheckResult(handle.describe(x), orthogonal, maximal, idempotent))
     return results

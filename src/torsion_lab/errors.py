@@ -1,4 +1,5 @@
-"""Error types shared across the library and mapped to CLI exit codes."""
+"""Error types shared across the library and mapped to CLI exit codes, and
+the one writer of integers that refuses past the int-string limit."""
 
 
 class TorsionLabError(Exception):
@@ -23,3 +24,12 @@ class ContradictionError(TorsionLabError):
     Raising this means either the implementation is wrong or the statement's
     hypotheses were violated; it is never swallowed silently.
     """
+
+
+def decimal(n: int) -> str:
+    """str(n); an integer past the interpreter's int-string limit is refused
+    with InputError, where str() raises ValueError."""
+    try:
+        return str(n)
+    except ValueError as exc:
+        raise InputError(f"the result holds an integer that cannot be written: {exc}") from None

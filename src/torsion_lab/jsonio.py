@@ -10,7 +10,7 @@ import json
 import re
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import InputError, decimal
 
 if TYPE_CHECKING:
     from .abelian import PresentedModule
@@ -37,12 +37,7 @@ def parse_int(value, what: str = "integer") -> int:
 
 
 def encode_int(n: int):
-    if abs(n) <= _JSON_SAFE:
-        return n
-    try:
-        return str(n)
-    except ValueError as exc:  # past the interpreter's int-string limit
-        raise InputError(f"the result holds an integer that cannot be written: {exc}") from None
+    return n if abs(n) <= _JSON_SAFE else decimal(n)
 
 
 def _require_keys(obj: dict, required: set, optional: set, what: str) -> None:

@@ -275,21 +275,35 @@ def _subspaces_by_rank(p: int, d: int) -> tuple[tuple[Subspace, ...], ...]:
     return tuple(tuple(sorted(spaces, key=lambda sp: sp.rows)) for spaces in by_rank)
 
 
-def iter_subreps(x: QuiverRep):
+def iter_subreps(x: QuiverRep, prune: bool = False):
     """All arrow-stable subspace tuples, lazily, in `SubRep.sort_token` order.
 
-    The bounds are checked here, at the call, and not at the first next():
-    a refusal must come before callers build anything else.
+    With `prune`, only those whose dimension vector can hold a torsion part
+    (see `_subreps_in_order`), in the same order.  The bounds are checked
+    here, at the call, and not at the first next(): a refusal must come
+    before callers build anything else.
     """
     if x.p not in ENUM_PRIMES:
         raise InputError(f"subrepresentation enumeration supports p in {ENUM_PRIMES}")
     if any(d > ENUM_DIM_BOUND for d in x.dims):
         raise InputError(
             f"per-vertex dimension exceeds the enumeration bound {ENUM_DIM_BOUND}")
-    return _subreps_in_order(x)
+    return _subreps_in_order(x, prune)
 
 
-def _subreps_in_order(x: QuiverRep):
+def _hom_system_size(quiver: Quiver, m, n) -> tuple[int, int]:
+    """(U, E): the unknowns and equations of `_hom_space`'s system for
+    Hom(w, y) with dim w = m and dim y = n.  When U > E, Hom(w, y) has
+    dimension at least U - E (the Euler form <m, n>), so it is not zero."""
+    unknowns = sum(a * b for a, b in zip(m, n))
+    return unknowns, sum(m[s] * n[t] for s, t in quiver.arrows)
+
+
+def _subreps_in_order(x: QuiverRep, prune: bool = False):
+    """The generator behind `iter_subreps`.  With `prune` it skips every
+    dimension vector m with U > E for Hom(w, x/w), n = dims - m (see
+    `_hom_system_size`): no w of that vector is a torsion part, and the
+    skip comes before any subspace of it is chosen."""
     # sort_token is (total_dim, dims, key) and key is the tuple of per-vertex
     # rows, so walking the rank vectors by (total, vector) and, for each, the
     # vertices in index order over subspaces sorted by rows emits sorted keys
@@ -314,6 +328,11 @@ def _subreps_in_order(x: QuiverRep):
 
     for ranks in sorted(iproduct(*(range(d + 1) for d in x.dims)),
                         key=lambda e: (sum(e), e)):
+        if prune:
+            unknowns, equations = _hom_system_size(
+                x.quiver, ranks, [d - r for d, r in zip(x.dims, ranks)])
+            if unknowns > equations:
+                continue
         yield from fill(0, ranks)
 
 

@@ -23,7 +23,7 @@ import math
 from itertools import product as iter_product
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .errors import InputError, UnsupportedRingError
+from .errors import InputError, UnsupportedRingError, decimal
 from .primes import is_prime
 
 if TYPE_CHECKING:
@@ -358,12 +358,13 @@ class RingElem:
         return not self.is_zero()
 
     def sort_key(self):
-        return (repr(self.payload),)
+        # repr of an int is its decimal string, refused past the int-string limit
+        return (decimal(self.payload) if self.ring.n is not None else repr(self.payload),)
 
     def __str__(self) -> str:
         r = self.ring
         if r.n is not None:
-            return str(self.payload)
+            return decimal(self.payload)
         if r.modulus is not None:
             return _poly_str(self.payload)
         if not self.payload:

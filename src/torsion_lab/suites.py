@@ -221,7 +221,8 @@ def injective_criterion_suite(options) -> SuiteResult:
 
 def pruning_suite(options) -> SuiteResult:
     """Pruning never drops a torsion part.  A representation's candidates are
-    all its subrepresentations, so that half runs the part test twice."""
+    its subrepresentations of the dimension vectors that can hold a part, so
+    that half compares the Euler-form filter with the unpruned list."""
     from . import abelian as ab
     from . import engine as eng
     from .rings import Ring

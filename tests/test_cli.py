@@ -517,6 +517,33 @@ def test_result_integer_past_the_int_string_limit_is_an_input_error(capsys, int_
     assert code == 2 and out == "" and "cannot be written" in err
 
 
+# Z^2 / diag(2^8000, 3^5000) (entries of 2,409 and 2,386 digits) is cyclic: its
+# one invariant factor has 4,795 digits, which the module's description writes
+_BIG_MODULE = {"ring": {"kind": "Z"}, "generators": 2,
+               "relations": [[str(2 ** 8000), 0], [0, str(3 ** 5000)]]}
+# over Z the order-2 minor of diag(3^6000, 7^3000) has 5,399 digits
+_BIG_MATRIX = {"ring": {"kind": "Z"}, "matrix": [[str(3 ** 6000), "0"], ["0", str(7 ** 3000)]]}
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+@pytest.mark.parametrize("args", [("ass", "--module", json.dumps(_BIG_MODULE)),
+                                  ("mccoy", "rank", json.dumps(_BIG_MATRIX))])
+def test_written_integer_past_the_int_string_limit_is_an_input_error(
+        capsys, int_string_limit, json_flag, args):
+    code, out, err = run_cli(capsys, *json_flag, *args)
+    assert code == 2 and out == "" and "cannot be written" in err
+
+
+def test_ring_element_past_the_int_string_limit_is_refused(int_string_limit):
+    from torsion_lab.errors import InputError
+    from torsion_lab.rings import Ring, RingElem
+    big = RingElem(Ring.integers(), 3 ** 6000 * 7 ** 3000)
+    for write in (str, RingElem.sort_key):
+        with pytest.raises(InputError, match="cannot be written"):
+            write(big)
+    assert str(RingElem(Ring.integers(), -12)) == "-12"
+
+
 def test_unwritable_out_path_is_an_input_error(tmp_path, capsys):
     out_path = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(capsys, "--json", "--out", str(out_path), "check", "--module", Z8)

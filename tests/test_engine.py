@@ -8,8 +8,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import (brute_subgroups, dense_module_data, dense_relations, simple_rep,
-                      small_rep_data)
+from conftest import (QUIVER_SHAPES, brute_subgroups, dense_module_data, dense_relations,
+                      simple_rep, small_rep_data)
 from hypothesis import example, given, settings, strategies as st
 
 from torsion_lab import abelian, engine, modlinalg
@@ -173,9 +173,11 @@ def _broken_trace(zero_on_call):
     (lambda k: k == 1, r"t\(x/t\(x\)\) = 0"),
 ])
 def test_radical_postconditions_name_the_object_and_sources(zero_on_call, failed):
+    # a fresh handle: on a warm one the radical memo answers t(Z/4) without
+    # running the broken loop
     with _broken_trace(zero_on_call), pytest.raises(
             ContradictionError, match=failed + r" failed for Z/4 with sources \[Z/2\]$"):
-        torsion_radical_generated(H, [cyclic_module(Z, 2)], cyclic_module(Z, 4))
+        torsion_radical_generated(AbelianHandle(Z), [cyclic_module(Z, 2)], cyclic_module(Z, 4))
 
 
 def test_coradical_postcondition_names_the_object_and_sources():
@@ -304,6 +306,42 @@ def test_pruning_agrees_on_a2_and_a3_reps():
                 rep = QuiverRep(quiver, 2, dims, mats)
                 assert (torsion_parts(handle, rep, prune=True).keys()
                         == torsion_parts(handle, rep, prune=False).keys()), dims
+
+
+def _random_reps(quiver, p, max_dim, count, rng):
+    for _ in range(count):
+        dims = [rng.randint(0, max_dim) for _ in range(quiver.vertex_count)]
+        yield QuiverRep(quiver, p, dims, [[[rng.randrange(p) for _ in range(dims[s])]
+                                           for _ in range(dims[t])]
+                                          for s, t in quiver.arrows])
+
+
+@pytest.mark.parametrize("shape", sorted(QUIVER_SHAPES))
+@pytest.mark.parametrize("p, max_dim", [(2, 3), (3, 2), (5, 2)])
+def test_pruned_quiver_parts_match_the_unpruned_ones(shape, p, max_dim):
+    quiver = Quiver(*QUIVER_SHAPES[shape])
+    handle = QuiverHandle(quiver, p)
+    for x in _random_reps(quiver, p, max_dim, 30, random.Random(f"{shape}/{p}")):
+        assert (torsion_parts(handle, x, prune=True).keys()
+                == torsion_parts(handle, x, prune=False).keys()), x
+        if not x.is_zero():
+            _assert_brute_force_matches_torsion_parts(handle, x)
+
+
+def test_pruned_quiver_candidates_skip_only_vectors_without_a_part():
+    x = QuiverRep(A2, 2, [3, 3], [[[1, 0, 0], [0, 1, 0], [0, 0, 0]]])
+    every = list(iter_subreps(x))
+    kept = {w.key() for w in QH.part_candidates(x)}
+    assert (len(every), len(kept), len(torsion_parts(QH, x))) == (87, 8, 5)
+    skipped = [w for w in every if w.key() not in kept]
+    for w in skipped:
+        m = w.dims()
+        n = [d - k for d, k in zip(x.dims, m)]
+        # U > E for the vector of every skipped w, and none of them is a part
+        assert sum(a * b for a, b in zip(m, n)) > m[0] * n[1]
+        assert not QH.part_test(x, w)
+    # the kept vectors are skipped by none of their subrepresentations
+    assert {w.dims() for w in skipped}.isdisjoint(w.dims() for w in QH.part_candidates(x))
 
 
 def test_simplicity_matches_unique_factor_over_z():
@@ -525,6 +563,92 @@ def test_tables_evict_the_oldest_presentation_past_the_cap(enumerations, monkeyp
     tables = handle._subobject_tables
     # the kept tables of z8 and k4 use the classes 0, Z/2, Z/4, Z/8 and (Z/2)^2
     assert tables.size == 9 and len(tables.classes) == 5
+
+
+def _radical_and_axioms(handle, sources, x):
+    t = torsion_radical_generated(handle, sources, x)
+    [result] = verify_torsion_pair_axioms(handle, sources, [x])
+    return t.key(), (result.orthogonal, result.maximal, result.idempotent)
+
+
+def test_a_warm_radical_memo_answers_as_a_fresh_handle():
+    warm = AbelianHandle(Z)
+    rng = random.Random(27)
+    for n in range(1, 25):
+        for mod in finite_abelian_modules(n):
+            # the enumerated presentation and a dense one of the same class
+            for x in (mod, _dense_presentation(rng, mod.invariant_factors)):
+                for v in _GABRIEL_SOURCE_SETS:
+                    sources = [cyclic_module(Z, p) for p in v]
+                    assert (_radical_and_axioms(warm, sources, x)
+                            == _radical_and_axioms(AbelianHandle(Z), sources, x)), (n, v)
+    assert warm._subobject_tables.radicals
+
+
+def test_a_warm_radical_memo_answers_as_a_fresh_quiver_handle():
+    warm = QuiverHandle(A2, 2)
+    reps = [QuiverRep(A2, 2, [a, b], [[[(i >> (r * a + c)) & 1 for c in range(a)]
+                                      for r in range(b)]])
+            for a in range(3) for b in range(3) for i in range(2 ** (a * b))]
+    for sources in ([simple_rep(A2, 2, 0)], [simple_rep(A2, 2, 1)], [P1], []):
+        for x in reps:
+            assert (_radical_and_axioms(warm, sources, x)
+                    == _radical_and_axioms(QuiverHandle(A2, 2), sources, x)), x
+
+
+def test_a_radical_memo_hit_runs_no_trace_loop():
+    handle = AbelianHandle(Z)
+    x = direct_sum_module(Z, [2, 4, 3])
+    first = torsion_radical_generated(handle, [cyclic_module(Z, 2)], x)
+    # Z/2 presented on two generators, and x built afresh: isomorphic
+    # sources and an equal presentation hit the memo
+    sources = [PresentedModule(Z, 2, [[2, 0], [0, 1]])]
+    assert sources[0] == cyclic_module(Z, 2)
+    assert sources[0].presentation() != cyclic_module(Z, 2).presentation()
+    again = direct_sum_module(Z, [2, 4, 3])
+    with mock.patch.object(engine, "trace", wraps=trace) as traced:
+        assert torsion_radical_generated(handle, sources, again, check=False) is first
+        assert traced.call_count == 0
+        # the checked call runs its postcondition's one trace, and no loop
+        assert torsion_radical_generated(handle, sources, again) is first
+        assert traced.call_count == 1
+        # another presentation of x is another key: the loop runs again
+        other = _dense_presentation(random.Random(5), [2, 12])
+        assert torsion_radical_generated(handle, sources, other).key() != first.key()
+        assert traced.call_count > 2
+
+
+def test_a_radical_memo_hit_still_checks_the_postconditions():
+    handle = AbelianHandle(Z)
+    sources, x = [cyclic_module(Z, 2)], direct_sum_module(Z, [4, 3])
+    t = torsion_radical_generated(handle, sources, x)
+    assert t.order() == 4
+    with mock.patch.object(engine, "trace", lambda h, srcs, q: h.full_sub(q)):
+        # a miss under this trace stops at t = x and passes both checks, so
+        # only a hit that still checks can fail
+        assert torsion_radical_generated(AbelianHandle(Z), sources, x).is_full()
+        with pytest.raises(ContradictionError, match=r"t\(x/t\(x\)\) = 0 failed "
+                           r"for Z/12 with sources \[Z/2\]$"):
+            torsion_radical_generated(handle, sources, x)
+
+
+def test_the_radical_memo_evicts_the_oldest_past_the_cap(monkeypatch):
+    monkeypatch.setattr(engine, "SUBOBJECT_TABLE_CAP", 3)
+    handle = AbelianHandle(Z)
+    sources = [cyclic_module(Z, 2)]
+    modules = [cyclic_module(Z, n) for n in range(2, 9)]
+    radicals = handle._subobject_tables.radicals
+    for m in modules + modules[:2]:
+        # t(Z/n) is the 2-part of Z/n
+        assert torsion_radical_generated(handle, sources, m).order() == m.order() & -m.order()
+        assert len(radicals) <= 3
+    # Z/2 and Z/3 were dropped and asked again, so they are the newest
+    assert list(radicals) == [
+        (tuple(sources), m.presentation()) for m in (modules[-1], *modules[:2])]
+    # the subobject tables keep their own count under the same cap
+    verify_torsion_pair_axioms(handle, sources, [direct_sum_module(Z, [2, 2, 2])])
+    assert len(handle._subobject_tables.radicals) <= 3
+    assert handle._subobject_tables.size <= 3
 
 
 @st.composite
