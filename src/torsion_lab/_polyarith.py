@@ -8,12 +8,7 @@ other than Z, Z/n or F_p needs it, so integer commands never compile it.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .primes import prime_divisors
-
-if TYPE_CHECKING:
-    from .rings import RingElem
 
 # ---------------------------------------------------------------------------
 # univariate polynomial helpers (coefficient tuples, ascending degree, over F_p)
@@ -67,8 +62,6 @@ def pdivmod(a, b, p):
 def pmod(a, b, p):
     """a mod b; the zero modulus () of F_p[x] leaves a as it is."""
     return pdivmod(a, b, p)[1] if b else a
-
-
 
 
 def pgcd(a, b, p):
@@ -151,11 +144,6 @@ def mono_colon(gens, u: Mono) -> tuple[Mono, ...]:
     return minimalize(mono_div(g, mono_gcd(g, u)) for g in gens)
 
 
-def mono_intersect(gens_a, gens_b) -> tuple[Mono, ...]:
-    """Intersection of monomial ideals: generated by pairwise lcms."""
-    return minimalize(mono_lcm(a, b) for a in gens_a for b in gens_b)
-
-
 def mono_radical(gens) -> tuple[Mono, ...]:
     return minimalize((min(a, 1), min(b, 1)) for a, b in gens)
 
@@ -189,72 +177,3 @@ def bmul(a, b, p, rels):
         for mb, cb in b:
             terms.append((mono_mul(ma, mb), ca * cb))
     return bnorm(terms, p, rels)
-
-
-def binomial_ann_payloads(e: RingElem) -> list:
-    """Ann(ca*x^a + cb*y^b) over F_p[x,y]/(monomial rels), exactly.
-
-    An annihilating element decomposes into monomials killed by both x^a and
-    y^b, plus 'chain' vectors: a monomial whose y^b-image dies in the relations
-    starts a chain m -> m*x^a/y^b of forced coefficient cancellations, which
-    must terminate by having its last x^a-image die.  Heads only need to be
-    scanned up to the relation exponents (membership saturates beyond them,
-    making larger chains translates of smaller ones).
-    """
-    r = e.ring
-    p = r.p
-    rels = r.rels or ()
-    (m1, c1), (m2, c2) = sorted(e.payload)
-    # m1 is the pure-y term, m2 the pure-x term after sorting
-    b, a = m1[1], m2[0]
-    cb, ca = c1, c2
-    if not rels:
-        return []
-    in_r = lambda m: in_mono_ideal(m, rels)
-    out: list = []
-    # monomial annihilators: (rels : x^a) intersect (rels : y^b)
-    mono = mono_intersect(mono_colon(rels, (a, 0)), mono_colon(rels, (0, b)))
-    for m in mono:
-        if not in_r(m):
-            out.append(((m, 1),))
-    sx = max((g[0] for g in rels), default=0)
-    ty = max((g[1] for g in rels), default=0)
-    ratio = (-ca * pow(cb, p - 2, p)) % p  # coefficient step: r_{k+1} = -(ca/cb) r_k
-    for s in range(sx + 1):
-        for t in range(ty + 1):
-            head = (s, t)
-            if in_r(head):
-                continue
-            if not in_r((s, t + b)):
-                continue  # head's y-image survives: coefficient forced elsewhere
-            chain = [head]
-            cur = head
-            closed = False
-            while True:
-                image = (cur[0] + a, cur[1])
-                if in_r(image):
-                    closed = True
-                    break
-                if image[1] < b:
-                    break
-                partner = (image[0], image[1] - b)
-                if in_r(partner):
-                    break
-                chain.append(partner)
-                cur = partner
-            if not closed:
-                continue
-            coeff = 1
-            terms = []
-            for m in chain:
-                terms.append((m, coeff))
-                coeff = (coeff * ratio) % p
-            out.append(bnorm(terms, p, rels))
-    # deduplicate and drop anything that normalised to zero
-    uniq = []
-    seen = set()
-    for t in out:
-        if t and t not in seen:
-            seen.add(t)
-            uniq.append(t)
-    return sorted(uniq)

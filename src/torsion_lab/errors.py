@@ -1,5 +1,8 @@
-"""Error types shared across the library and mapped to CLI exit codes, and
-the one writer of integers that refuses past the int-string limit."""
+"""Error types shared across the library and mapped to CLI exit codes, the
+one reader of integer inputs, and the one writer of integers that refuses
+past the int-string limit."""
+
+import operator
 
 
 class TorsionLabError(Exception):
@@ -24,6 +27,15 @@ class ContradictionError(TorsionLabError):
     Raising this means either the implementation is wrong or the statement's
     hypotheses were violated; it is never swallowed silently.
     """
+
+
+def integer(value, what: str) -> int:
+    """value as an int; a float or a numeric string is refused, where int()
+    would truncate or parse it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def decimal(n: int) -> str:

@@ -1,6 +1,11 @@
 """Matrices over commutative rings: determinantal ideals, McCoy rank, and the
 conormal pipeline deciding whether Hom_S(I, S/I) vanishes.
 
+The McCoy rank of A is the largest r with Ann(D_r) = 0, D_r the ideal of the
+r x r minors.  Over a noetherian ring R, Ann(D_r) = 0 iff D_r lies in no
+associated prime (McCoy 1942; Kaplansky, Commutative Rings, Thm 82), so the
+rank is min over P in Ass(R) of rank_kappa(P)(A mod P), kappa(P) = Frac(R/P).
+
 The pipeline presents I/I^2 over S/I by an explicit relation matrix M
 (generators of I index the rows), dualises, and reads Hom_S(I, S/I) off the
 kernel of the transpose.  Over a domain with 0 != I != S that kernel is
@@ -12,12 +17,14 @@ quotient, so `matrix_kernel` answers only those two shapes.
 """
 from __future__ import annotations
 
+import math
+
 from .errors import ContradictionError, InputError, UnsupportedRingError
 from .rings import (ENUM_LIMIT, KIND_BIPOLY, KIND_POLY, KIND_Z, SHAPE_MONOMIAL,
-                    Ideal, Ring, RingElem, annihilator_payloads, bivariate_shape)
+                    Ideal, Ring, RingElem, bivariate_shape)
 
-# `_polyarith`, whose monomial helpers only the bivariate branches use: bound
-# by the first of them, so McCoy ranks over Z/n never compile it
+# `_polyarith`, which only the F_p[x] and bivariate branches use: bound by the
+# first of them, so McCoy ranks over Z/n never compile it
 pa = None
 
 
@@ -98,7 +105,11 @@ def minors(a: RingMatrix, order: int) -> list[RingElem]:
 
 
 class DeterminantalProfile:
-    """The chain D_0 >= D_1 >= ... with annihilator status and the McCoy rank."""
+    """The chain D_0 >= D_1 >= ... by its minors, and the McCoy rank.
+
+    Step r's `annihilator_is_zero` (Ann(D_r) = 0) is r <= mccoy_rank: the
+    annihilators grow with r, so the flag is exact without a per-order test.
+    """
 
     __slots__ = ("steps", "mccoy_rank")
 
@@ -110,35 +121,106 @@ class DeterminantalProfile:
         return {"steps": self.steps, "mccoy_rank": self.mccoy_rank}
 
 
-def _ideal_ann_is_zero(ring: Ring, gens: list[RingElem], context: str) -> bool:
-    try:
-        return not annihilator_payloads(Ideal(ring, gens))
-    except UnsupportedRingError as exc:
-        raise UnsupportedRingError(f"{context}: {exc}") from exc
+def _exact_quotient(e: RingElem, d: RingElem) -> RingElem:
+    """e / d in Z or F_p[x], where d divides e."""
+    r = e.ring
+    if r.n is not None:
+        return RingElem(r, e.payload // d.payload)
+    return RingElem(r, pa.pdivmod(e.payload, d.payload, r.p)[0])
+
+
+def _split_modulus(ring: Ring, a: RingElem) -> tuple[Ring, ...]:
+    """R/(g) and R/(m/g) for g = gcd(a, m) != 1, or () when a is a unit mod m."""
+    if ring.n is not None:
+        g = math.gcd(a.payload, ring.n)
+        return () if g == 1 else (Ring.integers_mod(g), Ring.integers_mod(ring.n // g))
+    g = pa.pgcd(a.payload, ring.modulus, ring.p)
+    return () if g == (1,) else tuple(Ring.poly_quotient(ring.p, f) for f in (
+        g, pa.pdivmod(ring.modulus, g, ring.p)[0]))
+
+
+def _euclidean_rank(ring: Ring, rows: list[list[RingElem]]) -> int:
+    """min over the primes P >= (m) of rank_{R/P}(A mod P) for A over R/(m),
+    R = Z or F_p[x]; the rank over Frac(R) when m = 0.  Fraction-free
+    elimination with complete pivoting: rows are scaled by the pivot, a unit
+    mod m (non-zero when m = 0), and for m = 0 new entries are then divided
+    by the previous pivot, so they stay minors of A (Bareiss 1968).  A pivot a that is not a unit
+    mod m splits m into gcd(a, m) and m / gcd(a, m), and the smaller branch
+    rank wins (dynamic evaluation: Della Dora, Dicrescenzo, Duval 1985); m is
+    never factored."""
+    if ring.n is None:
+        _load_polyarith()
+    m = ring.n if ring.n is not None else ring.modulus
+    rank, prev = 0, ring.one
+    while True:
+        pivot = next(((i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e), None)
+        if pivot is None:
+            return rank
+        i, j = pivot
+        a = rows[i][j]
+        branches = _split_modulus(ring, a) if m else ()
+        if branches:
+            return rank + min(_euclidean_rank(sub, [
+                [(sub.from_int if sub.n is not None else sub.poly)(e.payload) for e in row]
+                for row in rows]) for sub in branches)
+        top = rows.pop(i)
+        rows = [[a * e - row[j] * t for k, (e, t) in enumerate(zip(row, top)) if k != j]
+                for row in rows]
+        if not m:
+            rows = [[_exact_quotient(e, prev) for e in row] for row in rows]
+            prev = a
+        rank += 1
+
+
+def _residue_rank(a: RingMatrix) -> int:
+    """rk_McCoy(a) = min over P in Ass(R) of rank_kappa(P)(a mod P).
+
+    For R = F_p[x,y]/J, J monomial, each P is a branch over F_p[t]:
+    - J with two or more minimal generators: (x, y) is associated (x and y
+      kill x^(c-1) y^(b-1) for adjacent generators x^a y^b, x^c y^d) and holds
+      every other P, so the rank is that of the constant terms;
+    - J = (x^a y^b): (x) is associated iff a > 0, with kappa = F_p(t = y),
+      and likewise (y);
+    - J = 0: x -> t^N, y -> t, N above every minor's y-degree, keeps each
+      minor non-zero (Kronecker substitution).
+    """
+    ring = a.ring
+    rows = [list(a.entries[i * a.cols:(i + 1) * a.cols]) for i in range(a.rows)]
+    if ring.kind != KIND_BIPOLY:
+        return _euclidean_rank(ring, rows)
+    rels = ring.rels or ()
+    # (wx, wy) maps x^i y^j to t^(i wx + j wy); a zero weight sets its variable to 0
+    if len(rels) > 1:
+        weights = [(0, 0)]
+    elif rels:
+        (ex, ey), = rels
+        weights = [(0, 1)] * (ex > 0) + [(1, 0)] * (ey > 0)
+    else:
+        ydeg = max((m[1] for e in a.entries for m, _ in e.payload), default=0)
+        weights = [(min(a.rows, a.cols) * ydeg + 1, 1)]
+    t_ring = Ring.poly_ring(ring.p)
+
+    def substitute(e: RingElem, wx: int, wy: int) -> RingElem:
+        return sum((t_ring.poly([0] * (i * wx + j * wy) + [c]) for (i, j), c in e.payload
+                    if (wx or not i) and (wy or not j)), t_ring.zero)
+
+    return min(_euclidean_rank(t_ring, [[substitute(e, wx, wy) for e in row] for row in rows])
+               for wx, wy in weights)
 
 
 def mccoy_rank(a: RingMatrix) -> tuple[int, DeterminantalProfile]:
-    """Largest r with Ann(D_r) = 0, plus the full determinantal profile."""
-    profile = DeterminantalProfile()
-    rank = 0
-    for r in range(min(a.rows, a.cols) + 1):
-        gens = minors(a, r)
-        ann_zero = _ideal_ann_is_zero(
-            a.ring, gens, f"annihilator of the order-{r} minor ideal")
-        profile.steps.append({
-            "order": r,
-            "generators": [str(g) for g in gens],
-            "annihilator_is_zero": ann_zero,
-        })
-        if ann_zero:
-            rank = r
-    profile.mccoy_rank = rank
-    return rank, profile
+    """Largest r with Ann(D_r) = 0, plus the profile, which lists every minor."""
+    rank = _residue_rank(a)
+    steps = [{"order": r, "generators": [str(g) for g in minors(a, r)],
+              "annihilator_is_zero": r <= rank}
+             for r in range(min(a.rows, a.cols) + 1)]
+    return rank, DeterminantalProfile(steps, rank)
 
 
 def has_nullvector_theorem(a: RingMatrix) -> bool:
-    """McCoy's criterion: a non-zero nullvector exists iff the rank is below n."""
-    return mccoy_rank(a)[0] < a.cols
+    """McCoy's criterion: a non-zero nullvector exists iff the rank is below n.
+    No minor is listed, so this answers at any size."""
+    return _residue_rank(a) < a.cols
 
 
 def nullvector_exhaustive(a: RingMatrix):

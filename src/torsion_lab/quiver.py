@@ -11,21 +11,12 @@ import operator
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .errors import InputError
+from .errors import InputError, integer
 from .modlinalg import Subspace, all_subspaces, kernel_mod, mat_vec_mod
 from .primes import is_prime
 
 ENUM_DIM_BOUND = 4
 ENUM_PRIMES = (2, 3, 5)
-
-
-def _integer(value, what: str) -> int:
-    """value as an int; a float or a numeric string is refused, where int()
-    would truncate or parse it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _sequence(value, what: str) -> tuple:
@@ -49,7 +40,7 @@ class Quiver:
     __slots__ = ("vertex_count", "arrows")
 
     def __init__(self, vertex_count: int, arrows):
-        vertex_count = _integer(vertex_count, "vertex count")
+        vertex_count = integer(vertex_count, "vertex count")
         if vertex_count < 1:
             raise InputError("a quiver needs at least one vertex")
         arr = []
@@ -57,7 +48,7 @@ class Quiver:
             pair = _sequence(arrow, "an arrow")
             if len(pair) != 2:
                 raise InputError(f"an arrow is a (source, target) pair, got {arrow!r}")
-            s, t = _integer(pair[0], "arrow source"), _integer(pair[1], "arrow target")
+            s, t = integer(pair[0], "arrow source"), integer(pair[1], "arrow target")
             if not (0 <= s < vertex_count and 0 <= t < vertex_count):
                 raise InputError(f"arrow ({s},{t}) references a missing vertex")
             arr.append((s, t))
@@ -103,10 +94,10 @@ class QuiverRep:
     __slots__ = ("quiver", "p", "dims", "maps")
 
     def __init__(self, quiver: Quiver, p: int, dims, maps):
-        p = _integer(p, "p")
+        p = integer(p, "p")
         if not is_prime(p):
             raise InputError(f"representations need a prime field, got p={p!r}")
-        dims = tuple(_integer(d, "dimension") for d in _sequence(dims, "dims"))
+        dims = tuple(integer(d, "dimension") for d in _sequence(dims, "dims"))
         if len(dims) != quiver.vertex_count:
             raise InputError("one dimension per vertex required")
         if any(d < 0 for d in dims):

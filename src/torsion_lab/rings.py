@@ -1,4 +1,4 @@
-"""Exact arithmetic, ideals, annihilators and radicals for the coefficient rings.
+"""Exact arithmetic, ideals and radicals for the coefficient rings.
 
 Supported rings: the integers Z, quotients Z/n, prime fields F_p, univariate
 polynomial rings F_p[x] and their quotients F_p[x]/(f), and bivariate monomial
@@ -14,8 +14,10 @@ ring: `describe` and the JSON kinds are unchanged.
 Bivariate rings are deliberately restricted: relation ideals are monomial,
 ideal generators are monomials or a two-term combination c*x^a + c'*y^b, and
 anything outside those shapes raises UnsupportedRingError instead of guessing.
-Within the restriction, membership, radical and annihilator are exact
-monomial combinatorics with no Groebner machinery.
+Within the restriction, membership and radical are exact monomial
+combinatorics with no Groebner machinery.
+Integer inputs are read with `operator.index`: a float or a numeric string
+is refused with InputError, not truncated or stored.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import math
 from itertools import product as iter_product
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .errors import InputError, UnsupportedRingError, decimal
+from .errors import InputError, UnsupportedRingError, decimal, integer
 from .primes import is_prime
 
 if TYPE_CHECKING:
@@ -38,6 +40,13 @@ def _load_polyarith() -> None:
     global pa
     if pa is None:
         from . import _polyarith as pa
+
+
+def _prime(p, what: str) -> int:
+    p = integer(p, f"{what} characteristic")
+    if not is_prime(p):
+        raise InputError(f"{what} needs a prime characteristic, got {p!r}")
+    return p
 
 
 def _zmod(k: int, n: int) -> int:
@@ -100,22 +109,18 @@ class Ring:
 
     @staticmethod
     def prime_field(p: int) -> "Ring":
-        if not is_prime(p):
-            raise InputError(f"prime field needs a prime characteristic, got {p!r}")
+        p = _prime(p, "prime field")
         return Ring(KIND_FP, n=p, p=p)
 
     @staticmethod
     def poly_ring(p: int) -> "Ring":
-        if not is_prime(p):
-            raise InputError(f"F_p[x] needs a prime p, got {p!r}")
-        return Ring(KIND_POLY, p=p, modulus=())
+        return Ring(KIND_POLY, p=_prime(p, "F_p[x]"), modulus=())
 
     @staticmethod
     def poly_quotient(p: int, modulus) -> "Ring":
-        if not is_prime(p):
-            raise InputError(f"F_p[x]/(f) needs a prime p, got {p!r}")
+        p = _prime(p, "F_p[x]/(f)")
         _load_polyarith()
-        f = pa.pnorm(modulus, p)
+        f = pa.pnorm([integer(c, "modulus coefficient") for c in modulus], p)
         if len(f) < 2:
             raise InputError("quotient modulus must have degree >= 1")
         if f[-1] != 1:
@@ -124,14 +129,11 @@ class Ring:
 
     @staticmethod
     def bivariate_quotient(p: int, rels=()) -> "Ring":
-        if not is_prime(p):
-            raise InputError(f"F_p[x,y] quotient needs a prime p, got {p!r}")
-        gens = []
-        for m in rels:
-            a, b = int(m[0]), int(m[1])
-            if a < 0 or b < 0:
-                raise InputError(f"monomial exponents must be >= 0, got {m!r}")
-            gens.append((a, b))
+        p = _prime(p, "F_p[x,y] quotient")
+        gens = [(integer(m[0], "monomial exponent"), integer(m[1], "monomial exponent"))
+                for m in rels]
+        if any(min(m) < 0 for m in gens):
+            raise InputError(f"monomial exponents must be >= 0, got {gens!r}")
         _load_polyarith()
         mins = pa.minimalize(gens) if gens else ()
         if (0, 0) in mins:
@@ -153,10 +155,10 @@ class Ring:
 
     def from_int(self, k: int) -> "RingElem":
         if self.n is not None:
-            return RingElem(self, _zmod(int(k), self.n))
+            return RingElem(self, _zmod(integer(k, "ring element"), self.n))
         if self.modulus is not None:
             return self.poly([k])
-        return RingElem(self, pa.bnorm([((0, 0), k)], self.p, self.rels))
+        return self.bipoly([((0, 0), k)])
 
     @property
     def zero(self) -> "RingElem":
@@ -169,6 +171,7 @@ class Ring:
     def poly(self, coeffs) -> "RingElem":
         if self.modulus is None:
             raise InputError(f"{self.kind} has no univariate elements")
+        coeffs = [integer(c, "coefficient") for c in coeffs]
         return RingElem(self, pa.pmod(pa.pnorm(coeffs, self.p), self.modulus, self.p))
 
     @property
@@ -186,15 +189,15 @@ class Ring:
         raise InputError(f"{self.kind} has no variable y")
 
     def monomial(self, a: int, b: int, coeff: int = 1) -> "RingElem":
-        if self.kind != KIND_BIPOLY:
-            raise InputError(f"{self.kind} has no bivariate monomials")
-        return RingElem(self, pa.bnorm([((a, b), coeff)], self.p, self.rels))
+        return self.bipoly([((a, b), coeff)])
 
     def bipoly(self, terms) -> "RingElem":
         """terms: iterable of ((a, b), coeff)."""
         if self.kind != KIND_BIPOLY:
             raise InputError(f"{self.kind} has no bivariate elements")
-        return RingElem(self, pa.bnorm(list(terms), self.p, self.rels))
+        terms = [((integer(a, "monomial exponent"), integer(b, "monomial exponent")),
+                  integer(c, "coefficient")) for (a, b), c in terms]
+        return RingElem(self, pa.bnorm(terms, self.p, self.rels))
 
     # -- enumeration (finite rings only) ------------------------------------
 
@@ -558,62 +561,3 @@ class Ideal:
     def __repr__(self) -> str:
         inner = ", ".join(str(g) for g in self.gens) or "0"
         return f"Ideal({inner}) of {self.ring.describe()}"
-
-
-# ---------------------------------------------------------------------------
-# annihilators
-# ---------------------------------------------------------------------------
-
-
-def annihilator_payloads(ideal: Ideal) -> list:
-    """Raw canonical payloads generating Ann(ideal); [] means the zero annihilator."""
-    r = ideal.ring
-    if ideal.is_zero():
-        return [r.one.payload]
-    if r.kind != KIND_BIPOLY:
-        return _element_ann_payloads(ideal._pid_generator())
-    # intersect element annihilators; monomial parts stay combinatorial
-    acc_mono: Optional[tuple[Mono, ...]] = None
-    extra: list = []
-    for g in ideal.gens:
-        payloads = _element_ann_payloads(g)
-        if not payloads:
-            return []
-        monos = [t[0][0] for t in payloads if len(t) == 1]
-        rest = [t for t in payloads if len(t) != 1]
-        if rest:
-            extra.extend(rest)
-        cur = pa.minimalize(monos) if monos else ()
-        acc_mono = cur if acc_mono is None else pa.mono_intersect(acc_mono, cur)
-    if extra:
-        if len(ideal.gens) == 1:
-            return extra + [((m, 1),) for m in (acc_mono or ())]
-        raise UnsupportedRingError(
-            "annihilator of a multi-generator bivariate ideal with non-monomial "
-            "annihilator components is not expressible here")
-    gens = [m for m in (acc_mono or ()) if not pa.in_mono_ideal(m, r.rels or ())]
-    return [((m, 1),) for m in gens]
-
-
-def _element_ann_payloads(e: RingElem) -> list:
-    r = e.ring
-    if e.is_zero():
-        return [r.one.payload]
-    # Ann(e) = (n / gcd(n, e)), which is 0 over the domains Z and F_p[x]
-    if r.n is not None:
-        g = _zmod(r.n // math.gcd(r.n, e.payload), r.n)
-        return [g] if g else []
-    if r.modulus is not None:
-        g = pa.pmod(pa.pdivmod(r.modulus, pa.pgcd(e.payload, r.modulus, r.p), r.p)[0], r.modulus, r.p)
-        return [g] if g else []
-    shape = bivariate_shape(e)
-    if shape == SHAPE_MONOMIAL:
-        rels = r.rels or ()
-        m = e.payload[0][0]
-        gens = [g for g in pa.mono_colon(rels, m) if not pa.in_mono_ideal(g, rels)] if rels else []
-        return [((g, 1),) for g in pa.minimalize(gens)] if gens else []
-    if shape == SHAPE_BINOMIAL:
-        return pa.binomial_ann_payloads(e)
-    raise UnsupportedRingError(
-        f"annihilator of bivariate element {e} (neither monomial nor pure "
-        "x-power + y-power) is unsupported")

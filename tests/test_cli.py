@@ -138,6 +138,18 @@ def test_mccoy_nullvector_infinite_ring(capsys):
     assert code2 == 2
 
 
+def test_mccoy_unit_over_local_bivariate_ring(capsys):
+    # 1+y is a unit of F_2[x,y]/(x^2, y^2): rank 1, and both nullvector modes agree
+    payload = ('{"ring":{"kind":"BiPolyMonomialQuot","p":2,"rels":["x^2","y^2"]},'
+               '"matrix":[["1+y"]]}')
+    code, out, _ = run_cli(capsys, "--json", "mccoy", "rank", payload)
+    assert code == 0 and json.loads(out)["result"]["mccoy_rank"] == 1
+    code, out, _ = run_cli(capsys, "--json", "mccoy", "nullvector", payload)
+    result = json.loads(out)["result"]
+    assert code == 0 and result["agree"] is True
+    assert result["theorem_says_nullvector"] is False and result["nullvector"] is None
+
+
 def test_hom_conormal_counterexample(capsys):
     code, out, _ = run_cli(capsys, "--json", "hom-conormal", COUNTEREXAMPLE)
     assert code == 0

@@ -5,6 +5,7 @@ import random
 import pytest
 from conftest import poly_matrix_rank, rational_rank
 
+from torsion_lab import mccoy
 from torsion_lab.errors import InputError, UnsupportedRingError
 from torsion_lab.mccoy import (ConormalReport, DeterminantalProfile,
                                KernelDescription, RadicalLemmaReport, RingMatrix,
@@ -256,15 +257,143 @@ def test_matrix_kernel_refuses_shapes_the_pipeline_never_builds():
 
 
 def test_mccoy_unsupported_minor_shapes():
-    # a bivariate matrix whose 2x2 minor mixes monomials outside the supported
-    # ideal-generator shapes
+    # a bivariate matrix whose 2x2 minor is no supported ideal-generator shape
+    # still has a rank: the minor is non-zero in the domain F_2[x,y]
     b2 = Ring.bivariate_quotient(2, [])
     mat = RingMatrix.from_rows(
         b2, [[b2.monomial(1, 0), b2.monomial(0, 2)],
              [b2.monomial(2, 0), b2.monomial(1, 1)]])
     assert str(minors(mat, 2)[0]) == "x^2y+x^2y^2"
-    with pytest.raises(UnsupportedRingError):
-        mccoy_rank(mat)
+    rank, profile = mccoy_rank(mat)
+    assert rank == 2 and [s["annihilator_is_zero"] for s in profile.steps] == [True] * 3
+
+
+def test_unit_of_a_local_bivariate_ring_has_rank_one():
+    # 1 + y is a unit of F_2[x,y]/(x^2, y^2) ((1 + y)^2 = 1), not a monomial
+    ring = Ring.bivariate_quotient(2, [(2, 0), (0, 2)])
+    mat = RingMatrix.from_rows(ring, [[ring.one + ring.gen_y]])
+    assert mccoy_rank(mat)[0] == 1
+    assert has_nullvector_theorem(mat) is False and nullvector_exhaustive(mat) is None
+
+
+# -- the McCoy profile against test-local minors and annihilators --
+
+def _leibniz_minors(rows, order, ring):
+    """Every order x order minor of rows by the Leibniz formula."""
+    out = []
+    for rs in itertools.combinations(range(len(rows)), order):
+        for cs in itertools.combinations(range(len(rows[0])), order):
+            det = ring.zero
+            for perm in itertools.permutations(range(order)):
+                term = ring.one
+                for i, k in enumerate(perm):
+                    term = term * rows[rs[i]][cs[k]]
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                det = det - term if inversions % 2 else det + term
+            out.append(det)
+    return out
+
+
+FINITE_RINGS = (
+    [Ring.integers_mod(n) for n in (4, 6, 7, 8, 9, 12, 30)]
+    + [Ring.prime_field(5),
+       Ring.poly_quotient(2, [0, 1, 1]),            # x(x + 1)
+       Ring.poly_quotient(2, [1, 0, 0, 1]),         # (x + 1)(x^2 + x + 1)
+       Ring.poly_quotient(3, [0, 0, 1]),            # x^2
+       Ring.poly_quotient(2, [1, 1, 1]),            # irreducible: F_4
+       Ring.poly_quotient(3, [1, 0, 1]),            # irreducible: F_9
+       Ring.bivariate_quotient(2, [(2, 0), (0, 2)]),
+       Ring.bivariate_quotient(2, [(2, 0), (1, 1), (0, 2)]),
+       Ring.bivariate_quotient(3, [(2, 0), (0, 1)]),
+       Ring.bivariate_quotient(2, [(3, 0), (1, 1), (0, 2)])])
+
+
+@pytest.mark.parametrize("ring", FINITE_RINGS, ids=lambda r: r.describe())
+def test_mccoy_profile_matches_brute_force_annihilators(ring):
+    # annihilator_is_zero at order r says no non-zero c kills every r x r
+    # minor; the theorem verdict must match the exhaustive nullvector search
+    elements = list(ring.elements())
+    nonzero = [c for c in elements if not c.is_zero()]
+    rng = random.Random(len(elements))
+    for _ in range(40):
+        rows = [[rng.choice(elements) for _ in range(rng.randint(1, 3))]]
+        rows += [[rng.choice(elements) for _ in rows[0]] for _ in range(rng.randint(0, 2))]
+        mat = RingMatrix.from_rows(ring, rows)
+        rank, profile = mccoy_rank(mat)
+        for step in profile.steps:
+            gens = _leibniz_minors(rows, step["order"], ring)
+            killed = any(all((c * g).is_zero() for g in gens) for c in nonzero)
+            assert step["annihilator_is_zero"] == (not killed), (ring, mat.describe_rows())
+        assert has_nullvector_theorem(mat) == (nullvector_exhaustive(mat) is not None)
+
+
+def _random_bipoly(ring, rng):
+    return ring.bipoly([((rng.randint(0, 2), rng.randint(0, 2)), rng.randrange(ring.p))
+                        for _ in range(rng.randint(0, 3))])
+
+
+def _set_to_zero(e, axis):
+    """e with the variable `axis` (0 for x, 1 for y) set to 0, as the
+    coefficient list of a polynomial in the other variable."""
+    coeffs = [0] * 8
+    for mono, c in e.payload:
+        if mono[axis] == 0:
+            coeffs[mono[1 - axis]] = c
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+@pytest.mark.parametrize("rel", [(1, 1), (2, 0), (2, 1), (0, 1)], ids=str)
+def test_mccoy_rank_of_one_relation_quotients_from_univariate_branches(rel):
+    # F_3[x,y]/(x^a y^b) has the associated primes (x) when a > 0 and (y)
+    # when b > 0, with residue fields F_3(y) and F_3(x)
+    ring = Ring.bivariate_quotient(3, [rel])
+    rng = random.Random(10 * rel[0] + rel[1])
+    for _ in range(60):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        mat = RingMatrix.from_rows(ring, [[_random_bipoly(ring, rng) for _ in range(cols)]
+                                          for _ in range(rows)])
+        branches = [poly_matrix_rank([[_set_to_zero(mat.at(i, j), axis) for j in range(cols)]
+                                      for i in range(rows)], 3)
+                    for axis in (0, 1) if rel[axis]]
+        assert mccoy_rank(mat)[0] == min(branches), mat.describe_rows()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mccoy_rank_over_bivariate_domain_is_largest_non_zero_minor(p):
+    ring = Ring.bivariate_quotient(p, [])
+    rng = random.Random(p)
+    for _ in range(60):
+        rows = [[_random_bipoly(ring, rng) for _ in range(rng.randint(1, 3))]]
+        rows += [[_random_bipoly(ring, rng) for _ in rows[0]] for _ in range(rng.randint(0, 2))]
+        want = max(r for r in range(min(len(rows), len(rows[0])) + 1)
+                   if any(not g.is_zero() for g in _leibniz_minors(rows, r, ring)))
+        assert mccoy_rank(RingMatrix.from_rows(ring, rows))[0] == want, rows
+
+
+def test_theorem_mode_lists_no_minor(monkeypatch):
+    # 40 x 40 has about 10^23 minors: has_nullvector_theorem must not list one
+    def refuse(*args):
+        raise AssertionError("minors listed")
+
+    monkeypatch.setattr(mccoy, "minors", refuse)
+    n = 40
+    z12, f3x = Ring.integers_mod(12), Ring.poly_quotient(3, [0, 0, 1])
+    for ring, zero_divisor in ((z12, z12.from_int(2)), (f3x, f3x.gen_x)):
+        elements = list(ring.elements())
+        rng = random.Random(n)
+        # L U with unitriangular L and U has determinant 1, so McCoy rank n
+        low = [[ring.one if i == j else rng.choice(elements) if j < i else ring.zero
+                for j in range(n)] for i in range(n)]
+        up = [[ring.one if i == j else rng.choice(elements) if j > i else ring.zero
+               for j in range(n)] for i in range(n)]
+        rows = [[sum((low[i][k] * up[k][j] for k in range(n)), ring.zero) for j in range(n)]
+                for i in range(n)]
+        assert has_nullvector_theorem(RingMatrix.from_rows(ring, rows)) is False
+        # a zero divisor times the first column: its annihilator kills that column
+        rows = [[zero_divisor * row[0]] + row[1:] for row in rows]
+        assert has_nullvector_theorem(RingMatrix.from_rows(ring, rows)) is True
 
 
 def test_report_classes_construct_with_defaults_and_fresh_lists():

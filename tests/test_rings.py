@@ -1,4 +1,4 @@
-"""Ring arithmetic, ideals, annihilators, radicals: examples and invariants."""
+"""Ring arithmetic, ideals, radicals: examples and invariants."""
 import itertools
 import random
 
@@ -6,8 +6,7 @@ import pytest
 from conftest import poly_add, poly_mod, poly_mul, poly_quotient_has_zero_divisors
 
 from torsion_lab.errors import InputError, UnsupportedRingError
-from torsion_lab.rings import (Ideal, Ring, RingElem, _element_ann_payloads,
-                               annihilator_payloads)
+from torsion_lab.rings import Ideal, Ring, RingElem
 
 Z = Ring.integers()
 B5 = Ring.bivariate_quotient(5, [(1, 1)])        # F5[x,y]/(xy)
@@ -105,74 +104,6 @@ def test_ring_axioms_random(ring):
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-
-
-def _ann(e):
-    """Ann(e) as an ideal, through the payloads that `mccoy_rank` reads."""
-    return Ideal(e.ring, [RingElem(e.ring, t) for t in annihilator_payloads(Ideal(e.ring, [e]))])
-
-
-def test_ann_element_examples():
-    got = _ann(Ring.integers_mod(4).from_int(2))
-    assert [g.payload for g in got.gens] == [2]
-    assert _ann(Z.from_int(7)).is_zero()
-    annx = _ann(B5.gen_x)
-    assert [str(g) for g in annx.gens] == ["y"]
-
-
-def test_ann_element_brute_force_over_zmod():
-    for n in range(2, 61):
-        ring = Ring.integers_mod(n)
-        for a in range(n):
-            ideal = _ann(ring.from_int(a))
-            gen = ideal._pid_generator().payload if ideal.gens else 0
-            got = sorted({(gen * k) % n for k in range(n)}) if gen else [0]
-            want = sorted(r for r in range(n) if (r * a) % n == 0)
-            assert got == want, (n, a)
-
-
-def test_ann_of_monomial_brute_force():
-    # Ann(x) in F5[x,y]/(xy) is (y): no pure x-power or constant kills x,
-    # while every monomial involving y does
-    x = B5.gen_x
-    for deg in range(5):
-        for coeff in range(1, 5):
-            assert not (B5.monomial(deg, 0, coeff) * x).is_zero()
-    for xdeg in range(4):
-        for ydeg in range(1, 4):
-            m = B5.monomial(xdeg, ydeg)
-            if not m.is_zero():
-                assert (m * x).is_zero()
-
-
-def test_binomial_annihilator_matches_brute_force():
-    # exhaustive over small finite monomial quotients
-    for rels in ([(2, 0), (0, 2)], [(3, 0), (0, 2)], [(2, 0), (0, 2), (1, 1)]):
-        ring = Ring.bivariate_quotient(2, rels)
-        e = ring.gen_x + ring.gen_y
-        gens = [RingElem(ring, t) for t in _element_ann_payloads(e)]
-        brute = {z.payload for z in ring.elements() if (z * e).is_zero()}
-        # span the ideal generated by gens inside the finite ring
-        multiples = {(z * g).payload for g in gens for z in ring.elements()}
-        span = {ring.zero.payload}
-        changed = True
-        while changed:
-            changed = False
-            for s in list(span):
-                for m in multiples:
-                    total = (RingElem(ring, s) + RingElem(ring, m)).payload
-                    if total not in span:
-                        span.add(total)
-                        changed = True
-        assert span == brute, rels
-
-
-def test_ann_unsupported_shape():
-    bad = B5.bipoly([((1, 0), 1), ((2, 0), 1)])   # x + x^2: not a supported shape
-    with pytest.raises(UnsupportedRingError):
-        _element_ann_payloads(bad)
-    with pytest.raises(UnsupportedRingError):
-        Ideal(B5, [bad])
 
 
 def test_ideal_membership_examples():
@@ -280,24 +211,15 @@ def test_equal_ideals_hash_equal_and_collapse_in_a_set():
     assert len(set(unequal)) == len(unequal)
 
 
-# -- contains, radical_contains and annihilator_payloads on principal ideals
-# against their set definitions, with test-local arithmetic on plain ints and lists --
+# -- contains and radical_contains on principal ideals against their set
+# definitions, with test-local arithmetic on plain ints and lists --
 
 
-def _check_principal_ideals(ring, elements, mul, add, zero):
+def _check_principal_ideals(ring, elements, mul):
     """Every principal ideal (a) of a finite ring, a running over `elements`
     (so the zero and the unit ideal are included), against:
-    (a) = {r*a}; rad(a) = {d : d^k in (a) for some k >= 1};
-    Ann(a) = {r : r*a = 0}."""
+    (a) = {r*a}; rad(a) = {d : d^k in (a) for some k >= 1}."""
     ideal_set = {a: frozenset(mul(r, a) for r in elements) for a in elements}
-
-    def span(payloads):
-        sets = [ideal_set[g] for g in payloads] or [{zero}]
-        out = set(sets[0])
-        for extra in sets[1:]:
-            out = {add(s, m) for s in out for m in extra}
-        return out
-
     for a in elements:
         ideal = Ideal(ring, [RingElem(ring, a)])
         members = ideal_set[a]
@@ -308,8 +230,6 @@ def _check_principal_ideals(ring, elements, mul, add, zero):
                 powers.add(x)
                 x = mul(x, e)
             assert ideal.radical_contains(RingElem(ring, e)) == bool(powers & members), (ring, a, e)
-        assert span(annihilator_payloads(ideal)) == {
-            r for r in elements if mul(r, a) == zero}, (ring, a)
 
 
 def _polys(p, max_deg):
@@ -321,8 +241,7 @@ def _polys(p, max_deg):
 def test_principal_ideals_of_zmod_match_definitions():
     for n in range(2, 31):
         _check_principal_ideals(Ring.integers_mod(n), list(range(n)),
-                                lambda x, y, n=n: (x * y) % n,
-                                lambda x, y, n=n: (x + y) % n, 0)
+                                lambda x, y, n=n: (x * y) % n)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -333,8 +252,7 @@ def test_principal_ideals_of_poly_quotients_match_definitions(p):
             table = {(x, y): tuple(poly_mod(poly_mul(list(x), list(y), p), f, p))
                      for x in _polys(p, deg - 1) for y in _polys(p, deg - 1)}
             _check_principal_ideals(Ring.poly_quotient(p, f), _polys(p, deg - 1),
-                                    lambda x, y, t=table: t[x, y],
-                                    lambda x, y: tuple(poly_add(list(x), list(y), p)), ())
+                                    lambda x, y, t=table: t[x, y])
 
 
 def test_principal_ideals_of_integers_match_definitions():
@@ -345,17 +263,12 @@ def test_principal_ideals_of_integers_match_definitions():
     def member(e, g):
         return e % g == 0 if g else e == 0
 
-    def gen(payloads):
-        return payloads[0] if payloads else 0
-
     for a in window:
         ideal = Ideal(Z, [Z.from_int(a)])
         for d in window:
             assert ideal.contains(Z.from_int(d)) == member(d, a), (a, d)
             assert ideal.radical_contains(Z.from_int(d)) == any(
                 member(d ** k, a) for k in range(1, 7)), (a, d)
-        ann = gen(annihilator_payloads(ideal))
-        assert all(member(r, ann) == (r * a == 0) for r in window), a
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -371,9 +284,6 @@ def test_principal_ideals_of_poly_ring_match_definitions(p):
     def member(e, g):
         return not poly_mod(list(e), list(g), p) if g else not e
 
-    def gen(payloads):
-        return payloads[0] if payloads else ()
-
     for a in window:
         ideal = Ideal(ring, [RingElem(ring, a)])
         for d in window:
@@ -383,8 +293,33 @@ def test_principal_ideals_of_poly_ring_match_definitions(p):
                 powers.append(mul(powers[-1], d))
             assert ideal.radical_contains(RingElem(ring, d)) == any(
                 member(x, a) for x in powers), (a, d)
-        ann = gen(annihilator_payloads(ideal))
-        assert all(member(r, ann) == (not mul(r, a)) for r in window), a
+
+
+def test_non_integral_inputs_are_refused():
+    # operator.index reads every integer input: a float or a numeric string is
+    # refused, where int() truncated or parsed it and pnorm stored a float
+    f2xy = Ring.bivariate_quotient(2, [])
+    refused = [
+        lambda: Ring.bivariate_quotient(2, [(1.7, 0), (0, 2)]),
+        lambda: Z.from_int(2.9),
+        lambda: Ring.integers_mod(6).from_int("5"),
+        lambda: Ring.poly_ring(3).poly([1.5, 2]),
+        lambda: Ring.poly_quotient(2, [1.0, 0, 1]),
+        lambda: f2xy.monomial(1.5, 0),
+        lambda: f2xy.monomial(1, 0, "1"),
+        lambda: f2xy.bipoly([((0, 1), 1.0)]),
+        lambda: Ring.prime_field(5.0),
+        lambda: Ring.poly_ring("3"),
+    ]
+    for build in refused:
+        with pytest.raises(InputError):
+            build()
+    # ints and bools work as before
+    assert Ring.integers_mod(6).from_int(True).payload == 1
+    assert Ring.poly_ring(3).poly([True, 5]).payload == (1, 2)
+    assert str(f2xy.monomial(True, 2)) == "xy^2"
+    assert Ring.bivariate_quotient(2, [(True, 0)]).rels == ((1, 0),)
+    assert Ring.prime_field(5).describe() == "F_5"
 
 
 def test_ring_validation():
