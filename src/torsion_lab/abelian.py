@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import intlinalg as la
-from .errors import InputError, decimal
+from .errors import InputError, decimal, integer
 from .primes import factorize, is_prime, p_adic_valuation, prime_divisors
 from .rings import KIND_Z, KIND_ZMOD, Ring
 
@@ -161,7 +161,8 @@ class PresentedModule:
     def __init__(self, ring: Ring, gens: int, relations: Matrix):
         if ring.kind not in (KIND_Z, KIND_ZMOD):
             raise InputError("presented modules live over Z or Z/n")
-        if not isinstance(gens, int) or gens < 0:
+        gens = integer(gens, "generator count")
+        if gens < 0:
             raise InputError("generator count must be an integer >= 0")
         rels = _integer_rows(relations, "relation matrix")
         if len(rels) != gens:
@@ -212,14 +213,6 @@ class PresentedModule:
         """(free_rank, invariant_factors) with 1 < d1 | d2 | ..."""
         free, factors = self._invariants()
         return free, list(factors)
-
-    @property
-    def free_rank(self) -> int:
-        return self._decomposition().free
-
-    @property
-    def invariant_factors(self) -> list[int]:
-        return list(self._decomposition().factors)
 
     def is_finite(self) -> bool:
         return self._decomposition().free == 0
@@ -636,6 +629,7 @@ def direct_sum_module(ring: Ring, orders: list[int]) -> PresentedModule:
 def finite_abelian_modules(order: int, ring: Ring | None = None) -> list[PresentedModule]:
     """One presentation per isomorphism class of abelian groups of this order."""
     ring = ring or Ring.integers()
+    order = integer(order, "group order")
     if order < 1:
         raise InputError("order must be >= 1")
     if order == 1:

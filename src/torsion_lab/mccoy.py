@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 
 from .errors import ContradictionError, InputError, UnsupportedRingError
-from .rings import (ENUM_LIMIT, KIND_BIPOLY, KIND_POLY, KIND_Z, SHAPE_MONOMIAL,
-                    Ideal, Ring, RingElem, bivariate_shape)
+from .rings import ENUM_LIMIT, KIND_BIPOLY, KIND_POLY, KIND_Z, Ideal, Ring, RingElem
 
 # `_polyarith`, which only the F_p[x] and bivariate branches use: bound by the
 # first of them, so McCoy ranks over Z/n never compile it
@@ -209,7 +208,16 @@ def _residue_rank(a: RingMatrix) -> int:
 
 
 def mccoy_rank(a: RingMatrix) -> tuple[int, DeterminantalProfile]:
-    """Largest r with Ann(D_r) = 0, plus the profile, which lists every minor."""
+    """Largest r with Ann(D_r) = 0, plus the profile, which lists every minor.
+
+    An m x n matrix has sum_r C(m, r) C(n, r) = C(m + n, m) minors, order 0
+    included (Vandermonde); more than ENUM_LIMIT of them are refused before
+    the first is listed.
+    """
+    count = math.comb(a.rows + a.cols, a.rows)
+    if count > ENUM_LIMIT:
+        raise InputError(f"the McCoy profile of a {a.rows}x{a.cols} matrix would list "
+                         f"{count} minors, more than {ENUM_LIMIT}")
     rank = _residue_rank(a)
     steps = [{"order": r, "generators": [str(g) for g in minors(a, r)],
               "annihilator_is_zero": r <= rank}
@@ -252,11 +260,11 @@ def nullvector_exhaustive(a: RingMatrix):
 
 
 def quotient_ring(s: Ring, ideal: Ideal) -> Ring:
-    """Materialise S/I as a supported ring kind, or fail fast."""
+    """Materialise S/I for the rings conormal_presentation admits (Z, F_p[x]
+    and the bivariate quotients); the unit ideal is refused."""
     if ideal.ring != s:
         raise InputError("ideal does not live over the given ring")
-    # a bivariate unit generator is a constant monomial: x^a + y^b never is one
-    if (s.kind != KIND_BIPOLY or ideal.all_monomial()) and ideal.contains(s.one):
+    if ideal.contains(s.one):
         raise UnsupportedRingError("the quotient by the unit ideal is the zero ring")
     if ideal.is_zero():
         return s
@@ -264,24 +272,12 @@ def quotient_ring(s: Ring, ideal: Ideal) -> Ring:
         return Ring.integers_mod(ideal._pid_generator().payload)
     if s.kind == KIND_POLY:
         return Ring.poly_quotient(s.p, ideal._pid_generator().payload)
-    if s.kind == KIND_BIPOLY:
-        if not ideal.all_monomial():
-            raise UnsupportedRingError(
-                "the quotient by a non-monomial bivariate ideal is not a supported ring")
-        ms = ideal._monomial_gens()
-        return Ring.bivariate_quotient(s.p, tuple(s.rels or ()) + tuple(ms))
-    raise UnsupportedRingError(
-        f"conormal pipeline does not materialise quotients of {s.describe()}")
+    return Ring.bivariate_quotient(s.p, tuple(s.rels or ()) + ideal._monomial_gens())
 
 
 def conormal_generators(s: Ring, ideal: Ideal) -> list[RingElem]:
     """The generator list of I used to present I/I^2 (rows of M)."""
     if s.kind == KIND_BIPOLY:
-        if not ideal.all_monomial():
-            if len(ideal.gens) == 1 and s.is_domain:
-                return list(ideal.gens)
-            raise UnsupportedRingError(
-                "conormal presentations over bivariate rings need monomial ideals")
         return [s.monomial(a, b) for a, b in ideal._monomial_gens()]
     gen = ideal._pid_generator()
     return [] if gen.is_zero() else [gen]
@@ -362,11 +358,8 @@ def _kernel_over_bipoly(mt: RingMatrix) -> KernelDescription:
         raise UnsupportedRingError(
             "kernel computation over bivariate quotients supports at most one "
             "non-zero relation row")
+    # every non-zero entry of M^t is a monomial that conormal_presentation built
     row = [mt.at(live_rows[0], j) for j in range(mt.cols)]
-    for e in row:
-        if not e.is_zero() and bivariate_shape(e) != SHAPE_MONOMIAL:
-            raise UnsupportedRingError(
-                "kernel over a bivariate quotient needs monomial entries")
     rels = q.rels or ()
     gens: list[list[RingElem]] = []
     n = len(row)

@@ -11,11 +11,10 @@ path per family: `ring.n is not None` (Z, Z/n, F_p), `ring.modulus is not
 None` (F_p[x], F_p[x]/(f)), and otherwise bivariate.  The kind only names the
 ring: `describe` and the JSON kinds are unchanged.
 
-Bivariate rings are deliberately restricted: relation ideals are monomial,
-ideal generators are monomials or a two-term combination c*x^a + c'*y^b, and
-anything outside those shapes raises UnsupportedRingError instead of guessing.
-Within the restriction, membership and radical are exact monomial
-combinatorics with no Groebner machinery.
+Bivariate rings are deliberately restricted: relation ideals and ideals are
+monomial, and `Ideal` refuses any other generator with UnsupportedRingError
+instead of guessing.  Within the restriction, membership and radical are
+exact monomial combinatorics with no Groebner machinery.
 Integer inputs are read with `operator.index`: a float or a numeric string
 is refused with InputError, not truncated or stored.
 """
@@ -388,30 +387,6 @@ class RingElem:
 
 
 # ---------------------------------------------------------------------------
-# bivariate element shapes
-# ---------------------------------------------------------------------------
-
-SHAPE_ZERO = "zero"
-SHAPE_MONOMIAL = "monomial"
-SHAPE_BINOMIAL = "binomial"          # c*x^a + c'*y^b with a, b >= 1
-SHAPE_OTHER = "other"
-
-
-def bivariate_shape(e: RingElem) -> str:
-    terms = e.payload
-    if not terms:
-        return SHAPE_ZERO
-    if len(terms) == 1:
-        return SHAPE_MONOMIAL
-    if len(terms) == 2:
-        (m1, _), (m2, _) = terms
-        axes = sorted([m1, m2])
-        if axes[0][0] == 0 and axes[0][1] >= 1 and axes[1][1] == 0 and axes[1][0] >= 1:
-            return SHAPE_BINOMIAL
-    return SHAPE_OTHER
-
-
-# ---------------------------------------------------------------------------
 # ideals
 # ---------------------------------------------------------------------------
 
@@ -429,12 +404,9 @@ class Ideal:
                 raise InputError("ideal generators must belong to the ring")
             if g.is_zero():
                 continue
-            if ring.kind == KIND_BIPOLY:
-                shape = bivariate_shape(g)
-                if shape not in (SHAPE_MONOMIAL, SHAPE_BINOMIAL):
-                    raise UnsupportedRingError(
-                        f"bivariate ideal generator {g} is neither a monomial nor "
-                        "a pure x-power plus y-power combination")
+            if ring.kind == KIND_BIPOLY and len(g.payload) > 1:
+                raise UnsupportedRingError(
+                    f"bivariate ideal generator {g} is not a monomial")
             cleaned.append(g)
         seen = set()
         unique = []
@@ -466,17 +438,8 @@ class Ideal:
         raise UnsupportedRingError(f"{r.describe()} is not treated as a principal ideal ring")
 
     def _monomial_gens(self) -> tuple[Mono, ...]:
-        """Exponent pairs when every generator is a monomial; raise otherwise."""
-        out = []
-        for g in self.gens:
-            if bivariate_shape(g) != SHAPE_MONOMIAL:
-                raise UnsupportedRingError(
-                    f"operation needs a monomial ideal; generator {g} is not a monomial")
-            out.append(g.payload[0][0])
-        return pa.minimalize(out)
-
-    def all_monomial(self) -> bool:
-        return all(bivariate_shape(g) == SHAPE_MONOMIAL for g in self.gens)
+        """The minimal exponent pairs of a bivariate ideal's monomial generators."""
+        return pa.minimalize([g.payload[0][0] for g in self.gens])
 
     # -- membership, radical -------------------------------------------------
 
@@ -495,9 +458,6 @@ class Ideal:
             return not pa.pmod(e.payload, g, r.p)
         if self.is_zero():
             return e.is_zero()
-        if not self.all_monomial():
-            raise UnsupportedRingError(
-                "membership in bivariate ideals is supported for monomial generators only")
         gens = self._monomial_gens()
         return all(pa.in_mono_ideal(m, gens) for m, _ in e.payload)
 
@@ -521,9 +481,6 @@ class Ideal:
             return not pa.ppow(d.payload, max(1, len(g) - 1), r.p, g)
         # bivariate: radical of a monomial ideal is the squarefree-part ideal,
         # together with the squarefree parts of the ring relations (nilpotents).
-        if not self.all_monomial():
-            raise UnsupportedRingError(
-                "radical membership in bivariate ideals needs monomial generators")
         gens = [g.payload[0][0] for g in self.gens]
         gens.extend(r.rels or ())
         rad = pa.mono_radical(gens) if gens else ()
@@ -543,13 +500,10 @@ class Ideal:
 
     def _canonical(self):
         """What equality and hashing compare: the PID generator's payload, else
-        the minimal monomial exponents, else the generator payloads."""
+        the minimal monomial exponents."""
         if self.ring.kind != KIND_BIPOLY:
             return self._pid_generator().payload
-        try:
-            return self._monomial_gens()
-        except UnsupportedRingError:
-            return tuple(g.payload for g in self.gens)
+        return self._monomial_gens()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Ideal) and other.ring == self.ring

@@ -256,7 +256,7 @@ def test_primary_component_refuses_a_p_that_is_not_prime():
 def _split_subobjects(m):
     """Every sum of primary components of m (none if m is infinite) and its
     p-primary component for each prime p <= 7 or dividing the torsion order."""
-    torsion = math.prod(m.invariant_factors)
+    torsion = math.prod(m.canonical_decomposition()[1])
     primes = [p for p in range(2, max(torsion, 7) + 1)
               if _is_prime_small(p) and (p <= 7 or torsion % p == 0)]
     return ((hall_submodules(m) if m.is_finite() else [])
@@ -292,7 +292,8 @@ def test_closed_form_orders_match_fresh_lattices():
     assert sum(_check_closed_form_order(m) for m in modules) > 2000
 
 
-_GROUPS_TO_32 = [m.invariant_factors for n in range(2, 33) for m in finite_abelian_modules(n)]
+_GROUPS_TO_32 = [m.canonical_decomposition()[1] for n in range(2, 33)
+                 for m in finite_abelian_modules(n)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -431,10 +432,9 @@ def test_equal_presentations_share_one_decomposition_and_lattice():
 
 def test_invariant_lists_are_fresh_copies():
     m = direct_sum_module(Z, [2, 4])
-    m.invariant_factors.append(3)
     m.canonical_decomposition()[1].append(5)
-    assert m.invariant_factors == [2, 4] and m.canonical_decomposition() == (0, [2, 4])
-    assert m.order() == 8 and m.free_rank == 0 and m.is_finite()
+    assert m.canonical_decomposition() == (0, [2, 4])
+    assert m.order() == 8 and m.is_finite()
     assert m == direct_sum_module(Z, [2, 4]) and m.describe() == "Z/2 + Z/4"
 
 
@@ -624,6 +624,18 @@ def test_non_integral_generator_count_is_refused():
         PresentedModule(Z, 1.0, [[6]])
     with pytest.raises(InputError, match="generator count"):
         PresentedModule(Z, -1, [])
+
+
+@pytest.mark.parametrize("order", [4.0, 4.5, "4"])
+def test_non_integral_group_order_is_refused(order):
+    with pytest.raises(InputError, match="group order must be an integer"):
+        finite_abelian_modules(order)
+
+
+def test_boolean_counts_are_read_as_ints():
+    m = PresentedModule(Z, True, [[2]])
+    assert type(m.gens) is int and m.gens == 1 and m.describe() == "Z/2"
+    assert [g.describe() for g in finite_abelian_modules(True)] == ["0"]
 
 
 def test_integer_and_boolean_entries_are_accepted():

@@ -274,6 +274,14 @@ def test_unsupported_ring_exit_code(capsys):
     assert "unsupported" in err.lower()
 
 
+def test_non_monomial_ideal_generator_is_refused_where_the_ideal_is_built(capsys):
+    payload = ('{"ring":{"kind":"BiPolyMonomialQuot","p":5,"rels":["xy"]},'
+               '"ideal":["x+y"],"d":"x"}')
+    code, out, err = run_cli(capsys, "radical-lemma", payload)
+    assert code == 3 and out == ""
+    assert "generator y+x is not a monomial" in err
+
+
 def test_unsplittable_cofactor_exits_3_quickly(capsys):
     mod = json.dumps({"ring": {"kind": "Z"}, "generators": 1,
                       "relations": [[str(2 ** 128 + 1)]]})
@@ -452,6 +460,34 @@ def test_oversized_nullvector_search_is_refused_at_once(capsys, ring):
                            json.dumps({"ring": ring, "matrix": [[3]]}))
     assert code == 2 and "too large" in err
     assert time.perf_counter() - start < 1.0
+
+
+def _z12_matrix(size):
+    return json.dumps({"ring": {"kind": "IntegersMod", "n": 12},
+                       "matrix": [[(3 * i + 5 * j) % 12 for j in range(size)]
+                                  for i in range(size)]})
+
+
+def test_mccoy_rank_past_the_minor_cap_is_refused_before_any_minor(capsys, monkeypatch):
+    import torsion_lab.mccoy as mc
+
+    def no_minors(a, order):
+        raise AssertionError("a minor was listed")
+
+    monkeypatch.setattr(mc, "minors", no_minors)
+    # sum_r C(12, r)^2 = C(24, 12) minors, orders 0 to 12
+    code, out, err = run_cli(capsys, "mccoy", "rank", _z12_matrix(12))
+    assert code == 2 and out == ""
+    assert "2704156 minors" in err
+
+
+def test_mccoy_rank_under_the_minor_cap_is_answered(capsys, monkeypatch):
+    import torsion_lab.mccoy as mc
+
+    # C(22, 11) = 705,432 minors fit under the cap; skip listing them
+    monkeypatch.setattr(mc, "minors", lambda a, order: [])
+    code, out, _ = run_cli(capsys, "--json", "mccoy", "rank", _z12_matrix(11))
+    assert code == 0 and len(json.loads(out)["result"]["profile"]) == 12
 
 
 RING_SAMPLES = [

@@ -437,7 +437,8 @@ def _unmemoised_maximal(sources, x, t):
     return True
 
 
-_GROUPS = [mod.invariant_factors for n in range(2, 33) for mod in finite_abelian_modules(n)]
+_GROUPS = [mod.canonical_decomposition()[1] for n in range(2, 33)
+           for mod in finite_abelian_modules(n)]
 _SOURCE_SETS = [(2,), (3,), (2, 3), (4,), (2, 5), ()]
 
 
@@ -577,7 +578,7 @@ def test_a_warm_radical_memo_answers_as_a_fresh_handle():
     for n in range(1, 25):
         for mod in finite_abelian_modules(n):
             # the enumerated presentation and a dense one of the same class
-            for x in (mod, _dense_presentation(rng, mod.invariant_factors)):
+            for x in (mod, _dense_presentation(rng, mod.canonical_decomposition()[1])):
                 for v in _GABRIEL_SOURCE_SETS:
                     sources = [cyclic_module(Z, p) for p in v]
                     assert (_radical_and_axioms(warm, sources, x)
@@ -683,7 +684,8 @@ def test_part_candidates_are_the_coprime_index_subgroups(m):
               if order % p == 0 and all(p % q for q in range(2, p))]
     assert len(candidates) == 2 ** len(primes)
     if order <= 64:  # the brute force did not finish Z/36 + Z/36 in two minutes
-        assert len(candidates) == _brute_coprime_index_count(tuple(m.invariant_factors))
+        assert len(candidates) == _brute_coprime_index_count(
+            tuple(m.canonical_decomposition()[1]))
 
 
 def test_part_candidates_build_no_lattice_and_no_endomorphism_basis(monkeypatch):

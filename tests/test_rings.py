@@ -117,16 +117,14 @@ def test_ideal_generator_shapes():
     # xy + y normalises to the monomial y over rels (xy): accepted
     fine = Ideal(B5, [B5.bipoly([((1, 1), 1), ((0, 1), 1)])])
     assert [str(g) for g in fine.gens] == ["y"]
-    # x + x^2 is neither a monomial nor a pure-axes two-term element: rejected
+    # x + x^2 is not a monomial: rejected
     with pytest.raises(UnsupportedRingError):
         Ideal(P5, [P5.bipoly([((1, 0), 1), ((2, 0), 1)])])
 
 
-def test_binomial_generator_membership_unsupported():
-    d = P5.gen_x + P5.gen_y
-    ideal = Ideal(P5, [d])     # allowed shape at construction
-    with pytest.raises(UnsupportedRingError):
-        ideal.contains(P5.gen_x)
+def test_binomial_generator_is_refused_at_construction():
+    with pytest.raises(UnsupportedRingError, match="not a monomial"):
+        Ideal(P5, [P5.gen_x + P5.gen_y])
 
 
 def test_radical_membership_examples():
@@ -197,15 +195,13 @@ def test_equal_ideals_hash_equal_and_collapse_in_a_set():
         (Ideal(f3x, [f3x.poly([2, 0, 1]), f3x.poly([2, 1])]), Ideal(f3x, [f3x.poly([1, 2])])),
         (Ideal(f2xy, [x]), Ideal(f2xy, [x, x * y])),
         (Ideal(f2xy, [y, x * x]), Ideal(f2xy, [x * x * y, x * x, y, y * y])),
-        (Ideal(f2xy, [x + y, x * x]), Ideal(f2xy, [x * x, x + y, x + y])),
     ]
     for a, b in equal:
         assert a == b and hash(a) == hash(b), (a, b)
         assert len({a, b}) == 1, (a, b)
     unequal = [Ideal(Z, [Z.from_int(2)]), Ideal(Z, [Z.from_int(3)]), Ideal(Z, []),
                Ideal(f3x, [f3x.poly([2, 1])]), Ideal(f3x, [f3x.poly([1, 1])]),
-               Ideal(f2xy, [x]), Ideal(f2xy, [y]), Ideal(f2xy, [x + y]),
-               Ideal(f2xy, [x + y, x * x])]
+               Ideal(f2xy, [x]), Ideal(f2xy, [y])]
     for a, b in itertools.combinations(unequal, 2):
         assert a != b, (a, b)
     assert len(set(unequal)) == len(unequal)
