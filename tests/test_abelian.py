@@ -632,15 +632,12 @@ def test_non_integral_group_order_is_refused(order):
         finite_abelian_modules(order)
 
 
-def test_boolean_counts_are_read_as_ints():
-    m = PresentedModule(Z, True, [[2]])
-    assert type(m.gens) is int and m.gens == 1 and m.describe() == "Z/2"
-    assert [g.describe() for g in finite_abelian_modules(True)] == ["0"]
-
-
 def test_integer_and_boolean_entries_are_accepted():
     assert direct_sum_module(Z, [2, 3]).describe() == "Z/6"
     assert PresentedModule(Z, 2, [[True, 0], [False, 4]]).describe() == "Z/4"
     assert cyclic_module(Z, False).describe() == "Z"
     x = cyclic_module(Z, 6)
     assert Subobject(x, [[True]]).is_full() and Subobject(x, [[3]]).order() == 2
+    m = PresentedModule(Z, True, [[2]])
+    assert type(m.gens) is int and m.gens == 1 and m.describe() == "Z/2"
+    assert [g.describe() for g in finite_abelian_modules(True)] == ["0"]
