@@ -8,7 +8,7 @@ layer module, and the first use of a name imports the module that defines it.
 import importlib
 
 _EXPORTS = {
-    "abelian": ("PresentedModule", "PrimeSet", "SpClosedSubset", "Subobject",
+    "abelian": ("PresentedModule", "PrimeSet", "Subobject",
                 "associated_primes", "cyclic_module", "direct_sum_module",
                 "enumerate_submodules", "finite_abelian_modules", "hom_group",
                 "primary_component", "quotient"),

@@ -62,48 +62,6 @@ class PrimeSet:
         return out + list(self.primes)
 
 
-class SpClosedSubset:
-    """Specialisation-closed subset of Spec Z: a set of maximal primes, or everything.
-
-    Containing (0) forces the whole spectrum, since every prime contains (0)'s
-    closure; that case is the explicit whole-spectrum marker.
-    """
-
-    __slots__ = ("primes", "whole_spectrum")
-
-    def __init__(self, primes: tuple[int, ...], whole_spectrum: bool = False):
-        self.primes = primes
-        self.whole_spectrum = whole_spectrum
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.primes, self.whole_spectrum) == (other.primes, other.whole_spectrum)
-
-    def __hash__(self) -> int:
-        return hash((self.primes, self.whole_spectrum))
-
-    @staticmethod
-    def from_primes(primes, include_zero: bool = False) -> "SpClosedSubset":
-        if include_zero:
-            return SpClosedSubset((), True)
-        return SpClosedSubset(tuple(sorted(set(primes))), False)
-
-    def contains_prime(self, p: int) -> bool:
-        if self.whole_spectrum:
-            return True
-        if p == 0:
-            return False
-        return p in self.primes
-
-    def contains_ass(self, ass: PrimeSet) -> bool:
-        if self.whole_spectrum:
-            return True
-        if ass.includes_zero:
-            return False
-        return all(p in self.primes for p in ass.primes)
-
-
 # The most presentations whose Smith decomposition, and separately whose
 # relation lattice, one process keeps.  An entry is a pure function of the
 # exact presentation and holds no verdict.  On a handful of generators it
@@ -489,6 +447,12 @@ def _split_subobject(module: PresentedModule, parts: list[int]) -> Subobject:
     sub = Subobject(module, la.from_columns(cols, module.gens))
     sub._order = math.prod(parts)
     return sub
+
+
+def torsion_submodule(module: PresentedModule) -> Subobject:
+    """tors(x), the sum of the finite coordinates of the decomposition, with
+    its order recorded (see `_split_subobject`)."""
+    return _split_subobject(module, [delta or 1 for _, delta in module._decomposition().coords])
 
 
 def hall_submodules(module: PresentedModule) -> list[Subobject]:

@@ -84,10 +84,11 @@ def _parse_monomial_text(term: str):
 
 
 def parse_bivariate_text(ring: Ring, text: str) -> RingElem:
-    """Parse a +/- separated sum of monomials like 'x+y' or '2x^2-3y'."""
+    """Parse a +/- separated sum of monomials like 'x+y' or '2x^2-3y'; a sign
+    with no term after it, or two signs in a row, is refused."""
     cleaned = text.replace(" ", "")
-    if not cleaned:
-        raise InputError("empty bivariate element")
+    if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", cleaned):
+        raise InputError(f"malformed bivariate element {text!r}")
     terms = []
     for signed in re.findall(r"[+-]?[^+-]+", cleaned):
         sign = -1 if signed.startswith("-") else 1

@@ -328,21 +328,21 @@ def conormal_presentation(s: Ring, ideal: Ideal) -> RingMatrix:
 
 
 class KernelDescription:
-    """ker(M^t) over S/I: free rank, cyclic invariant factors, generator vectors."""
+    """ker(M^t) over S/I: free rank and generator vectors.  The report keeps an
+    empty "invariant_factors" list, since no kernel computed here has one."""
 
-    __slots__ = ("free_rank", "invariant_factors", "generators", "nonzero")
+    __slots__ = ("free_rank", "generators", "nonzero")
 
-    def __init__(self, free_rank: int = 0, invariant_factors: list[int] | None = None,
-                 generators: list[list[str]] | None = None, nonzero: bool = False):
+    def __init__(self, free_rank: int = 0, generators: list[list[str]] | None = None,
+                 nonzero: bool = False):
         self.free_rank = free_rank
-        self.invariant_factors = [] if invariant_factors is None else invariant_factors
         self.generators = [] if generators is None else generators
         self.nonzero = nonzero
 
     def as_dict(self) -> dict:
         return {
             "free_rank": self.free_rank,
-            "invariant_factors": self.invariant_factors,
+            "invariant_factors": [],
             "generators": self.generators,
             "nonzero": self.nonzero,
         }
@@ -388,21 +388,15 @@ def _kernel_over_bipoly(mt: RingMatrix) -> KernelDescription:
             vec[j2] = -q.monomial(*pa.mono_div(w, mono2), inv2)
             if any(not e.is_zero() for e in vec):
                 gens.append(vec)
-    desc = KernelDescription()
-    desc.generators = [[str(e) for e in vec] for vec in gens]
-    desc.nonzero = bool(gens)
-    return desc
+    return KernelDescription(0, [[str(e) for e in vec] for vec in gens], bool(gens))
 
 
 def matrix_kernel(mt: RingMatrix) -> KernelDescription:
     """Kernel description of a zero matrix or of one over a bivariate quotient."""
     if mt.rows == 0 or all(mt.at(i, j).is_zero()
                            for i in range(mt.rows) for j in range(mt.cols)):
-        desc = KernelDescription(free_rank=mt.cols)
-        desc.generators = [["1" if j == k else "0" for j in range(mt.cols)]
-                           for k in range(mt.cols)]
-        desc.nonzero = mt.cols > 0
-        return desc
+        return KernelDescription(mt.cols, [["1" if j == k else "0" for j in range(mt.cols)]
+                                           for k in range(mt.cols)], mt.cols > 0)
     # hom_I_to_quotient passes nothing else: over Z and F_p[x] the conormal
     # presentation is n x 0, so M^t has no rows; over a bivariate quotient that
     # is a field every entry of M is a non-constant monomial (lcm/m_i for

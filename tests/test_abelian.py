@@ -10,8 +10,8 @@ from hypothesis import given, settings
 
 from torsion_lab import abelian
 from torsion_lab import intlinalg as la
-from torsion_lab.abelian import (PresentedModule, PrimeSet, SpClosedSubset,
-                                 Subobject, associated_primes, cyclic_module,
+from torsion_lab.abelian import (PresentedModule, PrimeSet, Subobject,
+                                 associated_primes, cyclic_module,
                                  direct_sum_module, enumerate_submodules,
                                  finite_abelian_modules, hall_submodules,
                                  hom_basis, hom_group, primary_component,
@@ -593,17 +593,6 @@ def test_prime_set_is_a_sorted_set():
     assert zero.primes == (3,) and zero.includes_zero and len(zero) == 2
     assert zero.as_list() == [0, 3]
     assert not PrimeSet(()).includes_zero
-
-
-def test_specialisation_closed_subsets_compare_and_hash_by_value():
-    a = SpClosedSubset.from_primes([3, 2, 3])
-    b = SpClosedSubset((2, 3))
-    assert a == b and hash(a) == hash(b) and not b.whole_spectrum
-    assert SpClosedSubset(primes=(), whole_spectrum=True) == \
-        SpClosedSubset.from_primes([7], include_zero=True)
-    assert a != SpClosedSubset((2, 3), True)
-    assert a != PrimeSet((2, 3))
-    assert len({a, b, SpClosedSubset((2,))}) == 2
 
 
 @pytest.mark.parametrize("build", [

@@ -170,22 +170,27 @@ def test_radical_lemma_counterexample(capsys):
     assert result["expected_for_non_domain"] is True
 
 
-@pytest.mark.parametrize("obj, source", [
-    ('{"ring":{"kind":"Z"},"generators":1,"relations":[[0]]}', 2),
-    ('{"ring":{"kind":"Z"},"generators":3,"relations":[[0],[0],[0]]}', 100),
+@pytest.mark.parametrize("obj, source, radical, coradical", [
+    ('{"ring":{"kind":"Z"},"generators":1,"relations":[[0]]}', 2, "0", "Z"),
+    ('{"ring":{"kind":"Z"},"generators":3,"relations":[[0],[0],[0]]}', 100, "0", "Z + Z + Z"),
+    ('{"ring":{"kind":"Z"},"generators":2,"relations":[[0,0],[0,3]]}', 100, "Z/3", "Z"),
 ])
-def test_cogenerated_radical_that_never_stabilises_is_refused(capsys, obj, source):
-    # the iterated reject of Z by Z/2 is 2Z, 4Z, ..., each again a copy of Z
+def test_cogenerated_radical_of_an_infinite_module_by_a_finite_source(
+        capsys, obj, source, radical, coradical):
+    # the iterated reject from x itself would run Z > 2Z > 4Z > ...; from the
+    # torsion submodule it stops at once
     payload = json.dumps({
         "mode": "cogenerated",
         "sources": [{"ring": {"kind": "Z"}, "generators": 1, "relations": [[source]]}],
         "object": json.loads(obj),
     })
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "--json", "radical", payload)
+    code, out, _ = run_cli(capsys, "--json", "radical", payload)
     assert time.perf_counter() - start < 1
-    assert code == 2
-    assert f"with sources [Z/{source}]" in err and "stabilis" in err
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["torsion_radical"]["module"] == radical
+    assert result["torsionfree_coradical"] == coradical
 
 
 @pytest.mark.parametrize("args", [
@@ -280,6 +285,24 @@ def test_non_monomial_ideal_generator_is_refused_where_the_ideal_is_built(capsys
     code, out, err = run_cli(capsys, "radical-lemma", payload)
     assert code == 3 and out == ""
     assert "generator y+x is not a monomial" in err
+
+
+@pytest.mark.parametrize("command, field, text", [
+    ("radical-lemma", "d", "-"),
+    ("radical-lemma", "d", "x-"),
+    ("radical-lemma", "d", "x--y"),
+    ("hom-conormal", "ideal", "+"),
+    ("hom-conormal", "ideal", "x+-y"),
+    ("hom-conormal", "ideal", ""),
+])
+def test_stray_signs_in_bivariate_elements_are_refused(capsys, command, field, text):
+    payload = {"ring": {"kind": "BiPolyMonomialQuot", "p": 5, "rels": ["xy"]}, "ideal": ["x"]}
+    if command == "radical-lemma":
+        payload["d"] = "x"
+    payload[field] = text if field == "d" else [text]
+    code, out, err = run_cli(capsys, command, json.dumps(payload))
+    assert code == 2 and out == ""
+    assert f"malformed bivariate element {text!r}" in err
 
 
 def test_unsplittable_cofactor_exits_3_quickly(capsys):

@@ -146,11 +146,95 @@ def test_coradical_of_mixed_module():
     assert cor.canonical_decomposition() == (0, [4])
 
 
-def test_coradical_refuses_a_descent_that_repeats_a_class():
-    # the reject of Z + Z/3 by Z/100 is 100Z + Z/3, again isomorphic to it
-    x = PresentedModule(Z, 2, [[0, 0], [0, 3]])
-    with pytest.raises(InputError, match=r"of Z \+ Z/3 with sources \[Z/100\] repeats"):
-        torsionfree_coradical_cogenerated(H, [cyclic_module(Z, 100)], x)
+@pytest.mark.parametrize("orders, source, radical, coradical", [
+    # the reject of Z + Z/3 by Z/100 is 100Z + Z/3, again isomorphic to it, so
+    # the descent starts at the torsion submodule Z/3 instead
+    ([0, 3], 100, (0, [3]), (1, [])),
+    # the reject of Z by Z/2 is 2Z, then 4Z, ...
+    ([0], 2, (0, []), (1, [])),
+    ([0, 0, 12], 2, (0, [3]), (2, [4])),
+    # with only zero sources the whole module is torsion
+    ([0, 3], 1, (1, [3]), (0, [])),
+])
+def test_coradical_of_an_infinite_module_by_a_finite_source(orders, source, radical,
+                                                            coradical):
+    x = direct_sum_module(Z, orders)
+    t, cor = torsionfree_coradical_cogenerated(H, [cyclic_module(Z, source)], x)
+    assert t.as_module().canonical_decomposition() == radical
+    assert cor.canonical_decomposition() == coradical
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The primes of n >= 1 by trial division (test-local)."""
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | {n} if n > 1 else out
+
+
+def _part(d: int, primes) -> int:
+    """The largest divisor of d >= 1 whose primes lie in `primes`."""
+    out = 1
+    for p in primes:
+        while d % p == 0:
+            out, d = out * p, d // p
+    return out
+
+
+def _invariant_factors(orders: list[int]) -> list[int]:
+    """1 < d_1 | d_2 | ... of the sum of the Z/d for d in orders (test-local):
+    the i-th largest prime powers of each prime multiply to the i-th largest."""
+    powers: dict = {}
+    for d in orders:
+        for p in _prime_factors(d):
+            powers.setdefault(p, []).append(_part(d, (p,)))
+    length = max(map(len, powers.values()), default=0)
+    cols = [sorted(v, reverse=True) + [1] * (length - len(v)) for v in powers.values()]
+    return sorted(math.prod(col[i] for col in cols) for i in range(length))
+
+
+@pytest.mark.parametrize("mode", ["generated", "cogenerated"])
+def test_radicals_over_z_match_the_closed_form(mode):
+    # x = Z^r + T, and P is the set of primes of the torsion orders of the
+    # sources (Gabriel 1962; Dickson 1966).  Generated: t(x) = x if some
+    # source is infinite, otherwise the sum of the p-parts of T for p in P.
+    # Cogenerated: t(x) = x if every source is 0, otherwise the sum of the
+    # p-parts of T for p outside P.  Radical and quotient are compared
+    # through invariants computed here from the orders alone.
+    rng = random.Random(30)
+    handle = AbelianHandle(Z)
+    source_kinds = ([], [2], [3], [4], [5], [6], [9], [12], [0], [0, 2], [0, 0, 3])
+    infinite_answers = 0
+    for _ in range(300):
+        free = rng.randint(0, 2)
+        torsion = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12, 15, 30))
+                   for _ in range(rng.randint(0, 3))]
+        x = _dense_presentation(rng, [0] * free + torsion)
+        source_orders = [rng.choice(source_kinds) for _ in range(rng.randint(0, 3))]
+        sources = [_dense_presentation(rng, orders) for orders in source_orders]
+        primes = {p for orders in source_orders for d in orders if d for p in _prime_factors(d)}
+        inside = [_part(d, primes) for d in torsion]
+        outside = [d // part for d, part in zip(torsion, inside)]
+        if mode == "generated":
+            whole = any(0 in orders for orders in source_orders)
+            t = torsion_radical_generated(handle, sources, x)
+            q, _ = handle.quotient(x, t)
+            radical, rest = inside, outside
+        else:
+            whole = not any(source_orders)
+            t, q = torsionfree_coradical_cogenerated(handle, sources, x)
+            radical, rest = outside, inside
+        if whole:
+            expected = ((free, _invariant_factors(torsion)), (0, []))
+        else:
+            expected = ((0, _invariant_factors(radical)), (free, _invariant_factors(rest)))
+            infinite_answers += free > 0
+        got = (t.as_module().canonical_decomposition(), q.canonical_decomposition())
+        assert got == expected, (x.describe(), [s.describe() for s in sources])
+    assert infinite_answers > 100
 
 
 def _broken_trace(zero_on_call):
@@ -355,21 +439,25 @@ def test_simplicity_matches_unique_factor_over_z():
 
 
 def test_sp_closed_subsets_drive_the_radical():
-    # the radical for the subset V is the whole module exactly when the
-    # associated primes of the module lie inside V
-    from torsion_lab.abelian import SpClosedSubset, associated_primes
+    # the radical for the set V of maximal primes is the whole module exactly
+    # when the associated primes of the module lie inside V; (0) lies in V only
+    # when an infinite source makes V the whole spectrum
+    from torsion_lab.abelian import associated_primes
+
+    def inside(v, whole_spectrum, ass):
+        return whole_spectrum or (not ass.includes_zero and set(ass.primes) <= set(v))
+
     for n in (4, 6, 12, 30, 36):
         for mod in finite_abelian_modules(n):
             for v in ((2,), (3,), (2, 3), (2, 3, 5), ()):
-                subset = SpClosedSubset.from_primes(v)
                 sources = [cyclic_module(Z, p) for p in v]
                 rad = torsion_radical_generated(H, sources, mod)
-                assert rad.is_full() == subset.contains_ass(associated_primes(mod))
-    whole = SpClosedSubset.from_primes([], include_zero=True)
-    assert whole.whole_spectrum and whole.contains_prime(0)
-    assert whole.contains_ass(associated_primes(PresentedModule(Z, 1, [[]])))
-    finite_only = SpClosedSubset.from_primes([2, 3])
-    assert not finite_only.contains_ass(associated_primes(PresentedModule(Z, 1, [[]])))
+                assert rad.is_full() == inside(v, False, associated_primes(mod))
+    free = PresentedModule(Z, 1, [[]])
+    finite = [cyclic_module(Z, 2), cyclic_module(Z, 3)]
+    for sources, v, whole_spectrum in (([free], (), True), (finite, (2, 3), False)):
+        assert (torsion_radical_generated(H, sources, free).is_full()
+                == inside(v, whole_spectrum, associated_primes(free)) == whole_spectrum)
 
 
 def test_simplicity_methods_agree_on_quiver():
@@ -809,9 +897,9 @@ def test_compose_sub_on_enumerated_subgroups_matches_vector_sets():
 
 def test_handle_contract_is_the_readme_list():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    listed = readme.split("these handle methods:", 1)[1].split("Those are 15 methods.", 1)[0]
+    listed = readme.split("these handle methods:", 1)[1].split("Those are 16 methods.", 1)[0]
     names = set(re.findall(r"`(\w+)`", listed))
-    assert len(names) == 15
+    assert len(names) == 16
     # each handle's own helpers, outside the contract
     helpers = {AbelianHandle: {"multiplication_morph"},
                QuiverHandle: {"push_sub"}}

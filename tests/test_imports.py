@@ -24,9 +24,10 @@ REP = '{"quiver":{"vertices":2,"arrows":[[0,1]]},"p":2,"dims":[1,1],"maps":[[[1]
 BIPOLY = '{"ring":{"kind":"BiPolyMonomialQuot","p":5,"rels":["xy"]},"ideal":["x"]}'
 
 # the names the package exported when it imported every module eagerly, less
-# the deleted `enumerate_subreps` and five names that only tests called
+# the deleted `enumerate_subreps` and `SpClosedSubset` and five names that
+# only tests called
 EXPORTED = {
-    "abelian": ("PresentedModule", "PrimeSet", "SpClosedSubset", "Subobject",
+    "abelian": ("PresentedModule", "PrimeSet", "Subobject",
                 "associated_primes", "cyclic_module", "direct_sum_module",
                 "enumerate_submodules", "finite_abelian_modules", "hom_group",
                 "primary_component", "quotient"),
@@ -154,7 +155,7 @@ def test_exported_name_is_the_defining_modules_object(module, name):
 
 def test_package_surface_is_the_exported_names():
     names = {n for names in EXPORTED.values() for n in names}
-    assert len(names) == 48
+    assert len(names) == 47
     assert set(torsion_lab.__all__) == names
     assert torsion_lab.__version__ == "0.1.0"
     namespace: dict = {}
@@ -167,8 +168,8 @@ def test_package_surface_is_the_exported_names():
 
 
 # exported names that no library code calls: the Hom-module API the README
-# documents, and the specialisation-closed sets kept for the closed-form radical
-UNCALLED_EXPORTS = {"hom_group", "SpClosedSubset"}
+# documents
+UNCALLED_EXPORTS = {"hom_group"}
 
 
 def test_every_exported_name_is_used_in_the_library():

@@ -11,9 +11,10 @@ and composition of subobjects, brute-force `check` (pruned and `--no-prune`)
 and `--no-prune torsion-parts` on random representations of the source and
 triangle quivers over F_2 and F_3, `check` (auto, brute-force, ass-criterion),
 `torsion-parts` and `--no-prune torsion-parts` on modules with three primes,
-dense presentations over Z and Z/12 and the infinite Z + Z/6, and four
-`verify` suites.  A refactor that claims
-"same bytes from less code" must leave every entry unchanged.
+dense presentations over Z and Z/12 and the infinite Z + Z/6, cogenerated
+`--json radical` runs on infinite modules over Z with no source and with
+zero, finite and infinite sources, and four `verify` suites.  A refactor
+that claims "same bytes from less code" must leave every entry unchanged.
 
 Regenerate the stored exit codes and stdout (argv lists unchanged) with
 `PYTHONPATH=src python3 tests/test_report_bytes.py`, and only in a change that
