@@ -188,6 +188,7 @@ class _SubobjectTables:
 
 class AbelianHandle:
     """Finitely generated modules over Z or Z/n as a torsion universe."""
+    criterion_name = "ass-criterion"
 
     def __init__(self, ring: Ring):
         global ab, la
@@ -283,12 +284,21 @@ class AbelianHandle:
         order_w = w.order()
         return math.gcd(order_w, x.order() // order_w) == 1
 
+    def criterion(self, x):
+        """Ass(x) is one prime, the type tag ((0) as 0); otherwise the primary
+        component at the least associated prime is a proper part."""
+        ass = ab.associated_primes(x)
+        if len(ass) == 1:
+            return True, None, ("prime", 0 if ass.includes_zero else ass.primes[0])
+        return False, ab.primary_component(x, min(ass.primes)), None
+
     def describe(self, x) -> str:
         return x.describe()
 
 
 class QuiverHandle:
     """Finite-dimensional representations of a fixed acyclic quiver over F_p."""
+    criterion_name = "single-vertex-criterion"
 
     def __init__(self, quiver: qv.Quiver, p: int):
         global qv, ml
@@ -304,7 +314,7 @@ class QuiverHandle:
         return x
 
     def enumerable(self, x) -> bool:
-        return True
+        return x.p in qv.ENUM_PRIMES and max(x.dims) <= qv.ENUM_DIM_BOUND
 
     def subobjects(self, x):
         return qv.iter_subreps(x)
@@ -380,6 +390,20 @@ class QuiverHandle:
             return False
         return not qv._hom_space(x.quiver, x.p, m, sub_maps, n, quo_maps)
 
+    def criterion(self, x):
+        """The support is one vertex, the type tag, as the simples are the S_v.
+        Otherwise the witness is the first proper part where x is enumerable,
+        else W = x_v at a sink v of the support, a part as (x/W)_v = 0."""
+        support = x.support()
+        if len(support) == 1:
+            return True, None, ("vertex", support[0])
+        if self.enumerable(x):
+            return False, _first_proper_part(self, x, True), None
+        v = next(v for v in support
+                 if all(t not in support for s, t in x.quiver.arrows if s == v))
+        return False, qv.SubRep(x, [(ml.Subspace.full if u == v else ml.Subspace.zero)(self.p, d)
+                                    for u, d in enumerate(x.dims)]), None
+
     def describe(self, x) -> str:
         return f"rep dims={list(x.dims)} over F_{self.p}"
 
@@ -422,38 +446,31 @@ def _first_proper_part(handle, x, prune: bool):
 
 
 def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> SimplicityReport:
+    """Brute force looks for a first proper part.  The handle's criterion is
+    closed-form (an x of finite length is torsion-simple iff its composition
+    factors are all isomorphic), and its witness is rechecked.  `auto` takes
+    brute force where the handle can enumerate x."""
     if x.is_zero():
         raise InputError("torsion-simplicity is defined for non-zero objects")
     if method == "auto":
-        method = "brute-force" if handle.enumerable(x) else "ass-criterion"
+        method = "brute-force" if handle.enumerable(x) else handle.criterion_name
     if method == "brute-force":
         witness = _first_proper_part(handle, x, prune)
-        verdict = witness is None
-        return SimplicityReport(verdict, "brute-force", witness,
-                                _type_tag(handle, x) if verdict else None)
-    if method == "ass-criterion":
-        if not isinstance(handle, AbelianHandle):
-            raise InputError("the ass-criterion method applies to modules only")
-        ass = ab.associated_primes(x)
-        if len(ass) == 1:
-            return SimplicityReport(True, "ass-criterion", None, _type_tag(handle, x))
-        # witness: the p-primary torsion part for a maximal associated prime
-        p = min(ass.primes)
-        witness = ab.primary_component(x, p)
+        if witness is not None:
+            return SimplicityReport(False, method, witness)
+        verdict, _, type_tag = handle.criterion(x)
+        if not verdict:
+            raise ContradictionError(f"the {handle.criterion_name} disagrees with brute force")
+        return SimplicityReport(True, method, None, type_tag)
+    if method != handle.criterion_name:
+        raise InputError(f"the {method} method does not apply to {handle.describe(x)}: "
+                         f"the criterion that applies to it is {handle.criterion_name}")
+    verdict, witness, type_tag = handle.criterion(x)
+    if witness is not None:
         q, _ = handle.quotient(x, witness)
         if handle.hom_basis(handle.sub_as_object(witness), q):
-            raise ContradictionError(
-                "primary torsion part failed its hom-vanishing recheck")
-        return SimplicityReport(False, "ass-criterion", witness)
-    if method == "single-vertex-criterion":
-        if not isinstance(handle, QuiverHandle):
-            raise InputError("the single-vertex-criterion method applies to "
-                             "representations only")
-        verdict = qv.single_vertex_support(x)
-        witness = None if verdict else _first_proper_part(handle, x, prune)
-        return SimplicityReport(verdict, "single-vertex-criterion", witness,
-                                _type_tag(handle, x) if verdict else None)
-    raise InputError(f"unknown simplicity method {method!r}")
+            raise ContradictionError(f"the {method} witness failed its hom-vanishing recheck")
+    return SimplicityReport(verdict, method, witness, type_tag)
 
 
 def _instance(handle, sources, x) -> str:
@@ -577,14 +594,6 @@ def injective_criterion_check(handle, x, f: Morph) -> InjectiveCriterionReport:
                 "found a proper torsion part between ker f and im f, "
                 "contradicting the injective criterion")
     return report
-
-
-def _type_tag(handle, x) -> tuple:
-    """Type tag of an object already known to be torsion-simple."""
-    if isinstance(handle, AbelianHandle):
-        ass = ab.associated_primes(x)
-        return ("prime", 0 if ass.includes_zero else ass.primes[0])
-    return ("vertex", x.support()[0])
 
 
 def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult]:

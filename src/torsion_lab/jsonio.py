@@ -84,15 +84,14 @@ def _parse_monomial_text(term: str):
 
 
 def parse_bivariate_text(ring: Ring, text: str) -> RingElem:
-    """Parse a +/- separated sum of monomials like 'x+y' or '2x^2-3y'; a sign
-    with no term after it, or two signs in a row, is refused."""
-    cleaned = text.replace(" ", "")
-    if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", cleaned):
+    """Parse a +/- separated sum of monomials like 'x+y' or '2x^2 - 3y'; a sign
+    with no term after it, two signs in a row or a space inside a term is refused."""
+    if not re.fullmatch(r"\s*[+-]?\s*[^\s+-]+(?:\s*[+-]\s*[^\s+-]+)*\s*", text):
         raise InputError(f"malformed bivariate element {text!r}")
     terms = []
-    for signed in re.findall(r"[+-]?[^+-]+", cleaned):
+    for signed in re.findall(r"[+-]?\s*[^\s+-]+", text):
         sign = -1 if signed.startswith("-") else 1
-        body = signed.lstrip("+-")
+        body = signed.lstrip("+-").lstrip()
         coeff, mono = _parse_monomial_text(body)
         terms.append((mono, sign * coeff))
     return ring.bipoly(terms)
@@ -100,7 +99,7 @@ def parse_bivariate_text(ring: Ring, text: str) -> RingElem:
 
 def parse_ring(obj) -> Ring:
     from .rings import (KIND_BIPOLY, KIND_FP, KIND_POLY, KIND_POLYQUOT, KIND_Z,
-                        KIND_ZMOD, Ring)
+                        KIND_ZMOD, Ring, _prime)
     _require_keys(obj, {"kind"}, {"n", "p", "modulus", "rels"}, "ring")
     kind = obj["kind"]
     if kind == KIND_Z:
@@ -122,7 +121,8 @@ def parse_ring(obj) -> Ring:
         return Ring.poly_quotient(parse_int(obj["p"], "characteristic p"), coeffs)
     if kind == KIND_BIPOLY:
         _require_keys(obj, {"kind", "p"}, {"rels"}, "bivariate quotient")
-        p = parse_int(obj["p"], "characteristic p")
+        # a prime p first: the relation loop reduces coefficients mod p
+        p = _prime(parse_int(obj["p"], "characteristic p"), "F_p[x,y] quotient")
         rels = []
         for item in parse_array(obj.get("rels", []), "relation monomials"):
             if isinstance(item, str):
@@ -208,10 +208,12 @@ def module_to_json(m: PresentedModule) -> dict:
     }
 
 
-def parse_quiver(obj) -> Quiver:
+def parse_quiver(obj, count: int) -> Quiver:
     from .quiver import Quiver
     _require_keys(obj, {"vertices", "arrows"}, set(), "quiver")
-    count = parse_int(obj["vertices"], "vertex count")
+    # `count` dims, compared before the acyclicity check walks every vertex
+    if parse_int(obj["vertices"], "vertex count") != count:
+        raise InputError("one dimension per vertex required")
     arrows = []
     for arrow in parse_array(obj["arrows"], "arrows"):
         if not isinstance(arrow, list) or len(arrow) != 2:
@@ -223,9 +225,9 @@ def parse_quiver(obj) -> Quiver:
 def parse_rep(obj) -> QuiverRep:
     from .quiver import QuiverRep
     _require_keys(obj, {"quiver", "p", "dims", "maps"}, set(), "representation")
-    quiver = parse_quiver(obj["quiver"])
-    p = parse_int(obj["p"], "characteristic p")
     dims = [parse_int(d, "dimension") for d in parse_array(obj["dims"], "dims")]
+    quiver = parse_quiver(obj["quiver"], len(dims))
+    p = parse_int(obj["p"], "characteristic p")
     maps = [[[parse_int(x, "matrix entry") for x in row]
              for row in parse_array(mat, "arrow map", rows=True)]
             for mat in parse_array(obj["maps"], "maps")]

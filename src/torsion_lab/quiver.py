@@ -371,8 +371,3 @@ def _adapted_blocks(x: QuiverRep, sub: SubRep):
             tuple(sum(f[i] * mat[i][c] for i in range(len(f))) % p for c in free)
             for f in proj))
     return tuple(sub_maps), tuple(quo_maps), functionals
-
-
-def single_vertex_support(x: QuiverRep) -> bool:
-    """True iff the representation is concentrated in one vertex."""
-    return len(x.support()) == 1

@@ -86,7 +86,7 @@ def finite_length_suite(options) -> SuiteResult:
             continue
         brute = eng.is_torsion_simple(handle, rep, method="brute-force",
                                       prune=False).verdict
-        predicate = qv.single_vertex_support(rep)
+        predicate = len(rep.support()) == 1
         res.check(brute == predicate,
                   f"dims={rep.dims} maps={rep.maps}: brute={brute} predicate={predicate}")
     return res

@@ -293,6 +293,14 @@ def brute_subreps(quiver, p: int, dims, maps) -> set[tuple[frozenset, ...]]:
     return out
 
 
+def span(sp, p: int) -> frozenset:
+    """All vectors of the row space of a subspace (its `rows` of length
+    `dim`), by linear combinations computed here."""
+    return frozenset(
+        tuple(sum(c * row[i] for c, row in zip(coeffs, sp.rows)) % p for i in range(sp.dim))
+        for coeffs in itertools.product(range(p), repeat=len(sp.rows)))
+
+
 def simple_rep(quiver, p: int, vertex: int):
     """The simple representation at `vertex`: F_p there, 0 elsewhere, zero maps.
     A builder of test inputs, not an oracle."""

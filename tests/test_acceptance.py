@@ -18,7 +18,7 @@ from torsion_lab.mccoy import (RingMatrix, check_radical_lemma,
                                has_nullvector_theorem, hom_I_to_quotient,
                                nullvector_exhaustive)
 from torsion_lab.primes import prime_divisors
-from torsion_lab.quiver import QuiverRep, a_n_quiver, single_vertex_support
+from torsion_lab.quiver import QuiverRep, a_n_quiver
 from torsion_lab.rings import Ideal, Ring
 from torsion_lab.abelian import associated_primes, direct_sum_module
 
@@ -48,7 +48,7 @@ def test_criterion_1_finite_length_classification():
             continue
         brute = is_torsion_simple(handle, rep, method="brute-force",
                                   prune=False).verdict
-        assert brute == single_vertex_support(rep), (rep.dims, rep.maps)
+        assert brute == (len(rep.support()) == 1), (rep.dims, rep.maps)
         checked += 1
     elapsed = time.monotonic() - start
     assert checked == 688

@@ -222,18 +222,42 @@ def test_finite_length_above_the_representation_cap_is_refused_at_once(capsys):
     assert "max_dim 4 lists 74963 A2 representations" in err
 
 
-@pytest.mark.parametrize("command", ["check", "torsion-parts"])
-def test_pruned_rep_above_the_enumeration_bound_is_refused_at_once(capsys, command):
+_IDENTITY_60 = json.dumps({"quiver": {"vertices": 2, "arrows": [[0, 1]]}, "p": 2,
+                           "dims": [60, 60],
+                           "maps": [[[int(i == j) for j in range(60)] for i in range(60)]]})
+
+
+def test_pruned_rep_above_the_enumeration_bound_is_refused_at_once(capsys):
     # End(x) of a [60,60] representation has 3,600 basis elements; the
     # enumeration bound must refuse before it is built
-    identity = [[int(i == j) for j in range(60)] for i in range(60)]
-    rep = json.dumps({"quiver": {"vertices": 2, "arrows": [[0, 1]]},
-                      "p": 2, "dims": [60, 60], "maps": [identity]})
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "--json", command, "--rep", rep)
+    code, out, err = run_cli(capsys, "--json", "torsion-parts", "--rep", _IDENTITY_60)
     assert time.perf_counter() - start < 1
     assert code == 2 and not out
     assert "enumeration bound" in err
+
+
+def test_rep_above_the_enumeration_bound_is_answered_at_once(capsys):
+    # `auto` runs the single-vertex criterion; its witness is the sink part
+    # (0, 60), rechecked by Hom(w, x/w) = 0 with nothing enumerated
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--json", "check", "--rep", _IDENTITY_60)
+    assert time.perf_counter() - start < 1
+    result = json.loads(out)["result"]
+    assert code == 0 and result["method"] == "single-vertex-criterion"
+    assert (result["verdict"], result["type"], result["witness"]["dims"]) == (False, None, [0, 60])
+
+
+@pytest.mark.parametrize("vertices", [2 ** 63, 3_000_000])
+def test_vertex_count_other_than_the_dims_count_is_refused_at_once(capsys, vertices):
+    # the counts are compared before the quiver's acyclicity check walks every vertex
+    rep = json.dumps({"quiver": {"vertices": vertices, "arrows": []},
+                      "p": 2, "dims": [1, 1], "maps": []})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--json", "check", "--rep", rep)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "one dimension per vertex required" in err
 
 
 def test_verify_unknown_suite_lists_every_suite(capsys):
@@ -294,6 +318,10 @@ def test_non_monomial_ideal_generator_is_refused_where_the_ideal_is_built(capsys
     ("hom-conormal", "ideal", "+"),
     ("hom-conormal", "ideal", "x+-y"),
     ("hom-conormal", "ideal", ""),
+    # a space inside a term once joined its digits: x^20, 23 = 3 and 10x = 0 over F_5
+    ("radical-lemma", "ideal", "x^2 0"),
+    ("radical-lemma", "d", "2 3"),
+    ("hom-conormal", "ideal", "1 0x"),
 ])
 def test_stray_signs_in_bivariate_elements_are_refused(capsys, command, field, text):
     payload = {"ring": {"kind": "BiPolyMonomialQuot", "p": 5, "rels": ["xy"]}, "ideal": ["x"]}
@@ -303,6 +331,15 @@ def test_stray_signs_in_bivariate_elements_are_refused(capsys, command, field, t
     code, out, err = run_cli(capsys, command, json.dumps(payload))
     assert code == 2 and out == ""
     assert f"malformed bivariate element {text!r}" in err
+
+
+def test_bivariate_ring_of_characteristic_zero_is_refused(capsys):
+    # p is checked before the relation loop reduces coefficients mod p
+    payload = {"ring": {"kind": "BiPolyMonomialQuot", "p": 0, "rels": ["x^2"]},
+               "ideal": ["x"], "d": "x"}
+    code, out, err = run_cli(capsys, "radical-lemma", json.dumps(payload))
+    assert code == 2 and out == ""
+    assert "needs a prime characteristic, got 0" in err
 
 
 def test_unsplittable_cofactor_exits_3_quickly(capsys):

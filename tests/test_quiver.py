@@ -2,14 +2,14 @@
 import itertools
 
 import pytest
-from conftest import QUIVER_SHAPES, brute_subreps, simple_rep, small_rep_data
+from conftest import QUIVER_SHAPES, brute_subreps, simple_rep, small_rep_data, span
 from hypothesis import given, settings, strategies as st
 
+from torsion_lab.engine import QuiverHandle
 from torsion_lab.errors import InputError
 from torsion_lab.modlinalg import Subspace, all_subspaces
 from torsion_lab.quiver import (Quiver, QuiverRep, SubRep, _adapted_blocks, a_n_quiver,
-                                hom_space, iter_subreps, quotient_rep,
-                                single_vertex_support)
+                                hom_space, iter_subreps, quotient_rep)
 
 A2 = a_n_quiver(2)
 S1 = simple_rep(A2, 2, 0)
@@ -22,13 +22,6 @@ def _subrep(x, rows):
     return SubRep(x, [Subspace(x.p, d, r) for d, r in zip(x.dims, rows)])
 
 
-def _span(sp, p):
-    """All vectors of the row space of a subspace, by test-local linear combinations."""
-    return frozenset(
-        tuple(sum(c * row[i] for c, row in zip(coeffs, sp.rows)) % p for i in range(sp.dim))
-        for coeffs in itertools.product(range(p), repeat=len(sp.rows)))
-
-
 def _apply(mat, vec, p):
     return tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) % p for i in range(len(mat)))
 
@@ -37,7 +30,7 @@ def _arrow_stable(w):
     """Test-local stability oracle: every arrow maps every vector of the source
     span into the target span."""
     x = w.ambient
-    spans = [_span(sp, x.p) for sp in w.spaces]
+    spans = [span(sp, x.p) for sp in w.spaces]
     return all(_apply(mat, u, x.p) in spans[t]
                for (s, t), mat in zip(x.quiver.arrows, x.maps) for u in spans[s])
 
@@ -169,9 +162,12 @@ def test_unstable_subspaces_rejected():
 
 
 def test_composition_factors():
-    assert single_vertex_support(S1)
-    assert not single_vertex_support(P1)
-    assert not single_vertex_support(QuiverRep(A2, 2, [0, 0], [[]]))
+    handle = QuiverHandle(A2, 2)
+    assert handle.criterion(S1) == (True, None, ("vertex", 0))
+    assert handle.criterion(S2) == (True, None, ("vertex", 1))
+    verdict, witness, tag = handle.criterion(P1)
+    assert (verdict, witness.dims(), tag) == (False, (0, 1), None)
+    assert handle.criterion(QuiverRep(A2, 2, [0, 0], [[]])) == (False, None, None)
 
 
 def test_dims_decide_isomorphism_for_one_vertex_a2_reps():
@@ -245,7 +241,7 @@ def _rep(data):
 @given(x=small_rep_data().map(_rep))
 def test_subreps_match_exhaustive_subset_search(x):
     subs = list(iter_subreps(x))
-    spans = [tuple(_span(sp, x.p) for sp in s.spaces) for s in subs]
+    spans = [tuple(span(sp, x.p) for sp in s.spaces) for s in subs]
     assert set(spans) == brute_subreps(x.quiver, x.p, x.dims, x.maps)
     assert len(set(spans)) == len(spans)
     tokens = [s.sort_token() for s in subs]
@@ -280,7 +276,7 @@ def test_every_part_is_stable_under_every_endomorphism_on_vector_sets(x):
     from torsion_lab.engine import QuiverHandle, torsion_parts
     endos = hom_space(x, x)
     for w in torsion_parts(QuiverHandle(x.quiver, x.p), x).parts:
-        spans = [_span(sp, x.p) for sp in w.spaces]
+        spans = [span(sp, x.p) for sp in w.spaces]
         assert all(_apply(f[v], u, x.p) in span
                    for f in endos for v, span in enumerate(spans) for u in span), w.key()
 
@@ -296,8 +292,8 @@ def test_subrep_intersect_matches_vector_sets(x, seed):
     for a, b in pairs:
         meet = a.intersect(b)
         for v in range(x.quiver.vertex_count):
-            want = _span(a.spaces[v], x.p) & _span(b.spaces[v], x.p)
-            assert _span(meet.spaces[v], x.p) == want, (x, v)
+            want = span(a.spaces[v], x.p) & span(b.spaces[v], x.p)
+            assert span(meet.spaces[v], x.p) == want, (x, v)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -314,10 +310,10 @@ def test_quiver_pull_sub_matches_vector_sets(x, seed):
         for w in (_random_subrep(rng, f.dst), SubRep.zero(f.dst)):
             pulled = handle.pull_sub(f, w)
             for v in range(x.quiver.vertex_count):
-                target = _span(w.spaces[v], x.p)
+                target = span(w.spaces[v], x.p)
                 want = frozenset(u for u in itertools.product(range(x.p), repeat=x.dims[v])
                                  if _apply(f.data[v], u, x.p) in target)
-                assert _span(pulled.spaces[v], x.p) == want, (x, v)
+                assert span(pulled.spaces[v], x.p) == want, (x, v)
 
 
 _BLOCK_SHAPES = [QUIVER_SHAPES[name] for name in ("A2", "A3", "source", "triangle")]
@@ -341,8 +337,8 @@ def test_quiver_compose_sub_matches_vector_sets(x, seed):
                 # inner's vectors are coordinates on w's rows
                 want = frozenset(tuple(sum(c * row[i] for c, row in zip(u, rows)) % x.p
                                        for i in range(x.dims[v]))
-                                 for u in _span(sp, x.p))
-                assert _span(composed.spaces[v], x.p) == want, (x, v)
+                                 for u in span(sp, x.p))
+                assert span(composed.spaces[v], x.p) == want, (x, v)
             assert _arrow_stable(composed)
 
 
