@@ -314,7 +314,7 @@ class QuiverHandle:
         return x
 
     def enumerable(self, x) -> bool:
-        return x.p in qv.ENUM_PRIMES and max(x.dims) <= qv.ENUM_DIM_BOUND
+        return qv.enumerable(x)
 
     def subobjects(self, x):
         return qv.iter_subreps(x)
@@ -393,12 +393,17 @@ class QuiverHandle:
     def criterion(self, x):
         """The support is one vertex, the type tag, as the simples are the S_v.
         Otherwise the witness is the first proper part where x is enumerable,
-        else W = x_v at a sink v of the support, a part as (x/W)_v = 0."""
+        else W = x_v at a sink v of the support, a part as (x/W)_v = 0.  W and
+        its recheck write a d x d basis at each vertex, so the sum of d^2 - 256
+        is refused past the arrow-map entries counted at both ends."""
         support = x.support()
         if len(support) == 1:
             return True, None, ("vertex", support[0])
         if self.enumerable(x):
             return False, _first_proper_part(self, x, True), None
+        entries = sum(x.dims[s] * x.dims[t] for s, t in x.quiver.arrows)
+        if sum(d * d - 256 for d in x.dims) > 2 * entries:
+            raise InputError(f"the sink witness of {self.describe(x)} outgrows its arrow maps")
         v = next(v for v in support
                  if all(t not in support for s, t in x.quiver.arrows if s == v))
         return False, qv.SubRep(x, [(ml.Subspace.full if u == v else ml.Subspace.zero)(self.p, d)
@@ -446,10 +451,8 @@ def _first_proper_part(handle, x, prune: bool):
 
 
 def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> SimplicityReport:
-    """Brute force looks for a first proper part.  The handle's criterion is
-    closed-form (an x of finite length is torsion-simple iff its composition
-    factors are all isomorphic), and its witness is rechecked.  `auto` takes
-    brute force where the handle can enumerate x."""
+    """Brute force seeks a first proper part; the handle's closed-form criterion,
+    auto's choice where x cannot be enumerated, has its witness rechecked."""
     if x.is_zero():
         raise InputError("torsion-simplicity is defined for non-zero objects")
     if method == "auto":

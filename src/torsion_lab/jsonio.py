@@ -208,12 +208,10 @@ def module_to_json(m: PresentedModule) -> dict:
     }
 
 
-def parse_quiver(obj, count: int) -> Quiver:
+def parse_quiver(obj) -> Quiver:
     from .quiver import Quiver
     _require_keys(obj, {"vertices", "arrows"}, set(), "quiver")
-    # `count` dims, compared before the acyclicity check walks every vertex
-    if parse_int(obj["vertices"], "vertex count") != count:
-        raise InputError("one dimension per vertex required")
+    count = parse_int(obj["vertices"], "vertex count")
     arrows = []
     for arrow in parse_array(obj["arrows"], "arrows"):
         if not isinstance(arrow, list) or len(arrow) != 2:
@@ -225,9 +223,9 @@ def parse_quiver(obj, count: int) -> Quiver:
 def parse_rep(obj) -> QuiverRep:
     from .quiver import QuiverRep
     _require_keys(obj, {"quiver", "p", "dims", "maps"}, set(), "representation")
-    dims = [parse_int(d, "dimension") for d in parse_array(obj["dims"], "dims")]
-    quiver = parse_quiver(obj["quiver"], len(dims))
+    quiver = parse_quiver(obj["quiver"])
     p = parse_int(obj["p"], "characteristic p")
+    dims = [parse_int(d, "dimension") for d in parse_array(obj["dims"], "dims")]
     maps = [[[parse_int(x, "matrix entry") for x in row]
              for row in parse_array(mat, "arrow map", rows=True)]
             for mat in parse_array(obj["maps"], "maps")]

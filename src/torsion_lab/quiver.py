@@ -58,11 +58,11 @@ class Quiver:
             raise InputError("quiver has a directed cycle")
 
     def _is_acyclic(self) -> bool:
-        # Kahn: strip vertices without incoming arrows until none is left
-        indeg = [0] * self.vertex_count
+        # Kahn on the arrows' endpoints: strip those without incoming arrows
+        indeg = dict.fromkeys((v for arrow in self.arrows for v in arrow), 0)
         for _, t in self.arrows:
             indeg[t] += 1
-        ready = [v for v in range(self.vertex_count) if indeg[v] == 0]
+        ready = [v for v, n in indeg.items() if n == 0]
         stripped = 0
         while ready:
             v = ready.pop()
@@ -72,7 +72,7 @@ class Quiver:
                     indeg[t] -= 1
                     if indeg[t] == 0:
                         ready.append(t)
-        return stripped == self.vertex_count
+        return stripped == len(indeg)
 
     def __eq__(self, other):
         return (isinstance(other, Quiver) and other.vertex_count == self.vertex_count
@@ -274,12 +274,15 @@ def iter_subreps(x: QuiverRep, prune: bool = False):
     here, at the call, and not at the first next(): a refusal must come
     before callers build anything else.
     """
-    if x.p not in ENUM_PRIMES:
-        raise InputError(f"subrepresentation enumeration supports p in {ENUM_PRIMES}")
-    if any(d > ENUM_DIM_BOUND for d in x.dims):
-        raise InputError(
-            f"per-vertex dimension exceeds the enumeration bound {ENUM_DIM_BOUND}")
+    if not enumerable(x):
+        raise InputError(f"subrepresentation enumeration supports p in {ENUM_PRIMES} "
+                         f"and dimensions up to the enumeration bound {ENUM_DIM_BOUND}")
     return _subreps_in_order(x, prune)
+
+
+def enumerable(x: QuiverRep) -> bool:
+    """Whether `iter_subreps` walks x, whose subspace counts grow with p and d."""
+    return x.p in ENUM_PRIMES and max(x.dims) <= ENUM_DIM_BOUND
 
 
 def _hom_system_size(quiver: Quiver, m, n) -> tuple[int, int]:

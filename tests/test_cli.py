@@ -227,11 +227,12 @@ _IDENTITY_60 = json.dumps({"quiver": {"vertices": 2, "arrows": [[0, 1]]}, "p": 2
                            "maps": [[[int(i == j) for j in range(60)] for i in range(60)]]})
 
 
-def test_pruned_rep_above_the_enumeration_bound_is_refused_at_once(capsys):
+@pytest.mark.parametrize("command", ["torsion-parts"])
+def test_pruned_rep_above_the_enumeration_bound_is_refused_at_once(capsys, command):
     # End(x) of a [60,60] representation has 3,600 basis elements; the
     # enumeration bound must refuse before it is built
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "--json", "torsion-parts", "--rep", _IDENTITY_60)
+    code, out, err = run_cli(capsys, "--json", command, "--rep", _IDENTITY_60)
     assert time.perf_counter() - start < 1
     assert code == 2 and not out
     assert "enumeration bound" in err
@@ -248,9 +249,22 @@ def test_rep_above_the_enumeration_bound_is_answered_at_once(capsys):
     assert (result["verdict"], result["type"], result["witness"]["dims"]) == (False, None, [0, 60])
 
 
+@pytest.mark.parametrize("dims", [[100_000, 1], [100_000, 100_000]])
+def test_rep_whose_sink_witness_outgrows_its_maps_is_refused_at_once(capsys, dims):
+    # a d x d basis per vertex for a 70-byte payload with no arrow map: refused
+    # before any basis is built
+    rep = json.dumps({"quiver": {"vertices": 2, "arrows": []}, "p": 2, "dims": dims,
+                      "maps": []})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--json", "check", "--rep", rep)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "outgrows its arrow maps" in err
+
+
 @pytest.mark.parametrize("vertices", [2 ** 63, 3_000_000])
 def test_vertex_count_other_than_the_dims_count_is_refused_at_once(capsys, vertices):
-    # the counts are compared before the quiver's acyclicity check walks every vertex
+    # the acyclicity check walks the arrows' endpoints, not every vertex
     rep = json.dumps({"quiver": {"vertices": vertices, "arrows": []},
                       "p": 2, "dims": [1, 1], "maps": []})
     start = time.perf_counter()

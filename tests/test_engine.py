@@ -468,9 +468,15 @@ def test_simplicity_methods_agree_on_quiver():
             rep = QuiverRep(A2, 2, (d1, d2), [mat])
             if rep.is_zero():
                 continue
-            brute = is_torsion_simple(QH, rep, method="brute-force")
-            crit = is_torsion_simple(QH, rep, method="single-vertex-criterion")
-            assert (brute.verdict, brute.type_tag) == (crit.verdict, crit.type_tag)
+            brute = is_torsion_simple(QH, rep, method="brute-force", prune=False)
+            for prune in (True, False):
+                # the criterion ignores prune: the pruned walk's first part is
+                # the unpruned walk's
+                crit = is_torsion_simple(QH, rep, method="single-vertex-criterion",
+                                         prune=prune)
+                assert (brute.verdict, brute.type_tag) == (crit.verdict, crit.type_tag)
+                keys = [r.witness and r.witness.key() for r in (brute, crit)]
+                assert keys[0] == keys[1]
 
 
 def _radical_zero_on(target):

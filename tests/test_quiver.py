@@ -1,5 +1,6 @@
 """Quiver representations: hom spaces, subrepresentation lattices, quotients."""
 import itertools
+import time
 
 import pytest
 from conftest import QUIVER_SHAPES, brute_subreps, simple_rep, small_rep_data, span
@@ -40,6 +41,19 @@ def test_acyclicity_enforced():
         Quiver(2, [(0, 1), (1, 0)])
     with pytest.raises(InputError):
         Quiver(1, [(0, 0)])
+    with pytest.raises(InputError):
+        Quiver(4, [(3, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("vertices", [2 ** 63, 3_000_000])
+def test_acyclicity_check_costs_only_the_arrows(vertices):
+    # a vertex on no arrow is on no cycle, so no per-vertex table is built
+    start = time.perf_counter()
+    q = Quiver(vertices, [(0, 1), (vertices - 1, 1)])
+    assert time.perf_counter() - start < 1
+    assert q.vertex_count == vertices
+    with pytest.raises(InputError, match="one dimension per vertex required"):
+        QuiverRep(q, 2, [1, 1], [[[1]], [[1]]])
 
 
 def test_hom_examples():
