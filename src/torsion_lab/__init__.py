@@ -19,9 +19,8 @@ _EXPORTS = {
                "verify_torsion_pair_axioms"),
     "errors": ("ContradictionError", "InputError", "TorsionLabError",
                "UnsupportedRingError", "WorkBudgetError"),
-    "mccoy": ("ConormalReport", "DeterminantalProfile", "RingMatrix",
-              "check_radical_lemma", "conormal_presentation", "hom_I_to_quotient",
-              "mccoy_rank", "nullvector_exhaustive"),
+    "mccoy": ("RingMatrix", "check_radical_lemma", "conormal_presentation",
+              "hom_I_to_quotient", "mccoy_rank", "nullvector_exhaustive"),
     "quiver": ("Quiver", "QuiverRep", "SubRep", "a_n_quiver", "hom_space",
                "iter_subreps", "quotient_rep"),
     "rings": ("Ideal", "Ring", "RingElem"),

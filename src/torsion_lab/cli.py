@@ -182,13 +182,13 @@ def cmd_mccoy_rank(payload: dict, options: dict) -> dict:
     io._require_keys(payload, {"ring", "matrix"}, set(), "mccoy payload")
     ring = io.parse_ring(payload["ring"])
     mat = io.parse_matrix(ring, payload["matrix"])
-    rank, profile = mc.mccoy_rank(mat)
+    rank, steps = mc.mccoy_rank(mat)
     return {
         "ring": io.ring_to_json(ring),
         "rows": mat.rows,
         "cols": mat.cols,
         "mccoy_rank": rank,
-        "profile": profile.as_dict()["steps"],
+        "profile": steps,
     }
 
 
@@ -224,7 +224,7 @@ def cmd_hom_conormal(payload: dict, options: dict) -> dict:
     io._require_keys(payload, {"ring", "ideal"}, set(), "hom-conormal payload")
     ring = io.parse_ring(payload["ring"])
     ideal = io.parse_ideal(ring, payload["ideal"])
-    return mc.hom_I_to_quotient(ring, ideal).as_dict()
+    return mc.hom_I_to_quotient(ring, ideal)
 
 
 def cmd_radical_lemma(payload: dict, options: dict) -> dict:
@@ -233,7 +233,7 @@ def cmd_radical_lemma(payload: dict, options: dict) -> dict:
     ring = io.parse_ring(payload["ring"])
     ideal = io.parse_ideal(ring, payload["ideal"])
     d = io.parse_element(ring, payload["d"])
-    return mc.check_radical_lemma(ring, ideal, d).as_dict()
+    return mc.check_radical_lemma(ring, ideal, d)
 
 
 def cmd_verify(payload: dict, options: dict) -> dict:

@@ -12,15 +12,18 @@ kernel of the transpose.  Over a domain with 0 != I != S that kernel is
 provably non-zero; the code raises ContradictionError if a computation ever
 disagrees, and reproduces the expected failure over the non-domain
 F_p[x,y]/(xy) with I = (x).
-Every transpose the pipeline builds is zero or lives over a bivariate
-quotient, so `matrix_kernel` answers only those two shapes.
+Over a principal ideal ring S = R/(m), R = Z or F_p[x] (m = 0 for R itself),
+an ideal I = (d) with d | m has I/I^2 = S/(g) for g = gcd(d, m/d), so M is
+[g] and ker(M^t) is generated by d/g: Hom_S(I, S/I) = 0 iff g is a unit.
+Each command prints what its function here returns: a report dict, or the
+McCoy rank with its profile steps.
 """
 from __future__ import annotations
 
 import math
 
 from .errors import ContradictionError, InputError, UnsupportedRingError
-from .rings import ENUM_LIMIT, KIND_BIPOLY, KIND_POLY, KIND_Z, Ideal, Ring, RingElem
+from .rings import ENUM_LIMIT, KIND_BIPOLY, Ideal, Ring, RingElem
 
 # `_polyarith`, which only the F_p[x] and bivariate branches use: bound by the
 # first of them, so McCoy ranks over Z/n never compile it
@@ -103,23 +106,6 @@ def minors(a: RingMatrix, order: int) -> list[RingElem]:
     return out
 
 
-class DeterminantalProfile:
-    """The chain D_0 >= D_1 >= ... by its minors, and the McCoy rank.
-
-    Step r's `annihilator_is_zero` (Ann(D_r) = 0) is r <= mccoy_rank: the
-    annihilators grow with r, so the flag is exact without a per-order test.
-    """
-
-    __slots__ = ("steps", "mccoy_rank")
-
-    def __init__(self, steps: list[dict] | None = None, mccoy_rank: int = 0):
-        self.steps = [] if steps is None else steps
-        self.mccoy_rank = mccoy_rank
-
-    def as_dict(self) -> dict:
-        return {"steps": self.steps, "mccoy_rank": self.mccoy_rank}
-
-
 def _exact_quotient(e: RingElem, d: RingElem) -> RingElem:
     """e / d in Z or F_p[x], where d divides e."""
     r = e.ring
@@ -128,14 +114,32 @@ def _exact_quotient(e: RingElem, d: RingElem) -> RingElem:
     return RingElem(r, pa.pdivmod(e.payload, d.payload, r.p)[0])
 
 
-def _split_modulus(ring: Ring, a: RingElem) -> tuple[Ring, ...]:
-    """R/(g) and R/(m/g) for g = gcd(a, m) != 1, or () when a is a unit mod m."""
+# over R/(m), R = Z (`ring.n is not None`) or F_p[x] (`ring.modulus is not None`),
+# payloads are elements of R, so a gcd with m or a quotient by it is exact
+def _lift(ring: Ring, payload) -> RingElem:
+    """The element of R/(m) that payload represents."""
+    return ring.from_int(payload) if ring.n is not None else ring.poly(payload)
+
+
+def _residue_ring(ring: Ring, f) -> Ring:
+    """R/(f) for a payload f of R other than 0 and 1."""
+    return Ring.integers_mod(f) if ring.n is not None else Ring.poly_quotient(ring.p, f)
+
+
+def _divisor_pair(ring: Ring, a: RingElem) -> tuple:
+    """(g, m/g) for g = gcd(a, m), monic over F_p[x]; a and m not both 0."""
     if ring.n is not None:
         g = math.gcd(a.payload, ring.n)
-        return () if g == 1 else (Ring.integers_mod(g), Ring.integers_mod(ring.n // g))
+        return g, ring.n // g
+    _load_polyarith()
     g = pa.pgcd(a.payload, ring.modulus, ring.p)
-    return () if g == (1,) else tuple(Ring.poly_quotient(ring.p, f) for f in (
-        g, pa.pdivmod(ring.modulus, g, ring.p)[0]))
+    return g, pa.pdivmod(ring.modulus, g, ring.p)[0]
+
+
+def _split_modulus(ring: Ring, a: RingElem) -> tuple[Ring, ...]:
+    """R/(g) and R/(m/g) for g = gcd(a, m) != 1, or () when a is a unit mod m."""
+    pair = _divisor_pair(ring, a)
+    return () if pair[0] in (1, (1,)) else tuple(_residue_ring(ring, f) for f in pair)
 
 
 def _euclidean_rank(ring: Ring, rows: list[list[RingElem]]) -> int:
@@ -159,9 +163,8 @@ def _euclidean_rank(ring: Ring, rows: list[list[RingElem]]) -> int:
         a = rows[i][j]
         branches = _split_modulus(ring, a) if m else ()
         if branches:
-            return rank + min(_euclidean_rank(sub, [
-                [(sub.from_int if sub.n is not None else sub.poly)(e.payload) for e in row]
-                for row in rows]) for sub in branches)
+            return rank + min(_euclidean_rank(sub, [[_lift(sub, e.payload) for e in row]
+                                                    for row in rows]) for sub in branches)
         top = rows.pop(i)
         rows = [[a * e - row[j] * t for k, (e, t) in enumerate(zip(row, top)) if k != j]
                 for row in rows]
@@ -207,8 +210,10 @@ def _residue_rank(a: RingMatrix) -> int:
                for wx, wy in weights)
 
 
-def mccoy_rank(a: RingMatrix) -> tuple[int, DeterminantalProfile]:
-    """Largest r with Ann(D_r) = 0, plus the profile, which lists every minor.
+def mccoy_rank(a: RingMatrix) -> tuple[int, list[dict]]:
+    """Largest r with Ann(D_r) = 0, plus the profile: one step per order r
+    listing the r x r minors.  Step r's `annihilator_is_zero` (Ann(D_r) = 0)
+    is r <= rank, since the annihilators grow with r.
 
     An m x n matrix has sum_r C(m, r) C(n, r) = C(m + n, m) minors, order 0
     included (Vandermonde); more than ENUM_LIMIT of them are refused before
@@ -222,7 +227,7 @@ def mccoy_rank(a: RingMatrix) -> tuple[int, DeterminantalProfile]:
     steps = [{"order": r, "generators": [str(g) for g in minors(a, r)],
               "annihilator_is_zero": r <= rank}
              for r in range(min(a.rows, a.cols) + 1)]
-    return rank, DeterminantalProfile(steps, rank)
+    return rank, steps
 
 
 def has_nullvector_theorem(a: RingMatrix) -> bool:
@@ -260,19 +265,16 @@ def nullvector_exhaustive(a: RingMatrix):
 
 
 def quotient_ring(s: Ring, ideal: Ideal) -> Ring:
-    """Materialise S/I for the rings conormal_presentation admits (Z, F_p[x]
-    and the bivariate quotients); the unit ideal is refused."""
+    """Materialise S/I; the unit ideal is refused."""
     if ideal.ring != s:
         raise InputError("ideal does not live over the given ring")
     if ideal.contains(s.one):
         raise UnsupportedRingError("the quotient by the unit ideal is the zero ring")
     if ideal.is_zero():
         return s
-    if s.kind == KIND_Z:
-        return Ring.integers_mod(ideal._pid_generator().payload)
-    if s.kind == KIND_POLY:
-        return Ring.poly_quotient(s.p, ideal._pid_generator().payload)
-    return Ring.bivariate_quotient(s.p, tuple(s.rels or ()) + ideal._monomial_gens())
+    if s.kind == KIND_BIPOLY:
+        return Ring.bivariate_quotient(s.p, tuple(s.rels or ()) + ideal._monomial_gens())
+    return _residue_ring(s, ideal._pid_generator().payload)
 
 
 def conormal_generators(s: Ring, ideal: Ideal) -> list[RingElem]:
@@ -286,22 +288,22 @@ def conormal_generators(s: Ring, ideal: Ideal) -> list[RingElem]:
 def conormal_presentation(s: Ring, ideal: Ideal) -> RingMatrix:
     """Relation matrix M over S/I presenting I/I^2 on the rows' generators.
 
-    Principal ideals of a domain give the n x 0 matrix (I/I^2 free of rank 1).
+    Over S = R/(m), R = Z or F_p[x], I = (d) with d | m is presented by [g],
+    g = gcd(d, m/d), or by the 1 x 0 matrix (I/I^2 free of rank one) when
+    g = 0 in S/(d), as always for m = 0.
     Monomial ideals contribute one column per lcm pair syzygy and one per
     annihilator generator of each monomial against the ring relations, all
     reduced modulo I.
     """
-    if s.kind not in (KIND_Z, KIND_POLY, KIND_BIPOLY):
-        raise UnsupportedRingError(
-            f"conormal presentations are not supported over {s.describe()}")
     gens = conormal_generators(s, ideal)
     n = len(gens)
     q = quotient_ring(s, ideal)
     if n == 0:
         return RingMatrix(q, 0, 0, [])
-    if s.kind in (KIND_Z, KIND_POLY):
-        # principal ideal of a PID domain: I/I^2 is free of rank one over S/I
-        return RingMatrix(q, 1, 0, [])
+    if s.kind != KIND_BIPOLY:
+        cofactor = _lift(q, _divisor_pair(s, gens[0])[1])  # m/d, reduced mod d
+        g = _lift(q, _divisor_pair(q, cofactor)[0])
+        return RingMatrix(q, 1, 1, [g]) if g else RingMatrix(q, 1, 0, [])
     # bivariate monomial case: pair syzygies then annihilator syzygies
     _load_polyarith()
     monos = [g.payload[0][0] for g in gens]
@@ -327,28 +329,7 @@ def conormal_presentation(s: Ring, ideal: Ideal) -> RingMatrix:
     return RingMatrix(q, n, len(cols), flat)
 
 
-class KernelDescription:
-    """ker(M^t) over S/I: free rank and generator vectors.  The report keeps an
-    empty "invariant_factors" list, since no kernel computed here has one."""
-
-    __slots__ = ("free_rank", "generators", "nonzero")
-
-    def __init__(self, free_rank: int = 0, generators: list[list[str]] | None = None,
-                 nonzero: bool = False):
-        self.free_rank = free_rank
-        self.generators = [] if generators is None else generators
-        self.nonzero = nonzero
-
-    def as_dict(self) -> dict:
-        return {
-            "free_rank": self.free_rank,
-            "invariant_factors": [],
-            "generators": self.generators,
-            "nonzero": self.nonzero,
-        }
-
-
-def _kernel_over_bipoly(mt: RingMatrix) -> KernelDescription:
+def _kernel_over_bipoly(mt: RingMatrix) -> list[list[str]]:
     _load_polyarith()
     q = mt.ring
     # matrix_kernel has already answered the all-zero matrix
@@ -388,104 +369,51 @@ def _kernel_over_bipoly(mt: RingMatrix) -> KernelDescription:
             vec[j2] = -q.monomial(*pa.mono_div(w, mono2), inv2)
             if any(not e.is_zero() for e in vec):
                 gens.append(vec)
-    return KernelDescription(0, [[str(e) for e in vec] for vec in gens], bool(gens))
+    return [[str(e) for e in vec] for vec in gens]
 
 
-def matrix_kernel(mt: RingMatrix) -> KernelDescription:
-    """Kernel description of a zero matrix or of one over a bivariate quotient."""
-    if mt.rows == 0 or all(mt.at(i, j).is_zero()
-                           for i in range(mt.rows) for j in range(mt.cols)):
-        return KernelDescription(mt.cols, [["1" if j == k else "0" for j in range(mt.cols)]
-                                           for k in range(mt.cols)], mt.cols > 0)
-    # hom_I_to_quotient passes nothing else: over Z and F_p[x] the conormal
-    # presentation is n x 0, so M^t has no rows; over a bivariate quotient that
-    # is a field every entry of M is a non-constant monomial (lcm/m_i for
-    # minimal generators m_i, or an annihilator monomial z != 1 since m_i is
-    # not in rels), and each one vanishes in F_p
-    if mt.ring.kind != KIND_BIPOLY:
-        raise UnsupportedRingError(
-            f"kernel computation over {mt.ring.describe()} is not supported")
-    return _kernel_over_bipoly(mt)
+def matrix_kernel(mt: RingMatrix) -> dict:
+    """ker(M^t) over S/I as the report prints it: free rank, generator vectors
+    and whether it is non-zero.  No kernel computed here has an invariant
+    factor, so that list stays empty."""
+    if not any(mt.entries):
+        free_rank = mt.cols
+        gens = [["1" if j == k else "0" for j in range(mt.cols)] for k in range(mt.cols)]
+    elif mt.ring.kind == KIND_BIPOLY:
+        free_rank, gens = 0, _kernel_over_bipoly(mt)
+    else:
+        # over R/(d) the pipeline's one non-zero M^t is [g], and g y = 0 iff
+        # d / gcd(g, d) divides y
+        (g,) = mt.entries
+        gen = _lift(mt.ring, _divisor_pair(mt.ring, g)[1])
+        free_rank, gens = 0, [[str(gen)]] if gen else []
+    return {"free_rank": free_rank, "invariant_factors": [], "generators": gens,
+            "nonzero": bool(gens)}
 
 
-class ConormalReport:
-    __slots__ = ("base_ring", "ideal_gens", "quotient_ring", "matrix_rows", "matrix_cols",
-                 "matrix", "kernel", "hom_nonzero", "statement")
-
-    def __init__(self, base_ring: str, ideal_gens: list[str], quotient_ring: str,
-                 matrix_rows: int, matrix_cols: int, matrix: list[list[str]],
-                 kernel: KernelDescription, hom_nonzero: bool,
-                 statement: str = "Hom_S(I, S/I) != 0 for a proper non-zero ideal "
-                                  "of a noetherian domain"):
-        self.base_ring = base_ring
-        self.ideal_gens = ideal_gens
-        self.quotient_ring = quotient_ring
-        self.matrix_rows = matrix_rows
-        self.matrix_cols = matrix_cols
-        self.matrix = matrix
-        self.kernel = kernel
-        self.hom_nonzero = hom_nonzero
-        self.statement = statement
-
-    def as_dict(self) -> dict:
-        return {
-            "base_ring": self.base_ring,
-            "ideal_generators": self.ideal_gens,
-            "quotient_ring": self.quotient_ring,
-            "presentation_rows_are_generators": self.matrix_rows,
-            "presentation_cols_are_relations": self.matrix_cols,
-            "presentation_matrix": self.matrix,
-            "kernel_of_transpose": self.kernel.as_dict(),
-            "hom_nonzero": self.hom_nonzero,
-            "statement": self.statement,
-        }
-
-
-def hom_I_to_quotient(s: Ring, ideal: Ideal) -> ConormalReport:
+def hom_I_to_quotient(s: Ring, ideal: Ideal) -> dict:
     """Decide Hom_S(I, S/I) != 0 via the kernel of the transposed presentation."""
     m = conormal_presentation(s, ideal)
-    mt = m.transpose()
-    kernel = matrix_kernel(mt)
-    verdict = kernel.nonzero
-    report = ConormalReport(
-        base_ring=s.describe(),
-        ideal_gens=[str(g) for g in ideal.gens],
-        quotient_ring=m.ring.describe(),
-        matrix_rows=m.rows,
-        matrix_cols=m.cols,
-        matrix=m.describe_rows(),
-        kernel=kernel,
-        hom_nonzero=verdict,
-    )
-    if s.is_domain and not ideal.is_zero() and not verdict:
+    kernel = matrix_kernel(m.transpose())
+    # is_domain last: over F_p[x]/(f) it is an irreducibility test of f
+    if not kernel["nonzero"] and not ideal.is_zero() and s.is_domain:
         raise ContradictionError(
             "Hom_S(I, S/I) computed zero for a proper non-zero ideal of a domain")
-    return report
+    return {
+        "base_ring": s.describe(),
+        "ideal_generators": [str(g) for g in ideal.gens],
+        "quotient_ring": m.ring.describe(),
+        "presentation_rows_are_generators": m.rows,
+        "presentation_cols_are_relations": m.cols,
+        "presentation_matrix": m.describe_rows(),
+        "kernel_of_transpose": kernel,
+        "hom_nonzero": kernel["nonzero"],
+        "statement": "Hom_S(I, S/I) != 0 for a proper non-zero ideal of a noetherian domain",
+    }
 
 
-class RadicalLemmaReport:
-    __slots__ = ("premise", "conclusion", "violation", "domain", "expected_for_non_domain")
-
-    def __init__(self, premise: bool, conclusion: bool, violation: bool, domain: bool,
-                 expected_for_non_domain: bool):
-        self.premise = premise          # d*I subset of I^2
-        self.conclusion = conclusion    # d in rad(I)
-        self.violation = violation
-        self.domain = domain
-        self.expected_for_non_domain = expected_for_non_domain
-
-    def as_dict(self) -> dict:
-        return {
-            "premise_dI_in_I2": self.premise,
-            "conclusion_d_in_radical": self.conclusion,
-            "violation": self.violation,
-            "ring_is_domain": self.domain,
-            "expected_for_non_domain": self.expected_for_non_domain,
-            "statement": "d*I in I^2 forces d in rad(I) over a noetherian domain",
-        }
-
-
-def check_radical_lemma(s: Ring, ideal: Ideal, d: RingElem) -> RadicalLemmaReport:
+def check_radical_lemma(s: Ring, ideal: Ideal, d: RingElem) -> dict:
+    """Whether d I in I^2 (the premise) forces d into rad(I)."""
     if d.ring != s or ideal.ring != s:
         raise InputError("mismatched ring for the radical check")
     if ideal.is_zero():
@@ -495,8 +423,15 @@ def check_radical_lemma(s: Ring, ideal: Ideal, d: RingElem) -> RadicalLemmaRepor
     premise = all(i_squared.contains(d * g) for g in ideal.gens)
     conclusion = ideal.radical_contains(d)
     violation = premise and not conclusion
-    if violation and s.is_domain:
+    domain = s.is_domain
+    if violation and domain:
         raise ContradictionError(
             "dI in I^2 with d outside rad(I) over a domain: statement violated")
-    return RadicalLemmaReport(premise, conclusion, violation, s.is_domain,
-                              violation and not s.is_domain)
+    return {
+        "premise_dI_in_I2": premise,
+        "conclusion_d_in_radical": conclusion,
+        "violation": violation,
+        "ring_is_domain": domain,
+        "expected_for_non_domain": violation and not domain,
+        "statement": "d*I in I^2 forces d in rad(I) over a noetherian domain",
+    }

@@ -14,20 +14,6 @@ def mat_vec_mod(mat, v: Vec, p: int) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) % p for row in mat)
 
 
-def matmul_mod(a, b, p: int):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            x = a[i][k] % p
-            if x:
-                for j in range(cols):
-                    out[i][j] = (out[i][j] + x * b[k][j]) % p
-    return out
-
-
 def rref(rows_in, p: int) -> tuple[list[list[int]], list[int]]:
     """Row-reduced echelon form; returns (nonzero rows, pivot column list)."""
     mat = [list(map(lambda x: x % p, r)) for r in rows_in]
@@ -132,14 +118,24 @@ class Subspace:
     def preimage(self, mat, src_dim: int) -> "Subspace":
         """{u in F_p^src_dim : mat @ u in self} for a dim x src_dim matrix.
 
-        The kernel of quotient_functionals() @ mat; the whole source when the
-        subspace is everything and there are no functionals.
+        The kernel of quotient_functionals() @ mat, whose row for a non-pivot
+        column c is mat[c] - sum_r rows[r][c] mat[pivots[r]]: built row by row
+        from the non-zero rows[r][c], never as the dim x dim functionals.  The
+        whole source when the subspace is everything.
         """
-        functionals = self.quotient_functionals()
-        if not functionals:
+        if self.rank == self.dim:
             return Subspace.full(self.p, src_dim)
-        return Subspace(self.p, src_dim,
-                        kernel_mod(matmul_mod(functionals, mat, self.p), self.p, src_dim))
+        p, pivots = self.p, set(self.pivots)
+        images = []
+        for c in range(self.dim):
+            if c in pivots:
+                continue
+            image = list(mat[c])
+            for row, pc in zip(self.rows, self.pivots):
+                if row[c]:
+                    image = [(x - row[c] * y) % p for x, y in zip(image, mat[pc])]
+            images.append(image)
+        return Subspace(p, src_dim, kernel_mod(images, p, src_dim))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # x = A^T c with A^T c in other: the image of other's preimage under A^T

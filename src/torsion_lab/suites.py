@@ -183,16 +183,16 @@ def morphisms_suite(options) -> SuiteResult:
     z = Ring.integers()
     for m in range(2, 51):
         rep = mc.hom_I_to_quotient(z, Ideal(z, [z.from_int(m)]))
-        res.check(rep.hom_nonzero, f"Z, I=({m})")
+        res.check(rep["hom_nonzero"], f"Z, I=({m})")
     f2x = Ring.poly_ring(2)
     for deg in range(1, 5):
         for tail in iproduct(range(2), repeat=deg):
             coeffs = list(tail) + [1]
             rep = mc.hom_I_to_quotient(f2x, Ideal(f2x, [f2x.poly(coeffs)]))
-            res.check(rep.hom_nonzero, f"F2[x], I=({coeffs})")
+            res.check(rep["hom_nonzero"], f"F2[x], I=({coeffs})")
     f2xy = Ring.bivariate_quotient(2, [])
     rep = mc.hom_I_to_quotient(f2xy, Ideal(f2xy, [f2xy.gen_x, f2xy.gen_y]))
-    res.check(rep.hom_nonzero and rep.kernel.free_rank == 2,
+    res.check(rep["hom_nonzero"] and rep["kernel_of_transpose"]["free_rank"] == 2,
               "F2[x,y], I=(x,y): expected hom of dimension 2")
     return res
 

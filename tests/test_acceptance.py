@@ -156,16 +156,16 @@ def test_criterion_7_morphisms_prop():
     """Hom_S(I, S/I) != 0 over Z, F2[x] and F2[x,y] test families."""
     start = time.monotonic()
     for m in range(2, 51):
-        assert hom_I_to_quotient(Z, Ideal(Z, [Z.from_int(m)])).hom_nonzero, m
+        assert hom_I_to_quotient(Z, Ideal(Z, [Z.from_int(m)]))["hom_nonzero"], m
     f2x = Ring.poly_ring(2)
     for deg in range(1, 5):
         for tail in itertools.product(range(2), repeat=deg):
             coeffs = list(tail) + [1]
             assert hom_I_to_quotient(
-                f2x, Ideal(f2x, [f2x.poly(coeffs)])).hom_nonzero, coeffs
+                f2x, Ideal(f2x, [f2x.poly(coeffs)]))["hom_nonzero"], coeffs
     f2xy = Ring.bivariate_quotient(2, [])
     rep = hom_I_to_quotient(f2xy, Ideal(f2xy, [f2xy.gen_x, f2xy.gen_y]))
-    assert rep.hom_nonzero and rep.kernel.free_rank == 2
+    assert rep["hom_nonzero"] and rep["kernel_of_transpose"]["free_rank"] == 2
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"criterion 7 exceeded 10s: {elapsed:.1f}s"
     _report("7 morphisms over domains", elapsed)
@@ -177,13 +177,13 @@ def test_criterion_8_counterexample_reproduction():
     b5 = Ring.bivariate_quotient(5, [(1, 1)])
     ideal = Ideal(b5, [b5.gen_x])
     rep = hom_I_to_quotient(b5, ideal)
-    assert rep.hom_nonzero is False
-    assert rep.matrix == [["y"]]
+    assert rep["hom_nonzero"] is False
+    assert rep["presentation_matrix"] == [["y"]]
     lemma = check_radical_lemma(b5, ideal, b5.gen_x + b5.gen_y)
-    assert lemma.premise is True
-    assert lemma.conclusion is False
-    assert lemma.violation is True
-    assert lemma.expected_for_non_domain is True
+    assert lemma["premise_dI_in_I2"] is True
+    assert lemma["conclusion_d_in_radical"] is False
+    assert lemma["violation"] is True
+    assert lemma["expected_for_non_domain"] is True
     _report("8 counterexample reproduction", time.monotonic() - start)
 
 

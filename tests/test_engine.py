@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -272,6 +273,18 @@ def test_coradical_postcondition_names_the_object_and_sources():
             torsionfree_coradical_cogenerated(
                 H, [cyclic_module(Z, 3), cyclic_module(Z, 2)], cyclic_module(Z, 4))
 
+
+
+def test_cogenerated_radical_pulls_back_along_many_maps_fast():
+    # Hom((1, 1, 1), (500, 0, 1)) on A3 has 500 basis maps, each pulled back
+    # along a 500 x 1 matrix: no 500 x 500 product per map
+    a3 = a_n_quiver(3)
+    x = QuiverRep(a3, 2, [1, 1, 1], [[[1]], [[1]]])
+    source = QuiverRep(a3, 2, [500, 0, 1], [[], [[]]])
+    start = time.perf_counter()
+    t, coradical = torsionfree_coradical_cogenerated(QuiverHandle(a3, 2), [source], x)
+    assert time.perf_counter() - start < 3
+    assert t.dims() == (0, 1, 1) and coradical.dims == (1, 0, 0)
 
 def test_essential_examples():
     z4 = cyclic_module(Z, 4)

@@ -7,9 +7,7 @@ from conftest import poly_matrix_rank, rational_rank
 
 from torsion_lab import mccoy
 from torsion_lab.errors import InputError, UnsupportedRingError
-from torsion_lab.mccoy import (ConormalReport, DeterminantalProfile,
-                               KernelDescription, RadicalLemmaReport, RingMatrix,
-                               check_radical_lemma, conormal_presentation,
+from torsion_lab.mccoy import (RingMatrix, check_radical_lemma, conormal_presentation,
                                has_nullvector_theorem, hom_I_to_quotient,
                                matrix_kernel, mccoy_rank, minors,
                                nullvector_exhaustive, quotient_ring)
@@ -55,9 +53,9 @@ def test_minor_chain_monotonicity():
 def test_mccoy_rank_examples():
     assert mccoy_rank(_mat(Z, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))[0] == 3
     z4 = Ring.integers_mod(4)
-    rank, profile = mccoy_rank(_mat(z4, [[2]]))
+    rank, steps = mccoy_rank(_mat(z4, [[2]]))
     assert rank == 0
-    assert profile.steps[1]["annihilator_is_zero"] is False
+    assert steps[1]["annihilator_is_zero"] is False
     p5 = Ring.poly_ring(5)
     y = RingMatrix(p5, 1, 1, [p5.poly([0, 1])])
     assert mccoy_rank(y)[0] == 1
@@ -158,20 +156,20 @@ def test_conormal_examples():
 
 def test_hom_conormal_examples():
     rep = hom_I_to_quotient(Z, Ideal(Z, [Z.from_int(6)]))
-    assert rep.hom_nonzero and rep.kernel.free_rank == 1
-    assert rep.quotient_ring == "Z/6"
+    assert rep["hom_nonzero"] and rep["kernel_of_transpose"]["free_rank"] == 1
+    assert rep["quotient_ring"] == "Z/6"
     b2 = Ring.bivariate_quotient(2, [])
     rep2 = hom_I_to_quotient(b2, Ideal(b2, [b2.gen_x, b2.gen_y]))
-    assert rep2.hom_nonzero and rep2.kernel.free_rank == 2
+    assert rep2["hom_nonzero"] and rep2["kernel_of_transpose"]["free_rank"] == 2
     b5 = Ring.bivariate_quotient(5, [(1, 1)])
     rep3 = hom_I_to_quotient(b5, Ideal(b5, [b5.gen_x]))
-    assert rep3.hom_nonzero is False
-    assert rep3.matrix == [["y"]]
+    assert rep3["hom_nonzero"] is False
+    assert rep3["presentation_matrix"] == [["y"]]
 
 
 def test_hom_conormal_zero_ideal():
     rep = hom_I_to_quotient(Z, Ideal(Z, []))
-    assert rep.hom_nonzero is False   # Hom(0, S) = 0; no domain contradiction
+    assert rep["hom_nonzero"] is False   # Hom(0, S) = 0; no domain contradiction
 
 
 def test_hom_conormal_monomial_families():
@@ -182,7 +180,7 @@ def test_hom_conormal_monomial_families():
     for gens in ([(2, 0), (1, 1)], [(2, 0), (0, 2)], [(1, 0), (0, 3)]):
         ideal = Ideal(b3, [b3.monomial(*m) for m in gens])
         rep = hom_I_to_quotient(b3, ideal)
-        assert rep.hom_nonzero, gens
+        assert rep["hom_nonzero"], gens
 
 
 def test_hom_conormal_beyond_solver_reach():
@@ -194,18 +192,93 @@ def test_hom_conormal_beyond_solver_reach():
         hom_I_to_quotient(b3, ideal)
 
 
+
+# -- Hom_S(I, S/I) over principal ideal rings against a brute force --
+
+def _check_hom_against_brute_force(ring, elements, add, mul, zero, parse, d, d_elem):
+    """Compare the `hom-conormal` report for I = (d) in the finite ring S with
+    a count of Hom_S(I, S/I): a morphism sends d to some y in S/I with
+    ann(d) y in I, so |Hom| counts those y up to I.  The report's generators
+    live in S/I; parse maps each one's text to a representative in S."""
+    ideal = {mul(s, d) for s in elements}
+    if len(ideal) == len(elements):
+        with pytest.raises(UnsupportedRingError):
+            hom_I_to_quotient(ring, Ideal(ring, [d_elem]))
+        return
+    ann = [s for s in elements if mul(s, d) == zero]
+    hom = sum(all(mul(s, y) in ideal for s in ann) for y in elements) // len(ideal)
+    rep = hom_I_to_quotient(ring, Ideal(ring, [d_elem]))
+    assert rep["hom_nonzero"] == (hom > 1), (ring, d)
+    span = set(ideal)
+    for (text,) in rep["kernel_of_transpose"]["generators"]:
+        gen = parse(text)
+        span = {add(a, mul(s, gen)) for a in span for s in elements}
+    assert len(span) // len(ideal) == hom, (ring, d, rep)
+
+
+def _poly_ops(f, p):
+    """add, mul and a parser for F_p[x]/(f), f monic, on coefficient tuples."""
+    n = len(f) - 1
+
+    def add(a, b):
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def mul(a, b):
+        prod = [0] * (2 * n)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for k in range(2 * n - 1, n - 1, -1):
+            c = prod[k] % p
+            for i, fc in enumerate(f):
+                prod[k - n + i] -= c * fc
+        return tuple(c % p for c in prod[:n])
+
+    def parse(text):
+        coeffs = [0] * n
+        for term in text.split("+"):
+            c, x, power = term.partition("x")
+            k = (int(power[1:]) if power else 1) if x else 0
+            coeffs[k] += int(c) if c else 1
+        return tuple(c % p for c in coeffs)
+
+    return add, mul, parse
+
+
+def test_hom_conormal_over_principal_ideal_rings_matches_brute_force():
+    # every generator over Z/n for n <= 60, and over F_p[x]/(f) for p in
+    # {2, 3} and monic f of degree <= 3; the unit ideal is refused
+    for n in range(2, 61):
+        ring = Ring.integers_mod(n)
+        elements = list(range(n))
+        for d in elements:
+            _check_hom_against_brute_force(
+                ring, elements, lambda a, b: (a + b) % n, lambda a, b: a * b % n, 0,
+                int, d, ring.from_int(d))
+    for p in (2, 3):
+        for deg in (1, 2, 3):
+            for tail in itertools.product(range(p), repeat=deg):
+                f = list(tail) + [1]
+                ring = Ring.poly_quotient(p, f)
+                add, mul, parse = _poly_ops(f, p)
+                elements = list(itertools.product(range(p), repeat=deg))
+                for d in elements:
+                    _check_hom_against_brute_force(ring, elements, add, mul, (0,) * deg,
+                                                   parse, d, ring.poly(list(d)))
+
 def test_radical_lemma_examples():
     i4 = Ideal(Z, [Z.from_int(4)])
     rep = check_radical_lemma(Z, i4, Z.from_int(4))
-    assert rep.premise and rep.conclusion and not rep.violation
+    assert (rep["premise_dI_in_I2"] and rep["conclusion_d_in_radical"]
+            and not rep["violation"])
     rep2 = check_radical_lemma(Z, i4, Z.from_int(2))
-    assert not rep2.premise
+    assert not rep2["premise_dI_in_I2"]
     b5 = Ring.bivariate_quotient(5, [(1, 1)])
     rep3 = check_radical_lemma(b5, Ideal(b5, [b5.gen_x]), b5.gen_x + b5.gen_y)
-    assert rep3.premise and not rep3.conclusion
-    assert rep3.violation and rep3.expected_for_non_domain
+    assert rep3["premise_dI_in_I2"] and not rep3["conclusion_d_in_radical"]
+    assert rep3["violation"] and rep3["expected_for_non_domain"]
     f4 = Ring.poly_quotient(2, [1, 1, 1])
-    assert check_radical_lemma(f4, Ideal(f4, [f4.one]), f4.gen_x).domain
+    assert check_radical_lemma(f4, Ideal(f4, [f4.one]), f4.gen_x)["ring_is_domain"]
 
 
 def test_radical_lemma_refuses_zero_ideal():
@@ -223,7 +296,7 @@ def test_radical_lemma_never_violates_over_domains():
         g = rng.randint(2, 60)
         d = rng.randint(0, 60)
         rep = check_radical_lemma(Z, Ideal(Z, [Z.from_int(g)]), Z.from_int(d))
-        assert not rep.violation
+        assert not rep["violation"]
 
 
 def test_nilpotent_minors_families():
@@ -247,13 +320,16 @@ def test_nilpotent_minors_families():
     assert rank < n
 
 
-def test_matrix_kernel_refuses_shapes_the_pipeline_never_builds():
-    # the conormal pipeline only hands over zero matrices and bivariate ones
+def test_matrix_kernel_over_a_principal_quotient_ring():
+    # g y = 0 in Z/6 iff 6 / gcd(g, 6) divides y; a unit g kills nothing
     z6 = Ring.integers_mod(6)
-    with pytest.raises(UnsupportedRingError):
-        matrix_kernel(_mat(z6, [[2]]))
+    assert matrix_kernel(_mat(z6, [[2]])) == {
+        "free_rank": 0, "invariant_factors": [], "generators": [["3"]], "nonzero": True}
+    assert matrix_kernel(_mat(z6, [[5]]))["generators"] == []
+    f3 = Ring.poly_quotient(3, [0, 0, 1])
+    assert matrix_kernel(RingMatrix(f3, 1, 1, [f3.gen_x]))["generators"] == [["x"]]
     desc = matrix_kernel(_mat(z6, [[0, 0]]))
-    assert desc.nonzero and desc.free_rank == 2
+    assert desc["nonzero"] and desc["free_rank"] == 2
 
 
 def test_mccoy_unsupported_minor_shapes():
@@ -264,8 +340,8 @@ def test_mccoy_unsupported_minor_shapes():
         b2, [[b2.monomial(1, 0), b2.monomial(0, 2)],
              [b2.monomial(2, 0), b2.monomial(1, 1)]])
     assert str(minors(mat, 2)[0]) == "x^2y+x^2y^2"
-    rank, profile = mccoy_rank(mat)
-    assert rank == 2 and [s["annihilator_is_zero"] for s in profile.steps] == [True] * 3
+    rank, steps = mccoy_rank(mat)
+    assert rank == 2 and [s["annihilator_is_zero"] for s in steps] == [True] * 3
 
 
 def test_unit_of_a_local_bivariate_ring_has_rank_one():
@@ -319,8 +395,8 @@ def test_mccoy_profile_matches_brute_force_annihilators(ring):
         rows = [[rng.choice(elements) for _ in range(rng.randint(1, 3))]]
         rows += [[rng.choice(elements) for _ in rows[0]] for _ in range(rng.randint(0, 2))]
         mat = RingMatrix.from_rows(ring, rows)
-        rank, profile = mccoy_rank(mat)
-        for step in profile.steps:
+        rank, steps = mccoy_rank(mat)
+        for step in steps:
             gens = _leibniz_minors(rows, step["order"], ring)
             killed = any(all((c * g).is_zero() for g in gens) for c in nonzero)
             assert step["annihilator_is_zero"] == (not killed), (ring, mat.describe_rows())
@@ -395,29 +471,3 @@ def test_theorem_mode_lists_no_minor(monkeypatch):
         rows = [[zero_divisor * row[0]] + row[1:] for row in rows]
         assert has_nullvector_theorem(RingMatrix.from_rows(ring, rows)) is True
 
-
-def test_report_classes_construct_with_defaults_and_fresh_lists():
-    a, b = DeterminantalProfile(), DeterminantalProfile()
-    assert a.as_dict() == {"steps": [], "mccoy_rank": 0}
-    a.steps.append({"order": 0})
-    assert b.steps == [] and a.steps is not b.steps
-    assert DeterminantalProfile([{"order": 0}], mccoy_rank=1).mccoy_rank == 1
-    k1, k2 = KernelDescription(), KernelDescription()
-    assert k1.as_dict() == {"free_rank": 0, "invariant_factors": [], "generators": [],
-                            "nonzero": False}
-    k1.generators.append(["x"])
-    assert k2.generators == [] and k2.as_dict()["invariant_factors"] == []
-    k = KernelDescription(1, [["x"]], True)
-    assert (k.free_rank, k.generators, k.nonzero) == (1, [["x"]], True)
-    assert KernelDescription(nonzero=True, free_rank=2).as_dict()["free_rank"] == 2
-    conormal = ConormalReport("Z", ["2"], "Z/4", 1, 1, [["2"]], k, True)
-    assert conormal.statement.startswith("Hom_S(I, S/I) != 0")
-    assert conormal.as_dict()["kernel_of_transpose"] == k.as_dict()
-    assert ConormalReport(base_ring="Z", ideal_gens=[], quotient_ring="Z", matrix_rows=0,
-                          matrix_cols=0, matrix=[], kernel=k2, hom_nonzero=False,
-                          statement="s").as_dict()["statement"] == "s"
-    lemma = RadicalLemmaReport(True, False, True, False, True)
-    assert lemma.as_dict()["premise_dI_in_I2"] and lemma.as_dict()["expected_for_non_domain"]
-    lemma = RadicalLemmaReport(premise=False, conclusion=True, violation=False, domain=True,
-                               expected_for_non_domain=False)
-    assert lemma.as_dict()["ring_is_domain"] and not lemma.violation

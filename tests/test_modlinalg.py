@@ -2,7 +2,7 @@
 import itertools
 import random
 
-from torsion_lab.modlinalg import kernel_mod
+from torsion_lab.modlinalg import Subspace, kernel_mod
 
 
 def _span(vectors, p, n):
@@ -27,3 +27,18 @@ def test_kernel_matches_exhaustive_search():
         # a basis: it spans the kernel and has p^len elements in its span
         assert _span(basis, p, n) == want
         assert len(want) == p ** len(basis)
+
+
+def test_preimage_matches_exhaustive_search():
+    # entries outside [0, p) included: the pull-back reduces them itself
+    rng = random.Random(1)
+    for _ in range(200):
+        p = rng.choice((2, 3))
+        dim, src = rng.randrange(4), rng.randrange(4)
+        space = Subspace(p, dim, [[rng.randrange(p) for _ in range(dim)]
+                                  for _ in range(rng.randrange(dim + 1))])
+        mat = [[rng.randrange(-p, 2 * p) for _ in range(src)] for _ in range(dim)]
+        pulled = space.preimage(mat, src)
+        want = {u for u in itertools.product(range(p), repeat=src)
+                if space.contains([sum(a * b for a, b in zip(row, u)) for row in mat])}
+        assert _span(pulled.rows, p, src) == want
