@@ -195,11 +195,13 @@ def test_hom_conormal_beyond_solver_reach():
 
 # -- Hom_S(I, S/I) over principal ideal rings against a brute force --
 
-def _check_hom_against_brute_force(ring, elements, add, mul, zero, parse, d, d_elem):
+def _check_hom_against_brute_force(ring, elements, add, mul, parse, d, d_elem):
     """Compare the `hom-conormal` report for I = (d) in the finite ring S with
     a count of Hom_S(I, S/I): a morphism sends d to some y in S/I with
-    ann(d) y in I, so |Hom| counts those y up to I.  The report's generators
-    live in S/I; parse maps each one's text to a representative in S."""
+    ann(d) y in I, so |Hom| counts those y up to I.  elements lists S with 0
+    first; the report's generators live in S/I, and parse maps each one's
+    text to a representative in S."""
+    zero = elements[0]
     ideal = {mul(s, d) for s in elements}
     if len(ideal) == len(elements):
         with pytest.raises(UnsupportedRingError):
@@ -253,8 +255,8 @@ def test_hom_conormal_over_principal_ideal_rings_matches_brute_force():
         elements = list(range(n))
         for d in elements:
             _check_hom_against_brute_force(
-                ring, elements, lambda a, b: (a + b) % n, lambda a, b: a * b % n, 0,
-                int, d, ring.from_int(d))
+                ring, elements, lambda a, b: (a + b) % n, lambda a, b: a * b % n, int,
+                d, ring.from_int(d))
     for p in (2, 3):
         for deg in (1, 2, 3):
             for tail in itertools.product(range(p), repeat=deg):
@@ -263,8 +265,8 @@ def test_hom_conormal_over_principal_ideal_rings_matches_brute_force():
                 add, mul, parse = _poly_ops(f, p)
                 elements = list(itertools.product(range(p), repeat=deg))
                 for d in elements:
-                    _check_hom_against_brute_force(ring, elements, add, mul, (0,) * deg,
-                                                   parse, d, ring.poly(list(d)))
+                    _check_hom_against_brute_force(ring, elements, add, mul, parse, d,
+                                                   ring.poly(list(d)))
 
 def test_radical_lemma_examples():
     i4 = Ideal(Z, [Z.from_int(4)])
