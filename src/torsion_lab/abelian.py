@@ -114,7 +114,7 @@ def _relation_lattice(presentation: tuple) -> la.ColumnEchelonLattice:
 class PresentedModule:
     """Cokernel of an integer relation matrix (g generators, columns = relations)."""
 
-    __slots__ = ("ring", "gens", "relations", "_dec", "_rel_lattice")
+    __slots__ = ("ring", "gens", "relations", "_dec", "_rel_lattice", "_halls")
 
     def __init__(self, ring: Ring, gens: int, relations: Matrix):
         if ring.kind not in (KIND_Z, KIND_ZMOD):
@@ -135,6 +135,7 @@ class PresentedModule:
         self.relations = rels
         self._dec = None
         self._rel_lattice = None
+        self._halls = None
 
     # -- presentation-level helpers -----------------------------------------
 
@@ -267,10 +268,10 @@ class Subobject:
         return self.lattice.key()
 
     def is_zero(self) -> bool:
-        """Order 1 when the order is known in closed form (`_split_subobject`);
-        otherwise every embedding column is a relation: membership in the
-        ambient's shared relation lattice, so no lattice of the subobject is
-        built."""
+        """Order 1 when the order is known in closed form (`_split_subobject`,
+        `enumerate_submodules`); otherwise every embedding column is a
+        relation: membership in the ambient's shared relation lattice, so no
+        lattice of the subobject is built."""
         if self._order is not None:
             return self._order == 1
         return self.ambient.relation_lattice().contains_all(la.columns(self.embedding))
@@ -286,12 +287,13 @@ class Subobject:
         return lattice.rank == self.ambient.gens and lattice.determinant_index() == 1
 
     def contains(self, other: "Subobject") -> bool:
+        _require_ambient(self.ambient, other)
         return self.lattice.contains_all(la.columns(other.embedding))
 
     def order(self) -> int:
         """|w| for a finite ambient: the closed-form order when
-        `_split_subobject` recorded one, otherwise the index of the relation
-        lattice in the subobject's lattice."""
+        `_split_subobject` or `enumerate_submodules` recorded one, otherwise
+        the index of the relation lattice in the subobject's lattice."""
         if not self.ambient.is_finite():
             raise InputError("subobject order needs a finite ambient module")
         if self._order is not None:
@@ -312,9 +314,11 @@ class Subobject:
         return self._module
 
     def sum(self, other: "Subobject") -> "Subobject":
+        _require_ambient(self.ambient, other)
         return Subobject(self.ambient, la.hstack(self.embedding, other.embedding))
 
     def intersect(self, other: "Subobject") -> "Subobject":
+        _require_ambient(self.ambient, other)
         a, gens = self.lattice.basis, self.ambient.gens
         coeffs = la.preimage(a, other.lattice.basis, gens)
         return Subobject(self.ambient,
@@ -343,11 +347,16 @@ class Subobject:
 # -----------------------------------------------------------------------------
 
 
-def quotient(module: PresentedModule, sub: Subobject) -> PresentedModule:
-    # the embedding is in the ambient's generator coordinates, so the ambient
-    # must be the same presentation, not merely an isomorphic module
+def _require_ambient(module: PresentedModule, sub: Subobject) -> None:
+    """Refuse a subobject of another presentation: its embedding is in that
+    presentation's generator coordinates, so its columns mean other elements
+    of module, even when the two modules are isomorphic."""
     if sub.ambient is not module and sub.ambient.presentation() != module.presentation():
-        raise InputError("subobject does not live in the given module")
+        raise InputError("the subobject does not live in the given module")
+
+
+def quotient(module: PresentedModule, sub: Subobject) -> PresentedModule:
+    _require_ambient(module, sub)
     return PresentedModule(module.ring, module.gens,
                            la.hstack(module.relations, sub.embedding))
 
@@ -418,15 +427,29 @@ def _finite_deltas(module: PresentedModule) -> list[int]:
 def enumerate_submodules(module: PresentedModule) -> list[Subobject]:
     """Every submodule exactly once, sorted by (order, canonical lattice key).
 
-    Each one comes presented: `as_module()` returns the relations S that the
-    enumeration solved, and solves no kernel."""
+    Each one comes with its order, lattice and presentation in closed form,
+    read off the basis T with T S = diag(delta) that the enumeration solved:
+    - the order is prod delta_i / prod T_ii, the index of span(T) in Z^k
+      taken modulo diag(delta);
+    - the lattice is the Hermite basis of U^-1 T plus the columns U^-1 e_i of
+      the unit coordinates (delta_i = 1).  The relation lattice is
+      span{U^-1 delta_i e_i}, and diag(delta) <= span(T), so no relation
+      column is needed; when U^-1 = I and no coordinate is a unit, T is
+      already in Hermite form;
+    - `as_module()` returns the relations S, and solves no kernel."""
     deltas = _finite_deltas(module)
-    k = len(deltas)
+    k, gens = len(deltas), module.gens
+    dec = module._decomposition()
+    kept = {idx for idx, _ in dec.coords}
+    units = [[row[i] for row in dec.ui] for i in range(gens) if i not in kept]
+    order = math.prod(deltas)
     subs = []
     for t_mat, s_mat in _subgroup_matrices(deltas):
         cols = [module.coords_to_generators([t_mat[r][c] for r in range(k)])
                 for c in range(k)]
-        sub = Subobject(module, la.from_columns(cols, module.gens))
+        sub = Subobject(module, la.from_columns(cols, gens))
+        sub._order = order // math.prod(t_mat[i][i] for i in range(k))
+        sub._lattice = la.ColumnEchelonLattice(gens, cols + units)
         sub._module = PresentedModule(module.ring, k, s_mat)
         subs.append(sub)
     subs.sort(key=lambda s: s.sort_token())
@@ -467,17 +490,21 @@ def hall_submodules(module: PresentedModule) -> list[Subobject]:
     distinct orders, so ordering by that closed form is the (order, key)
     order, and no lattice is built to sort.  Each subobject carries that
     order (see `_split_subobject`), so the part test, `is_zero` and
-    `is_full` build no lattice either; only `key` and `as_module` do.
+    `is_full` build no lattice either; only `key` and `as_module` do.  The
+    sorted (order, parts) list is kept on the module, so `torsion_parts` and
+    `is_torsion_simple` on one module work it out once.
     """
     deltas = _finite_deltas(module)
-    halls = [(1, [1] * len(deltas))]
-    for p in prime_divisors(deltas[-1]) if deltas else ():
-        p_parts = [p ** p_adic_valuation(delta, p) for delta in deltas]
-        order_p = math.prod(p_parts)
-        halls += [(order * order_p, [s * q for s, q in zip(parts, p_parts)])
-                  for order, parts in halls]
-    halls.sort(key=lambda hall: hall[0])
-    return [_split_subobject(module, parts) for _, parts in halls]
+    if module._halls is None:
+        halls = [(1, [1] * len(deltas))]
+        for p in prime_divisors(deltas[-1]) if deltas else ():
+            p_parts = [p ** p_adic_valuation(delta, p) for delta in deltas]
+            order_p = math.prod(p_parts)
+            halls += [(order * order_p, [s * q for s, q in zip(parts, p_parts)])
+                      for order, parts in halls]
+        halls.sort(key=lambda hall: hall[0])
+        module._halls = halls
+    return [_split_subobject(module, parts) for _, parts in module._halls]
 
 
 # -- hom groups ---------------------------------------------------------------

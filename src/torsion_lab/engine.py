@@ -114,27 +114,31 @@ class AxiomCheckResult:
 # ---------------------------------------------------------------------------
 
 
-# The most subobjects one handle's tables hold in all, and the most radicals
-# its memo holds.  A cached subobject takes about 0.6 KB (an abelian one on at
-# most 5 generators, without its lattice) or 0.3 KB (a representation of
-# dimension <= 3 per vertex), so the tables stay under about 6 MB; a memo
-# entry (key, radical and the lattice and module its checks built) took
-# 1.5 KB on average over a gabriel-axioms round, so the memo stays under
-# about 15 MB.
+# The most enumerated subobjects one handle's tables stand for in all, and the
+# most radicals its memo holds.  A table keeps one join per class of its
+# subobjects, which takes about 0.6 KB (an abelian one on at most 5
+# generators, without its lattice) or 0.3 KB (a representation of dimension
+# <= 3 per vertex), so the tables stay under about 6 MB; a memo entry (key,
+# radical and the lattice and module its checks built) took 1.5 KB on average
+# over a gabriel-axioms round, so the memo stays under about 15 MB.
 SUBOBJECT_TABLE_CAP = 10_000
 
 
 class _SubobjectTables:
     """The subobject tables and the radical memo of one handle.
 
-    The table of x is [(w, rep)] for every subobject w of x in the order of
-    handle.subobjects(x), kept as handle.table_sub(w), where rep is the
-    interned object equal to sub_as_object(w): one per isomorphism class of
-    modules, one per identical representation.  Tables are keyed by
-    handle.coordinates(x), never by isomorphism class, and hold no verdict,
-    so they serve every source set; verify_torsion_pair_axioms reads them.
-    Past SUBOBJECT_TABLE_CAP subobjects the oldest presentation goes first,
-    and a presentation with more subobjects than the cap is not kept.
+    The table of x is [(join, rep)], one entry per class of the subobjects w
+    of x, in the order in which handle.subobjects(x) first meets the class.
+    rep is the interned object equal to sub_as_object(w): one per
+    isomorphism class of modules, one per identical representation.  join
+    is the sum of every w of that class, kept as handle.table_sub(join).
+    Any subobject t of x holds every w of the class iff it holds their join,
+    so the table answers "is some w of this class outside t" with one
+    inclusion test.  Tables are keyed by handle.coordinates(x), never by
+    isomorphism class, and hold no verdict, so they serve every source set;
+    verify_torsion_pair_axioms reads them.  Past SUBOBJECT_TABLE_CAP
+    enumerated subobjects the oldest presentation goes first, and a
+    presentation with more subobjects than the cap is not kept.
 
     The radical memo maps (tuple(sources), handle.coordinates(x)) to the
     subobject t(x) that torsion_radical_generated's iterated trace stopped
@@ -148,6 +152,7 @@ class _SubobjectTables:
     """
 
     def __init__(self):
+        # coordinates -> (subobject count, table)
         self.tables: dict = {}
         self.classes: dict = {}
         self.size = 0
@@ -155,26 +160,30 @@ class _SubobjectTables:
 
     def get(self, handle, x) -> list:
         key = handle.coordinates(x)
-        table = self.tables.get(key)
-        if table is None:
-            table = []
-            for w in handle.subobjects(x):
-                obj = handle.sub_as_object(w)
-                table.append((handle.table_sub(w), self.classes.setdefault(obj, obj)))
-            self._store(key, table)
+        entry = self.tables.get(key)
+        if entry is not None:
+            return entry[1]
+        members: dict = {}
+        count = 0
+        for w in handle.subobjects(x):
+            obj = handle.sub_as_object(w)
+            members.setdefault(self.classes.setdefault(obj, obj), []).append(w)
+            count += 1
+        table = [(handle.table_sub(_join(ws)), rep) for rep, ws in members.items()]
+        self._store(key, count, table)
         return table
 
-    def _store(self, key, table: list) -> None:
-        dropped = len(table) > SUBOBJECT_TABLE_CAP
+    def _store(self, key, count: int, table: list) -> None:
+        dropped = count > SUBOBJECT_TABLE_CAP
         if not dropped:
-            while self.size + len(table) > SUBOBJECT_TABLE_CAP:
-                self.size -= len(self.tables.pop(next(iter(self.tables))))
+            while self.size + count > SUBOBJECT_TABLE_CAP:
+                self.size -= self.tables.pop(next(iter(self.tables)))[0]
                 dropped = True
-            self.tables[key] = table
-            self.size += len(table)
+            self.tables[key] = (count, table)
+            self.size += count
         if dropped:
             # keep only the representatives that a kept table still uses
-            self.classes = {rep: rep for t in self.tables.values() for _, rep in t}
+            self.classes = {rep: rep for _, t in self.tables.values() for _, rep in t}
 
     def radical(self, handle, sources, x):
         key = (tuple(sources), handle.coordinates(x))
@@ -184,6 +193,15 @@ class _SubobjectTables:
             while len(self.radicals) > SUBOBJECT_TABLE_CAP:
                 del self.radicals[next(iter(self.radicals))]
         return t
+
+
+def _join(subs: list):
+    """The sum of the subobjects, summed in pairs: an abelian sum stacks the
+    columns of both terms, so a running sum would copy them quadratically
+    often, and pairs copy each column once per halving."""
+    while len(subs) > 1:
+        subs = [a.sum(b) for a, b in zip(subs[::2], subs[1::2])] + subs[len(subs) & ~1:]
+    return subs[0]
 
 
 class AbelianHandle:
@@ -215,9 +233,11 @@ class AbelianHandle:
         return ab.enumerate_submodules(x)
 
     def table_sub(self, w):
-        """w as a subobject table keeps it: the maximality loop reads only w's
-        embedding, so a copy without the lattice the enumeration built to sort."""
-        return ab.Subobject(w.ambient, w.embedding)
+        """A join as a subobject table keeps it: the maximality loop reads only
+        its embedding, so its Hermite basis (at most one column per
+        generator) without the lattice, however many columns the sum
+        stacked."""
+        return ab.Subobject(w.ambient, la.from_columns(w.lattice.basis, w.ambient.gens))
 
     def part_candidates(self, x):
         """The 2^k sums of primary components of the finite x, ordered by their
@@ -276,11 +296,10 @@ class AbelianHandle:
     def part_test(self, x, w) -> bool:
         """Hom(w, x/w) = 0 by the coprime-order rule; parts are only tested on
         enumerated subobjects, so x is finite.  A pruned candidate carries its
-        closed-form order, so testing it builds no lattice; an enumerated
-        subgroup reads its order off its own lattice.  A w of another
+        closed-form order, and so does an enumerated subgroup, so testing
+        either builds no lattice.  A w of another
         presentation is refused: its columns mean other elements in x."""
-        if w.ambient is not x and w.ambient.presentation() != x.presentation():
-            raise InputError("the subobject does not live in the given object")
+        ab._require_ambient(x, w)
         order_w = w.order()
         return math.gcd(order_w, x.order() // order_w) == 1
 
@@ -320,7 +339,8 @@ class QuiverHandle:
         return qv.iter_subreps(x)
 
     def table_sub(self, w):
-        """A subrepresentation holds only its spaces, so the tables keep w."""
+        """A subrepresentation holds only its spaces, which `SubRep.sum`
+        row-reduces, so the tables keep the join as it is."""
         return w
 
     def part_candidates(self, x):
@@ -605,15 +625,19 @@ def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult
     Maximality asks whether some subobject w of x is torsion (its own radical
     is all of w) without lying inside t = t(x).  A w with t.contains(w)
     cannot break maximality, so its radical is never asked.  Torsion classes
-    are closed under isomorphism, so the radical is asked once per class of
-    the w outside t.  Two memos of the handle (see _SubobjectTables) keep the
-    rest cheap:
+    are closed under isomorphism, so only the class of w matters: maximality
+    fails iff some class is torsion and has a member outside t.  In a
+    subobject lattice t holds every member of a class iff it holds their
+    join, so one inclusion test per class decides which classes have a
+    member outside t, and each of those asks its radical once.  Two memos of
+    the handle (see _SubobjectTables) keep the rest cheap:
 
-    - the subobject table of x lists every w with its object
-      sub_as_object(w), built once per presentation and read by every later
-      call with any source set.  It is keyed by presentation because
-      subobjects are coordinates in it, and it holds no verdict, so each
-      call still tests t.contains(w) for every w;
+    - the subobject table of x lists each class of subobjects with the join
+      of its members and the interned object sub_as_object(w), built once
+      per presentation and read by every later call with any source set.
+      It is keyed by presentation because subobjects are coordinates in it,
+      and it holds no verdict, so each call still tests t.contains(join)
+      for every class;
     - the radical memo runs the iterated trace once per source set and
       coordinates, across calls: t(x) is a hit when the caller already
       asked for the radical of x, as the gabriel-split suite does.  The
@@ -628,9 +652,9 @@ def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult
         q, _ = handle.quotient(x, t)
         orthogonal = not handle.hom_basis(handle.sub_as_object(t), q)
         idempotent = trace(handle, sources, q).is_zero()
-        outside = dict.fromkeys(wobj for w, wobj in handle._subobject_tables.get(handle, x)
-                                if not t.contains(w))
-        maximal = not any(torsion_radical_generated(handle, sources, wobj, check=False).is_full()
-                          for wobj in outside)
+        outside = [cls for join, cls in handle._subobject_tables.get(handle, x)
+                   if not t.contains(join)]
+        maximal = not any(torsion_radical_generated(handle, sources, cls, check=False).is_full()
+                          for cls in outside)
         results.append(AxiomCheckResult(handle.describe(x), orthogonal, maximal, idempotent))
     return results

@@ -182,12 +182,15 @@ class SubRep:
         return (self.total_dim(), self.dims(), self.key())
 
     def contains(self, other: "SubRep") -> bool:
+        _require_ambient(self.ambient, other)
         return all(a.contains_space(b) for a, b in zip(self.spaces, other.spaces))
 
     def sum(self, other: "SubRep") -> "SubRep":
+        _require_ambient(self.ambient, other)
         return SubRep(self.ambient, [a.sum(b) for a, b in zip(self.spaces, other.spaces)])
 
     def intersect(self, other: "SubRep") -> "SubRep":
+        _require_ambient(self.ambient, other)
         return SubRep(self.ambient,
                       [a.intersect(b) for a, b in zip(self.spaces, other.spaces)])
 
@@ -342,6 +345,13 @@ def quotient_rep(x: QuiverRep, sub: SubRep):
     return q, projections
 
 
+def _require_ambient(x: QuiverRep, sub: SubRep) -> None:
+    """Refuse a subrepresentation of a representation other than x: its
+    subspaces are coordinates in that representation's vertex spaces."""
+    if sub.ambient is not x and sub.ambient != x:
+        raise InputError("subrepresentation does not live in the given representation")
+
+
 def _adapted_blocks(x: QuiverRep, sub: SubRep):
     """Each arrow matrix of x in the basis adapted to sub, cut into blocks.
 
@@ -357,8 +367,7 @@ def _adapted_blocks(x: QuiverRep, sub: SubRep):
     as tuples of row tuples; raises InputError if sub lives in another
     representation or a lower-left block is not zero.
     """
-    if sub.ambient is not x and sub.ambient != x:
-        raise InputError("subrepresentation does not live in the given representation")
+    _require_ambient(x, sub)
     p = x.p
     spaces = sub.spaces
     functionals = [sp.quotient_functionals() for sp in spaces]

@@ -330,6 +330,69 @@ def test_quotient_refuses_isomorphic_but_different_ambient():
     assert quotient(same, z2).canonical_decomposition() == (0, [3])
 
 
+def test_subobject_operations_refuse_another_module():
+    # the 2-part of Z/4 + Z/3 and the full Z/2 + Z/2: summing them gave a
+    # subgroup of order 12, intersecting them one of order 4
+    x = direct_sum_module(Z, [4, 3])
+    two = primary_component(x, 2)
+    klein = Subobject.full(direct_sum_module(Z, [2, 2]))
+    for op in (two.contains, two.sum, two.intersect, klein.contains, klein.sum, klein.intersect):
+        with pytest.raises(InputError, match="does not live"):
+            op(two if op.__self__ is klein else klein)
+    # an isomorphic module of another presentation is refused too
+    z12 = cyclic_module(Z, 12)
+    with pytest.raises(InputError):
+        Subobject.full(z12).contains(two)
+    # a module with the same presentation shares the coordinates
+    twin = Subobject.full(direct_sum_module(Z, [4, 3]))
+    assert twin.contains(two) and not two.contains(twin)
+    assert two.sum(twin).order() == 12 and two.intersect(twin).order() == 4
+
+
+def test_hall_list_is_worked_out_once_per_module(monkeypatch):
+    x = direct_sum_module(Z, [4, 6, 5])
+    first = hall_submodules(x)
+    monkeypatch.setattr(abelian, "prime_divisors", None)
+    again = hall_submodules(x)
+    assert [w.key() for w in again] == [w.key() for w in first]
+    assert [w.order() for w in again] == [1, 3, 5, 8, 15, 24, 40, 120]
+    # the list is a module's own: another module with the same presentation
+    # works it out again
+    with pytest.raises(TypeError):
+        hall_submodules(direct_sum_module(Z, [4, 6, 5]))
+
+
+def _check_recorded_forms(x) -> int:
+    """The order and lattice that enumerate_submodules records on each
+    subgroup of x equal those of a fresh lattice of the embedding columns
+    plus the relation basis; the count of subgroups checked."""
+    rel = x.relation_lattice()
+    subs = enumerate_submodules(x)
+    for w in subs:
+        assert w._order is not None and w._lattice is not None
+        fresh = la.ColumnEchelonLattice(x.gens, la.columns(w.embedding) + list(rel.basis))
+        assert (w.lattice.basis, w.lattice.pivots) == (fresh.basis, fresh.pivots), x
+        assert w.order() == rel.determinant_index() // fresh.determinant_index(), x
+    return len(subs)
+
+
+def test_enumerated_subgroups_record_their_order_and_lattice():
+    """Every group of order <= 64, and 200 dense presentations over Z and Z/n."""
+    modules = [m for n in range(1, 65) for m in finite_abelian_modules(n)]
+    assert sum(map(_check_recorded_forms, modules)) == 6022
+    rng = random.Random(33)
+    groups = [m.canonical_decomposition()[1] for n in range(1, 33)
+              for m in finite_abelian_modules(n)]
+    rings = [(Z, None), (Ring.integers_mod(12), [2, 6]), (Ring.integers_mod(8), [4, 8, 2]),
+             (Ring.integers_mod(36), [6, 4]), (Ring.integers_mod(9), [3, 9])]
+    count = 0
+    for k in range(200):
+        ring, orders = rings[k % len(rings)]
+        x = PresentedModule(ring, *dense_relations(rng, orders or rng.choice(groups)))
+        count += _check_recorded_forms(x)
+    assert count > 4000
+
+
 # -- element-set oracles for intersections, preimages and subobject orders ------
 
 # (ring, cyclic orders) of direct sums of order <= 64; over Z/n every order divides n

@@ -648,13 +648,21 @@ def test_tables_hold_one_module_per_class_and_no_lattices():
     x = direct_sum_module(Z, [2, 2, 4])
     verify_torsion_pair_axioms(handle, [cyclic_module(Z, 2)], [x])
     tables = handle._subobject_tables
-    table = tables.tables[x.presentation()]
-    # the loop asked no cached subobject for its lattice (key() below builds it)
-    assert all(w._lattice is None for w, _ in table)
-    assert [w.key() for w, _ in table] == [w.key() for w in handle.subobjects(x)]
-    assert all(rep is tables.classes[w.as_module()] for w, rep in table)
-    # one module per subgroup type: the 7 partitions inside (2, 1, 1)
-    assert len(tables.classes) == 7
+    count, table = tables.tables[x.presentation()]
+    subs = handle.subobjects(x)
+    # the size counts every subgroup, the table holds one (join, class) entry
+    # per subgroup type: the 7 partitions inside (2, 1, 1)
+    assert count == tables.size == len(subs) == 27
+    assert len(table) == len(tables.classes) == 7
+    assert [rep for _, rep in table] == list(dict.fromkeys(
+        tables.classes[w.as_module()] for w in subs))
+    # the loop asked no join for its lattice (key() below builds it), and each
+    # join is its Hermite basis, at most one column per generator
+    assert all(join._lattice is None and len(columns(join.embedding)) <= x.gens
+               for join, _ in table)
+    for join, rep in table:
+        members = [w for w in subs if w.as_module() == rep]
+        assert join.key() == functools.reduce(Subobject.sum, members).key()
 
 
 def test_tables_evict_the_oldest_presentation_past_the_cap(enumerations, monkeypatch):
@@ -671,6 +679,107 @@ def test_tables_evict_the_oldest_presentation_past_the_cap(enumerations, monkeyp
     tables = handle._subobject_tables
     # the kept tables of z8 and k4 use the classes 0, Z/2, Z/4, Z/8 and (Z/2)^2
     assert tables.size == 9 and len(tables.classes) == 5
+
+
+def _reference_axioms(handle, sources, x, t, subs, torsion: dict):
+    """(orthogonal, maximal, idempotent) of x for the radical t, with the
+    maximality loop asking every subobject in `subs` (the subobjects of x)
+    on its own: no subobject table, no join and no radical memo.  `torsion`
+    keeps whether each (sources, object) is torsion, a verdict that depends
+    only on the object."""
+    q, _ = handle.quotient(x, t)
+    orthogonal = not handle.hom_basis(handle.sub_as_object(t), q)
+    idempotent = trace(handle, sources, q).is_zero()
+    maximal = True
+    for w in subs:
+        if t.contains(w):
+            continue
+        key = (tuple(sources), handle.sub_as_object(w))
+        if key not in torsion:
+            torsion[key] = engine._iterated_trace(handle, sources, key[1]).is_full()
+        if torsion[key]:
+            maximal = False
+            break
+    return orthogonal, maximal, idempotent
+
+
+def _check_maximality_against_reference(handle, source_sets, xs) -> int:
+    """verify_torsion_pair_axioms on one warm handle against the reference on
+    every x and source set; where t(x) != 0, also under a radical that
+    answers 0 on x, which both sides must find not maximal.  The count of
+    broken radicals checked."""
+    torsion: dict = {}
+    broken = 0
+    for x in xs:
+        subs = list(handle.subobjects(x))
+        for sources in source_sets:
+            t = engine._iterated_trace(handle, sources, x)
+            [result] = verify_torsion_pair_axioms(handle, sources, [x])
+            assert ((result.orthogonal, result.maximal, result.idempotent)
+                    == _reference_axioms(handle, sources, x, t, subs, torsion)), (x, sources)
+            if t.is_zero():
+                continue
+            with _radical_zero_on(x):
+                [result] = verify_torsion_pair_axioms(handle, sources, [x])
+            zero = handle.zero_sub(x)
+            assert not result.maximal
+            assert not _reference_axioms(handle, sources, x, zero, subs, torsion)[1]
+            broken += 1
+    return broken
+
+
+def test_maximality_matches_a_per_subobject_reference_on_modules():
+    """Every group of order <= 32, enumerated and densely presented, under
+    the 8 source sets {Z/p : p in V}, V a subset of {2, 3, 5}."""
+    rng = random.Random(34)
+    xs = []
+    for n in range(1, 33):
+        for mod in finite_abelian_modules(n):
+            xs += [mod, _dense_presentation(rng, mod.canonical_decomposition()[1])]
+    source_sets = [[cyclic_module(Z, p) for p in v] for v in _GABRIEL_SOURCE_SETS]
+    assert _check_maximality_against_reference(AbelianHandle(Z), source_sets, xs) > 300
+
+
+def test_maximality_matches_a_per_subobject_reference_on_a2_reps():
+    """Every A2 representation over F_2 with dimensions <= 2, under 4 source sets."""
+    xs = [QuiverRep(A2, 2, [a, b], [[[(i >> (r * a + c)) & 1 for c in range(a)]
+                                    for r in range(b)]])
+          for a in range(3) for b in range(3) for i in range(2 ** (a * b))]
+    source_sets = [[], [simple_rep(A2, 2, 0)], [simple_rep(A2, 2, 1)], [P1]]
+    assert len(xs) == 31
+    assert _check_maximality_against_reference(QuiverHandle(A2, 2), source_sets, xs) > 20
+
+
+def _element_order_profile(elements, deltas) -> tuple:
+    """The sorted element orders of a subgroup of Z/d_1 + ... + Z/d_k given as
+    a set of elements: equal exactly for isomorphic finite abelian groups."""
+    return tuple(sorted(math.lcm(*(d // math.gcd(e, d) for e, d in zip(elem, deltas)))
+                        for elem in elements))
+
+
+def test_maximality_tests_one_inclusion_per_class(monkeypatch):
+    """A gabriel-axioms style sample, groups of order <= 16 under the 8 source
+    sets: Subobject.contains runs once per isomorphism class of subgroups
+    (counted by brute force), not once per subgroup."""
+    calls = []
+    real = Subobject.contains
+    monkeypatch.setattr(Subobject, "contains", lambda self, other: calls.append(other)
+                        or real(self, other))
+    handle = AbelianHandle(Z)
+    classes = subgroups = 0
+    for n in range(1, 17):
+        for mod in finite_abelian_modules(n):
+            deltas = mod.canonical_decomposition()[1]
+            brute = brute_subgroups(deltas)
+            for v in _GABRIEL_SOURCE_SETS:
+                x = direct_sum_module(Z, deltas)
+                sources = [cyclic_module(Z, p) for p in v]
+                torsion_radical_generated(handle, sources, x)
+                [result] = verify_torsion_pair_axioms(handle, sources, [x])
+                assert result.passed
+                classes += len({_element_order_profile(h, deltas) for h in brute})
+                subgroups += len(brute)
+    assert (len(calls), subgroups) == (classes, 1720) and classes == 768
 
 
 def _radical_and_axioms(handle, sources, x):

@@ -420,6 +420,19 @@ def test_part_test_refuses_unstable_and_foreign_subspaces():
         quotient_rep(P1, SubRep.zero(S1))
 
 
+def test_subrep_operations_refuse_another_representation():
+    # two A2 representations of the same dimensions: containment answered True
+    r1, r2 = QuiverRep(A2, 2, [1, 1], [[[1]]]), QuiverRep(A2, 2, [1, 1], [[[0]]])
+    full1, full2 = SubRep.full(r1), SubRep.full(r2)
+    for op in (full1.contains, full1.sum, full1.intersect):
+        with pytest.raises(InputError, match="does not live"):
+            op(full2)
+    # an equal representation shares the coordinates
+    twin = SubRep.full(QuiverRep(A2, 2, [1, 1], [[[1]]]))
+    assert full1.contains(twin) and full1.sum(twin).is_full()
+    assert full1.intersect(SubRep.zero(twin.ambient)).is_zero()
+
+
 # -- the part test solves Hom(w, x/w) on the adapted blocks -------------------
 
 
