@@ -15,7 +15,7 @@ dense presentations over Z and Z/12 and the infinite Z + Z/6, cogenerated
 `--json radical` runs on infinite modules over Z with no source and with
 zero, finite and infinite sources, `check` by `auto` and by each criterion
 on representations outside the enumeration bounds (over F_7, or with a
-dimension of 6), and four `verify` suites.  A refactor
+dimension of 6), and five `verify` suites.  A refactor
 that claims "same bytes from less code" must leave every entry unchanged.
 
 Regenerate the stored exit codes and stdout (argv lists unchanged) with
