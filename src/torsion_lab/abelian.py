@@ -456,6 +456,56 @@ def enumerate_submodules(module: PresentedModule) -> list[Subobject]:
     return subs
 
 
+def subgroup_classes(module: PresentedModule) -> tuple[int, list]:
+    """(count, [(join, rep)]): the number of submodules of the finite module,
+    and one entry per isomorphism class of them, in the order in which the
+    enumeration first meets the class.
+
+    One pass over the (T, S) that `enumerate_submodules` walks, building no
+    Subobject, module or lattice per subgroup:
+    - the class of span(T) is the invariant factors of its relations S, one
+      Smith form per distinct S in the presentation cache;
+    - rep is the class's catalogue presentation, the one that
+      `finite_abelian_modules` gives, so a class met as a subgroup and the
+      same group met as an object share their presentation;
+    - join is the sum of the class's members: the Hermite basis of U^-1
+      times every T column of the class, plus U^-1 e_i for the unit
+      coordinates (see `enumerate_submodules`), kept as its embedding
+      without the lattice."""
+    deltas = _finite_deltas(module)
+    ring, k, gens = module.ring, len(deltas), module.gens
+    dec = module._decomposition()
+    kept = {idx for idx, _ in dec.coords}
+    units = [[row[i] for row in dec.ui] for i in range(gens) if i not in kept]
+    members: dict = {}
+    count = 0
+    for t_mat, s_mat in _subgroup_matrices(deltas):
+        if ring.n:
+            s_mat = [[x % ring.n for x in row] for row in s_mat]
+        factors = _decompose((ring, k, tuple(map(tuple, s_mat)))).factors
+        members.setdefault(factors, set()).update(zip(*t_mat))
+        count += 1
+    table = []
+    for factors, cols in members.items():
+        lattice = la.ColumnEchelonLattice(
+            gens, [module.coords_to_generators(list(col)) for col in cols] + units)
+        table.append((Subobject(module, la.from_columns(lattice.basis, gens)),
+                      _catalogue_module(ring, factors)))
+    return count, table
+
+
+def _catalogue_module(ring: Ring, factors: tuple) -> PresentedModule:
+    """The finite module with these invariant factors as `finite_abelian_modules`
+    presents it: + Z/p^e over its elementary divisors, primes ascending and
+    exponents descending."""
+    powers: dict = {}
+    for d in factors:
+        for p, e in factorize(d).items():
+            powers.setdefault(p, []).append(p ** e)
+    return direct_sum_module(ring, [q for p in sorted(powers)
+                                    for q in sorted(powers[p], reverse=True)])
+
+
 def _split_subobject(module: PresentedModule, parts: list[int]) -> Subobject:
     """+ <delta_i / parts_i e_i> over the coordinates e_i of the decomposition
     with parts_i > 1, where delta_i is the order of e_i, parts_i | delta_i,
@@ -491,8 +541,9 @@ def hall_submodules(module: PresentedModule) -> list[Subobject]:
     order, and no lattice is built to sort.  Each subobject carries that
     order (see `_split_subobject`), so the part test, `is_zero` and
     `is_full` build no lattice either; only `key` and `as_module` do.  The
-    sorted (order, parts) list is kept on the module, so `torsion_parts` and
-    `is_torsion_simple` on one module work it out once.
+    sorted subobjects are kept on the module and each call returns a fresh
+    list of them, so `torsion_parts` and `is_torsion_simple` on one module
+    share the subobjects and whatever lattice or module they build.
     """
     deltas = _finite_deltas(module)
     if module._halls is None:
@@ -503,8 +554,8 @@ def hall_submodules(module: PresentedModule) -> list[Subobject]:
             halls += [(order * order_p, [s * q for s, q in zip(parts, p_parts)])
                       for order, parts in halls]
         halls.sort(key=lambda hall: hall[0])
-        module._halls = halls
-    return [_split_subobject(module, parts) for _, parts in module._halls]
+        module._halls = [_split_subobject(module, parts) for _, parts in halls]
+    return list(module._halls)
 
 
 # -- hom groups ---------------------------------------------------------------

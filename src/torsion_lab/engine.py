@@ -114,11 +114,12 @@ class AxiomCheckResult:
 # ---------------------------------------------------------------------------
 
 
-# The most enumerated subobjects one handle's tables stand for in all, and the
-# most radicals its memo holds.  A table keeps one join per class of its
-# subobjects, which takes about 0.6 KB (an abelian one on at most 5
-# generators, without its lattice) or 0.3 KB (a representation of dimension
-# <= 3 per vertex), so the tables stay under about 6 MB; a memo entry (key,
+# The most subobjects one handle's tables stand for in all, and the most
+# radicals its memo holds.  A table counts every subobject of its object but
+# keeps one join per class of them, which takes about 0.6 KB (an abelian one:
+# a Hermite basis on at most 5 generators) or 0.3 KB (a representation of
+# dimension <= 3 per vertex), and its class is shared by every table that
+# meets it, so the tables stay under about 6 MB; a memo entry (key,
 # radical and the lattice and module its checks built) took 1.5 KB on average
 # over a gabriel-axioms round, so the memo stays under about 15 MB.
 SUBOBJECT_TABLE_CAP = 10_000
@@ -128,16 +129,17 @@ class _SubobjectTables:
     """The subobject tables and the radical memo of one handle.
 
     The table of x is [(join, rep)], one entry per class of the subobjects w
-    of x, in the order in which handle.subobjects(x) first meets the class.
-    rep is the interned object equal to sub_as_object(w): one per
-    isomorphism class of modules, one per identical representation.  join
-    is the sum of every w of that class, kept as handle.table_sub(join).
-    Any subobject t of x holds every w of the class iff it holds their join,
-    so the table answers "is some w of this class outside t" with one
+    of x, as handle.subobject_classes(x) lists them with their count.  rep
+    is the object of the class, equal to sub_as_object(w) and interned here
+    across tables: one per isomorphism class of modules, in the catalogue
+    presentation that finite_abelian_modules gives, and one per identical
+    representation.  join is the sum of every w of that class.  Any
+    subobject t of x holds every w of the class iff it holds their join, so
+    the table answers "is some w of this class outside t" with one
     inclusion test.  Tables are keyed by handle.coordinates(x), never by
     isomorphism class, and hold no verdict, so they serve every source set;
     verify_torsion_pair_axioms reads them.  Past SUBOBJECT_TABLE_CAP
-    enumerated subobjects the oldest presentation goes first, and a
+    subobjects counted the oldest presentation goes first, and a
     presentation with more subobjects than the cap is not kept.
 
     The radical memo maps (tuple(sources), handle.coordinates(x)) to the
@@ -146,7 +148,9 @@ class _SubobjectTables:
     sources generate, which depends only on their isomorphism classes (and
     sources compare by isomorphism class or by value), and t is a subobject
     in the coordinates of x.  An interned rep keeps its presentation, so the
-    subobjects of one class share an entry.  The memo holds at most
+    subobjects of one class share an entry, and a module class shares it
+    with the same group met as an object in its catalogue presentation.
+    The memo holds at most
     SUBOBJECT_TABLE_CAP radicals and drops the oldest first.  It saves only
     the loop: the checked postconditions run on every call.
     """
@@ -163,13 +167,8 @@ class _SubobjectTables:
         entry = self.tables.get(key)
         if entry is not None:
             return entry[1]
-        members: dict = {}
-        count = 0
-        for w in handle.subobjects(x):
-            obj = handle.sub_as_object(w)
-            members.setdefault(self.classes.setdefault(obj, obj), []).append(w)
-            count += 1
-        table = [(handle.table_sub(_join(ws)), rep) for rep, ws in members.items()]
+        count, entries = handle.subobject_classes(x)
+        table = [(join, self.classes.setdefault(rep, rep)) for join, rep in entries]
         self._store(key, count, table)
         return table
 
@@ -196,9 +195,8 @@ class _SubobjectTables:
 
 
 def _join(subs: list):
-    """The sum of the subobjects, summed in pairs: an abelian sum stacks the
-    columns of both terms, so a running sum would copy them quadratically
-    often, and pairs copy each column once per halving."""
+    """The sum of the subobjects, summed in pairs, so that each term takes
+    part in one sum per halving."""
     while len(subs) > 1:
         subs = [a.sum(b) for a, b in zip(subs[::2], subs[1::2])] + subs[len(subs) & ~1:]
     return subs[0]
@@ -232,12 +230,12 @@ class AbelianHandle:
     def subobjects(self, x):
         return ab.enumerate_submodules(x)
 
-    def table_sub(self, w):
-        """A join as a subobject table keeps it: the maximality loop reads only
-        its embedding, so its Hermite basis (at most one column per
-        generator) without the lattice, however many columns the sum
-        stacked."""
-        return ab.Subobject(w.ambient, la.from_columns(w.lattice.basis, w.ambient.gens))
+    def subobject_classes(self, x):
+        """One pass over the subgroup matrices of the finite x: each class in
+        its catalogue presentation, and its join as a Hermite basis, at most
+        one column per generator, since the maximality loop reads only the
+        join's embedding (see abelian.subgroup_classes)."""
+        return ab.subgroup_classes(x)
 
     def part_candidates(self, x):
         """The 2^k sums of primary components of the finite x, ordered by their
@@ -338,10 +336,17 @@ class QuiverHandle:
     def subobjects(self, x):
         return qv.iter_subreps(x)
 
-    def table_sub(self, w):
-        """A subrepresentation holds only its spaces, which `SubRep.sum`
-        row-reduces, so the tables keep the join as it is."""
-        return w
+    def subobject_classes(self, x):
+        """Every subrepresentation w, grouped by w.as_rep(): a representation
+        compares by its maps, so only identical ones share a class.  A join
+        holds only its spaces, which `SubRep.sum` row-reduces, so it is kept
+        as it is."""
+        members: dict = {}
+        count = 0
+        for w in qv.iter_subreps(x):
+            members.setdefault(w.as_rep(), []).append(w)
+            count += 1
+        return count, [(_join(ws), rep) for rep, ws in members.items()]
 
     def part_candidates(self, x):
         """The subrepresentations whose dimension vector m can hold a part:

@@ -395,8 +395,11 @@ def hom_I_to_quotient(s: Ring, ideal: Ideal) -> dict:
     """Decide Hom_S(I, S/I) != 0 via the kernel of the transposed presentation."""
     m = conormal_presentation(s, ideal)
     kernel = matrix_kernel(m.transpose())
-    # is_domain last: over F_p[x]/(f) it is an irreducibility test of f
-    if not kernel["nonzero"] and not ideal.is_zero() and s.is_domain:
+    # is_domain last, and only over an infinite ring: over F_p[x]/(f) it is an
+    # irreducibility test of f, and a finite ring with a proper non-zero ideal
+    # is not a field, so not a domain
+    if (not kernel["nonzero"] and not ideal.is_zero() and not s.is_finite()
+            and s.is_domain):
         raise ContradictionError(
             "Hom_S(I, S/I) computed zero for a proper non-zero ideal of a domain")
     return {

@@ -1,4 +1,5 @@
 """Presented modules: decomposition, submodule lattices, hom groups, Ass."""
+import functools
 import itertools
 import math
 import random
@@ -354,8 +355,12 @@ def test_hall_list_is_worked_out_once_per_module(monkeypatch):
     first = hall_submodules(x)
     monkeypatch.setattr(abelian, "prime_divisors", None)
     again = hall_submodules(x)
-    assert [w.key() for w in again] == [w.key() for w in first]
-    assert [w.order() for w in again] == [1, 3, 5, 8, 15, 24, 40, 120]
+    # the subobjects are shared, so what one caller builds the next one reads,
+    # and each call gets its own list
+    assert again is not first and all(a is b for a, b in zip(again, first, strict=True))
+    again.clear()
+    assert [w.key() for w in hall_submodules(x)] == [w.key() for w in first]
+    assert [w.order() for w in first] == [1, 3, 5, 8, 15, 24, 40, 120]
     # the list is a module's own: another module with the same presentation
     # works it out again
     with pytest.raises(TypeError):
@@ -391,6 +396,50 @@ def test_enumerated_subgroups_record_their_order_and_lattice():
         x = PresentedModule(ring, *dense_relations(rng, orders or rng.choice(groups)))
         count += _check_recorded_forms(x)
     assert count > 4000
+
+
+def _check_classes_against_enumeration(x) -> int:
+    """subgroup_classes(x) against the enumerating reference, which groups
+    enumerate_submodules(x) by as_module() and sums each group: the same
+    count, classes and join keys.  Each class is in its catalogue
+    presentation, and each join is a Hermite basis, at most one column per
+    generator, with no lattice kept.  The number of classes."""
+    count, table = abelian.subgroup_classes(x)
+    subs = enumerate_submodules(x)
+    groups: dict = {}
+    for w in subs:
+        groups.setdefault(w.as_module(), []).append(w)
+    assert count == len(subs) and len(table) == len(groups), x
+    for join, rep in table:
+        assert join.ambient is x and join._lattice is None, x
+        assert len(la.columns(join.embedding)) <= x.gens, x
+        assert rep.presentation() in {m.presentation()
+                                      for m in finite_abelian_modules(rep.order(), x.ring)}, x
+    assert {rep: join.key() for join, rep in table} == {
+        cls: functools.reduce(Subobject.sum, ws).key() for cls, ws in groups.items()}, x
+    return len(table)
+
+
+def test_subgroup_classes_match_the_enumerating_reference():
+    """Every group of order <= 64, 200 dense presentations over Z and Z/n,
+    the groups over Z/n of order n, and zero modules on 0 to 2 generators."""
+    modules = [m for n in range(1, 65) for m in finite_abelian_modules(n)]
+    assert sum(map(_check_classes_against_enumeration, modules)) == 715
+    rng = random.Random(35)
+    groups = [m.canonical_decomposition()[1] for n in range(1, 33)
+              for m in finite_abelian_modules(n)]
+    rings = [(Z, None), (Ring.integers_mod(12), [2, 6]), (Ring.integers_mod(8), [4, 8, 2]),
+             (Ring.integers_mod(36), [6, 4]), (Ring.integers_mod(9), [3, 9])]
+    for k in range(200):
+        ring, orders = rings[k % len(rings)]
+        _check_classes_against_enumeration(
+            PresentedModule(ring, *dense_relations(rng, orders or rng.choice(groups))))
+    for n in (4, 6, 8, 9, 12, 36):
+        for m in finite_abelian_modules(n, Ring.integers_mod(n)):
+            _check_classes_against_enumeration(m)
+    for zero in (PresentedModule(Z, 0, []), PresentedModule(Z, *dense_relations(rng, [1])),
+                 PresentedModule(Ring.integers_mod(6), 2, [[1, 3], [2, 7]])):
+        assert zero.is_zero() and _check_classes_against_enumeration(zero) == 1
 
 
 # -- element-set oracles for intersections, preimages and subobject orders ------
@@ -556,6 +605,9 @@ def test_radical_and_axioms_decompose_each_matrix_once(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(la, "smith_with_inverses", recording)
+    # the tables read each subgroup's class off its relations S, and never
+    # enumerate Subobjects
+    monkeypatch.setattr(abelian, "enumerate_submodules", None)
     abelian._decompose.cache_clear()
     x = PresentedModule(Z, *dense_relations(random.Random(32), [2, 4, 3, 5]))
     handle = AbelianHandle(Z)
@@ -564,55 +616,66 @@ def test_radical_and_axioms_decompose_each_matrix_once(monkeypatch):
             sources = [cyclic_module(Z, p) for p in primes]
             torsion_radical_generated(handle, sources, x)
             assert all(a.passed for a in verify_torsion_pair_axioms(handle, sources, [x]))
-    assert seen and len(seen) == len(set(seen))
+    # the class keys and the catalogue classes are decomposed among the rest
+    catalogue = {tuple(map(tuple, rep.relations))
+                 for _, rep in handle._subobject_tables.get(handle, x)}
+    assert seen and len(seen) == len(set(seen)) and catalogue <= set(seen)
 
 
 def test_radical_and_axioms_solve_no_kernel_for_subgroups_and_no_lattice_for_zero(monkeypatch):
-    """Enumerated subgroups come presented, and the zero test and the zero
-    subobject read the ambient's relation lattice (built once per
-    presentation, so not counted) instead of building a lattice."""
+    """A subobject table is built from the subgroup matrices: per class one
+    join, one catalogue module and one lattice, and no kernel solved, however
+    many subgroups the class has.  The zero test and the zero subobject read
+    the ambient's relation lattice (built once per presentation, so not
+    counted) instead of building a lattice."""
     from torsion_lab.engine import (AbelianHandle, torsion_radical_generated,
                                     verify_torsion_pair_axioms)
     abelian._decompose.cache_clear()
     abelian._relation_lattice.cache_clear()
-    stack, kept, enumerated = [], [], set()
-    counts = dict.fromkeys(("as_module", "is_zero", "zero", "relations", "kernels", "builds"), 0)
+    stack = []
+    counts = dict.fromkeys(("subgroup_classes", "subgroups", "classes", "subobjects",
+                            "modules", "lattices", "kernels", "is_zero", "zero",
+                            "relations", "zero_builds"), 0)
 
-    def watch(label, fn, only=lambda self: True):
-        # count the calls of fn that `only` accepts, and mark them on the stack
+    def watch(label, fn):
+        # count the calls of fn, and mark them on the stack
         def watched(*args):
-            active = only(args[0])
-            counts[label] += active
-            stack.append(label if active else None)
+            counts[label] += 1
+            stack.append(label)
             try:
                 return fn(*args)
             finally:
                 stack.pop()
         return watched
 
-    def enumerate_recording(module):
-        subs = real_enumerate(module)
-        kept.extend(subs)
-        enumerated.update(map(id, subs))
-        return subs
+    def classes_counting(module):
+        count, table = real_classes(module)
+        counts["subgroups"] += count
+        counts["classes"] += len(table)
+        return count, table
 
-    def kernel_counting(a):
-        counts["kernels"] += "as_module" in stack
-        return real_kernel(a)
+    def counting_in_tables(label, fn):
+        def counted(*args):
+            counts[label] += "subgroup_classes" in stack
+            return fn(*args)
+        return counted
 
     def init_counting(self, rows, cols):
-        counts["builds"] += bool(stack) and stack[-1] in ("is_zero", "zero")
+        counts["lattices"] += "subgroup_classes" in stack
+        counts["zero_builds"] += bool(stack) and stack[-1] in ("is_zero", "zero")
         real_init(self, rows, cols)
 
-    real_enumerate, real_kernel = abelian.enumerate_submodules, la.kernel_basis
-    real_init = la.ColumnEchelonLattice.__init__
-    monkeypatch.setattr(abelian, "enumerate_submodules", enumerate_recording)
-    monkeypatch.setattr(la, "kernel_basis", kernel_counting)
+    real_classes, real_init = abelian.subgroup_classes, la.ColumnEchelonLattice.__init__
+    monkeypatch.setattr(abelian, "subgroup_classes",
+                        watch("subgroup_classes", classes_counting))
+    monkeypatch.setattr(Subobject, "__init__",
+                        counting_in_tables("subobjects", Subobject.__init__))
+    monkeypatch.setattr(PresentedModule, "__init__",
+                        counting_in_tables("modules", PresentedModule.__init__))
+    monkeypatch.setattr(la, "kernel_basis", counting_in_tables("kernels", la.kernel_basis))
     monkeypatch.setattr(la.ColumnEchelonLattice, "__init__", init_counting)
     monkeypatch.setattr(abelian, "_relation_lattice",
                         watch("relations", abelian._relation_lattice))
-    monkeypatch.setattr(Subobject, "as_module", watch(
-        "as_module", Subobject.as_module, lambda w: id(w) in enumerated))
     monkeypatch.setattr(Subobject, "is_zero", watch("is_zero", Subobject.is_zero))
     monkeypatch.setattr(Subobject, "zero", staticmethod(watch("zero", Subobject.zero)))
     x = PresentedModule(Z, *dense_relations(random.Random(32), [2, 4, 3, 5]))
@@ -622,10 +685,11 @@ def test_radical_and_axioms_solve_no_kernel_for_subgroups_and_no_lattice_for_zer
             sources = [cyclic_module(Z, p) for p in primes]
             torsion_radical_generated(handle, sources, x)
             assert all(a.passed for a in verify_torsion_pair_axioms(handle, sources, [x]))
-    # an enumerated subgroup's as_module solves no kernel, and neither
-    # is_zero nor Subobject.zero builds a lattice of its own
-    assert counts["kernels"] == 0 and counts["builds"] == 0
-    assert counts["as_module"] and counts["is_zero"] and counts["zero"] and counts["relations"]
+    # Z/2 + Z/4 + Z/3 + Z/5 has 32 subgroups in 20 classes
+    assert (counts["subgroups"], counts["classes"]) == (32, 20)
+    assert counts["subobjects"] == counts["modules"] == counts["lattices"] == 20
+    assert counts["kernels"] == 0 and counts["zero_builds"] == 0
+    assert counts["is_zero"] and counts["zero"] and counts["relations"]
 
 
 def test_hom_basis_is_the_basis_of_hom_group():

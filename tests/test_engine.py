@@ -585,42 +585,56 @@ def test_table_maximality_matches_unmemoised_loop(orders, seeds, broken):
             assert result.maximal == _unmemoised_maximal(sources, x, t)
 
 
-@pytest.fixture
-def enumerations(monkeypatch):
-    """The modules that abelian.enumerate_submodules is called on, in order."""
+def _record_calls(monkeypatch, name: str) -> list:
+    """The modules that the abelian function `name` is called on, in order."""
     calls = []
-    real = abelian.enumerate_submodules
+    real = getattr(abelian, name)
 
     def counting(module):
         calls.append(module)
         return real(module)
 
-    monkeypatch.setattr(abelian, "enumerate_submodules", counting)
+    monkeypatch.setattr(abelian, name, counting)
+    return calls
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The modules that abelian.enumerate_submodules is called on, in order."""
+    return _record_calls(monkeypatch, "enumerate_submodules")
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The modules whose subobject table abelian.subgroup_classes builds, in
+    order; the table path never calls enumerate_submodules."""
+    calls = _record_calls(monkeypatch, "subgroup_classes")
+    monkeypatch.setattr(abelian, "enumerate_submodules", None)
     return calls
 
 
 _GABRIEL_SOURCE_SETS = [v for r in range(4) for v in itertools.combinations((2, 3, 5), r)]
 
 
-def test_one_enumeration_per_presentation(enumerations):
+def test_one_enumeration_per_presentation(table_builds):
     handle = AbelianHandle(Z)
     for v in _GABRIEL_SOURCE_SETS:
         # a fresh module each time, as the gabriel-split suite builds them
         [result] = verify_torsion_pair_axioms(handle, [cyclic_module(Z, p) for p in v],
                                               [direct_sum_module(Z, [2, 6])])
         assert result.passed
-    assert len(_GABRIEL_SOURCE_SETS) == 8 and len(enumerations) == 1
+    assert len(_GABRIEL_SOURCE_SETS) == 8 and len(table_builds) == 1
     rng = random.Random(3)
     a, b = _dense_presentation(rng, [2, 4]), _dense_presentation(rng, [2, 4])
     assert a == b and a.presentation() != b.presentation()
-    enumerations.clear()
+    table_builds.clear()
     for v in _GABRIEL_SOURCE_SETS:
         results = verify_torsion_pair_axioms(handle, [cyclic_module(Z, p) for p in v], [a, b])
         assert all(r.passed for r in results)
-    assert enumerations == [a, b]
+    assert table_builds == [a, b]
 
 
-def test_a_table_hit_still_asks_every_radical(enumerations):
+def test_a_table_hit_still_asks_every_radical(table_builds):
     handle = AbelianHandle(Z)
     sources = [cyclic_module(Z, 2)]
     [first] = verify_torsion_pair_axioms(handle, sources, [cyclic_module(Z, 4)])
@@ -628,14 +642,14 @@ def test_a_table_hit_still_asks_every_radical(enumerations):
     with _radical_zero_on(again):
         [second] = verify_torsion_pair_axioms(handle, sources, [again])
     assert first.maximal and not second.maximal
-    assert len(enumerations) == 1
+    assert len(table_builds) == 1
 
 
 def test_oracles_enumerate_on_every_call(enumerations):
     handle = AbelianHandle(Z)
     x = direct_sum_module(Z, [2, 4])
     verify_torsion_pair_axioms(handle, [cyclic_module(Z, 2)], [x])
-    enumerations.clear()
+    assert not enumerations
     for _ in range(2):
         torsion_parts(handle, x, prune=False)
         is_essential(handle, handle.full_sub(x), x)
@@ -654,8 +668,11 @@ def test_tables_hold_one_module_per_class_and_no_lattices():
     # per subgroup type: the 7 partitions inside (2, 1, 1)
     assert count == tables.size == len(subs) == 27
     assert len(table) == len(tables.classes) == 7
-    assert [rep for _, rep in table] == list(dict.fromkeys(
-        tables.classes[w.as_module()] for w in subs))
+    assert {rep for _, rep in table} == {w.as_module() for w in subs}
+    # each class is interned in its catalogue presentation
+    catalogue = {m.presentation() for n in (1, 2, 4, 8, 16) for m in finite_abelian_modules(n)}
+    assert all(tables.classes[rep] is rep and rep.presentation() in catalogue
+               for _, rep in table)
     # the loop asked no join for its lattice (key() below builds it), and each
     # join is its Hermite basis, at most one column per generator
     assert all(join._lattice is None and len(columns(join.embedding)) <= x.gens
@@ -665,17 +682,32 @@ def test_tables_hold_one_module_per_class_and_no_lattices():
         assert join.key() == functools.reduce(Subobject.sum, members).key()
 
 
-def test_tables_evict_the_oldest_presentation_past_the_cap(enumerations, monkeypatch):
+def test_subgroup_classes_share_radicals_with_catalogue_objects(monkeypatch):
+    """A class met as a subgroup is in its catalogue presentation, so the
+    radical that the maximality loop asks of it is a memo hit for the same
+    group met as an object from finite_abelian_modules."""
+    handle = AbelianHandle(Z)
+    sources = [cyclic_module(Z, 3)]
+    # t = 0, and no class is torsion, so the loop asks every non-zero class
+    [result] = verify_torsion_pair_axioms(handle, sources, [direct_sum_module(Z, [2, 4])])
+    assert result.passed
+    monkeypatch.setattr(engine, "_iterated_trace", None)
+    for m in finite_abelian_modules(2) + finite_abelian_modules(4) + [
+            direct_sum_module(Z, [4, 2])]:
+        assert torsion_radical_generated(handle, sources, m).is_zero()
+
+
+def test_tables_evict_the_oldest_presentation_past_the_cap(table_builds, monkeypatch):
     monkeypatch.setattr(engine, "SUBOBJECT_TABLE_CAP", 10)
     handle = AbelianHandle(Z)
     k4, z8, z4z2, z2z8 = (direct_sum_module(Z, orders)
                           for orders in ([2, 2], [8], [4, 2], [2, 8]))
-    assert [len(handle.subobjects(m)) for m in (k4, z8, z4z2, z2z8)] == [5, 4, 8, 11]
-    enumerations.clear()
+    assert [abelian.subgroup_classes(m)[0] for m in (k4, z8, z4z2, z2z8)] == [5, 4, 8, 11]
+    table_builds.clear()
     for sample in ([k4], [z8], [k4, z8], [z4z2], [z8], [k4], [z2z8], [z2z8]):
         verify_torsion_pair_axioms(handle, [cyclic_module(Z, 2)], sample)
     # z4z2 evicts k4 and z8; z8 then evicts z4z2; z2z8 is too large to keep
-    assert enumerations == [k4, z8, z4z2, z8, k4, z2z8, z2z8]
+    assert table_builds == [k4, z8, z4z2, z8, k4, z2z8, z2z8]
     tables = handle._subobject_tables
     # the kept tables of z8 and k4 use the classes 0, Z/2, Z/4, Z/8 and (Z/2)^2
     assert tables.size == 9 and len(tables.classes) == 5
@@ -1027,7 +1059,7 @@ def test_handle_contract_is_the_readme_list():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     listed = readme.split("these handle methods:", 1)[1].split("Those are 17 methods.", 1)[0]
     names = set(re.findall(r"`(\w+)`", listed))
-    assert len(names) == 17
+    assert len(names) == 17 and "subobject_classes" in names
     # each handle's own helpers, outside the contract
     helpers = {AbelianHandle: {"multiplication_morph"},
                QuiverHandle: {"push_sub"}}

@@ -172,6 +172,21 @@ def test_hom_conormal_zero_ideal():
     assert rep["hom_nonzero"] is False   # Hom(0, S) = 0; no domain contradiction
 
 
+def test_hom_conormal_over_a_finite_ring_asks_no_irreducibility(monkeypatch):
+    # over F_3[x]/(x^3000 - x), I = (x) has I/I^2 = 0, so Hom = 0; the ring is
+    # finite with a proper non-zero ideal, so not a domain, and the test of
+    # f's irreducibility (seconds at this degree) is never asked
+    from torsion_lab import _polyarith
+
+    def refuse(*args):
+        raise AssertionError("irreducibility test asked")
+
+    monkeypatch.setattr(_polyarith, "is_irreducible", refuse)
+    s = Ring.poly_quotient(3, [0, -1] + [0] * 2998 + [1])
+    rep = hom_I_to_quotient(s, Ideal(s, [s.poly([0, 1])]))
+    assert rep["hom_nonzero"] is False and rep["presentation_matrix"] == [["1"]]
+
+
 def test_hom_conormal_monomial_families():
     # non-principal monomial ideals over the polynomial domain whose syzygy
     # matrices stay within the solver's single-relation-row reach: the verdict
