@@ -468,15 +468,13 @@ def subgroup_classes(module: PresentedModule) -> tuple[int, list]:
     - rep is the class's catalogue presentation, the one that
       `finite_abelian_modules` gives, so a class met as a subgroup and the
       same group met as an object share their presentation;
-    - join is the sum of the class's members: the Hermite basis of U^-1
-      times every T column of the class, plus U^-1 e_i for the unit
-      coordinates (see `enumerate_submodules`), kept as its embedding
-      without the lattice."""
+    - join is the sum of the class's members, kept as its embedding without
+      the lattice: the Hermite basis of U^-1 times every T column of the
+      class, at most one column per coordinate.  A subobject's lattice
+      holds the relations, so the unit columns U^-1 e_i need not be added.
+    """
     deltas = _finite_deltas(module)
     ring, k, gens = module.ring, len(deltas), module.gens
-    dec = module._decomposition()
-    kept = {idx for idx, _ in dec.coords}
-    units = [[row[i] for row in dec.ui] for i in range(gens) if i not in kept]
     members: dict = {}
     count = 0
     for t_mat, s_mat in _subgroup_matrices(deltas):
@@ -488,7 +486,7 @@ def subgroup_classes(module: PresentedModule) -> tuple[int, list]:
     table = []
     for factors, cols in members.items():
         lattice = la.ColumnEchelonLattice(
-            gens, [module.coords_to_generators(list(col)) for col in cols] + units)
+            gens, [module.coords_to_generators(list(col)) for col in cols])
         table.append((Subobject(module, la.from_columns(lattice.basis, gens)),
                       _catalogue_module(ring, factors)))
     return count, table
