@@ -138,8 +138,8 @@ class _SubobjectTables:
     the table answers "is some w of this class outside t" with one
     inclusion test.  Tables are keyed by handle.coordinates(x), never by
     isomorphism class, and hold no verdict, so they serve every source set;
-    verify_torsion_pair_axioms reads them.  Past SUBOBJECT_TABLE_CAP
-    subobjects counted the oldest presentation goes first, and a
+    verify_torsion_pair_axioms reads them.  Once the tables count more than
+    SUBOBJECT_TABLE_CAP subobjects the oldest presentation goes first, and a
     presentation with more subobjects than the cap is not kept.
 
     The radical memo maps (tuple(sources), handle.coordinates(x)) to the
@@ -150,9 +150,9 @@ class _SubobjectTables:
     in the coordinates of x.  An interned rep keeps its presentation, so the
     subobjects of one class share an entry, and a module class shares it
     with the same group met as an object in its catalogue presentation.
-    The memo holds at most
-    SUBOBJECT_TABLE_CAP radicals and drops the oldest first.  It saves only
-    the loop: the checked postconditions run on every call.
+    The memo holds at most SUBOBJECT_TABLE_CAP radicals and drops the oldest
+    first.  It saves only the loop: the checked postconditions run on every
+    call.
     """
 
     def __init__(self):
