@@ -13,6 +13,7 @@ and cogenerated torsion pairs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -116,12 +117,12 @@ class AxiomCheckResult:
 
 # The most subobjects one handle's tables stand for in all, and the most
 # radicals its memo holds.  A table counts every subobject of its object but
-# keeps one join per class of them, which takes about 0.6 KB (an abelian one:
-# a Hermite basis on at most 5 generators) or 0.3 KB (a representation of
-# dimension <= 3 per vertex), and its class is shared by every table that
-# meets it, so the tables stay under about 6 MB; a memo entry (key,
-# radical and the lattice and module its checks built) took 1.5 KB on average
-# over a gabriel-axioms round, so the memo stays under about 15 MB.
+# keeps one (join, class) entry per class of them, which takes about 0.9 KB
+# (an abelian one: a Hermite basis on at most 5 generators and a catalogue
+# module) or 0.6 KB (a representation of dimension <= 2 per vertex), so the
+# tables stay under about 9 MB; a memo entry (key, radical and the lattice
+# and module its checks built) took 1.5 KB on average over a gabriel-axioms
+# round, so the memo stays under about 15 MB.
 SUBOBJECT_TABLE_CAP = 10_000
 
 
@@ -130,10 +131,10 @@ class _SubobjectTables:
 
     The table of x is [(join, rep)], one entry per class of the subobjects w
     of x, as handle.subobject_classes(x) lists them with their count.  rep
-    is the object of the class, equal to sub_as_object(w) and interned here
-    across tables: one per isomorphism class of modules, in the catalogue
-    presentation that finite_abelian_modules gives, and one per identical
-    representation.  join is the sum of every w of that class.  Any
+    is the object of the class, equal to sub_as_object(w): for modules in
+    the catalogue presentation that finite_abelian_modules gives, for
+    representations the identical one.  join is the sum of every w of that
+    class.  Any
     subobject t of x holds every w of the class iff it holds their join, so
     the table answers "is some w of this class outside t" with one
     inclusion test.  Tables are keyed by handle.coordinates(x), never by
@@ -147,9 +148,9 @@ class _SubobjectTables:
     at.  It is sound because t(x) is fixed by x and by the torsion class the
     sources generate, which depends only on their isomorphism classes (and
     sources compare by isomorphism class or by value), and t is a subobject
-    in the coordinates of x.  An interned rep keeps its presentation, so the
-    subobjects of one class share an entry, and a module class shares it
-    with the same group met as an object in its catalogue presentation.
+    in the coordinates of x.  Every rep of one module class has the same
+    presentation, so the subobjects of one class share an entry, and share
+    it with the same group met as an object in its catalogue presentation.
     The memo holds at most SUBOBJECT_TABLE_CAP radicals and drops the oldest
     first.  It saves only the loop: the checked postconditions run on every
     call.
@@ -158,7 +159,6 @@ class _SubobjectTables:
     def __init__(self):
         # coordinates -> (subobject count, table)
         self.tables: dict = {}
-        self.classes: dict = {}
         self.size = 0
         self.radicals: dict = {}
 
@@ -167,22 +167,13 @@ class _SubobjectTables:
         entry = self.tables.get(key)
         if entry is not None:
             return entry[1]
-        count, entries = handle.subobject_classes(x)
-        table = [(join, self.classes.setdefault(rep, rep)) for join, rep in entries]
-        self._store(key, count, table)
-        return table
-
-    def _store(self, key, count: int, table: list) -> None:
-        dropped = count > SUBOBJECT_TABLE_CAP
-        if not dropped:
+        count, table = handle.subobject_classes(x)
+        if count <= SUBOBJECT_TABLE_CAP:
             while self.size + count > SUBOBJECT_TABLE_CAP:
                 self.size -= self.tables.pop(next(iter(self.tables)))[0]
-                dropped = True
             self.tables[key] = (count, table)
             self.size += count
-        if dropped:
-            # keep only the representatives that a kept table still uses
-            self.classes = {rep: rep for _, t in self.tables.values() for _, rep in t}
+        return table
 
     def radical(self, handle, sources, x):
         key = (tuple(sources), handle.coordinates(x))
@@ -192,14 +183,6 @@ class _SubobjectTables:
             while len(self.radicals) > SUBOBJECT_TABLE_CAP:
                 del self.radicals[next(iter(self.radicals))]
         return t
-
-
-def _join(subs: list):
-    """The sum of the subobjects, summed in pairs, so that each term takes
-    part in one sum per halving."""
-    while len(subs) > 1:
-        subs = [a.sum(b) for a, b in zip(subs[::2], subs[1::2])] + subs[len(subs) & ~1:]
-    return subs[0]
 
 
 class AbelianHandle:
@@ -346,7 +329,8 @@ class QuiverHandle:
         for w in qv.iter_subreps(x):
             members.setdefault(w.as_rep(), []).append(w)
             count += 1
-        return count, [(_join(ws), rep) for rep, ws in members.items()]
+        return count, [(functools.reduce(lambda a, b: a.sum(b), ws), rep)
+                       for rep, ws in members.items()]
 
     def part_candidates(self, x):
         """The subrepresentations whose dimension vector m can hold a part:
@@ -638,7 +622,7 @@ def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult
     the handle (see _SubobjectTables) keep the rest cheap:
 
     - the subobject table of x lists each class of subobjects with the join
-      of its members and the interned object sub_as_object(w), built once
+      of its members and the object sub_as_object(w), built once
       per presentation and read by every later call with any source set.
       It is keyed by presentation because subobjects are coordinates in it,
       and it holds no verdict, so each call still tests t.contains(join)
@@ -646,8 +630,8 @@ def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult
     - the radical memo runs the iterated trace once per source set and
       coordinates, across calls: t(x) is a hit when the caller already
       asked for the radical of x, as the gabriel-split suite does.  The
-      objects in a table are interned, so for modules each isomorphism
-      class of w costs one loop per source set; QuiverRep compares by
+      objects in a table are catalogue presentations, so for modules each
+      isomorphism class of w costs one loop per source set; QuiverRep compares by
       (quiver, p, dims, maps), so only identical representations share an
       entry.
     """

@@ -368,16 +368,21 @@ def test_hall_list_is_worked_out_once_per_module(monkeypatch):
 
 
 def _check_recorded_forms(x) -> int:
-    """The order and lattice that enumerate_submodules records on each
-    subgroup of x equal those of a fresh lattice of the embedding columns
-    plus the relation basis; the count of subgroups checked."""
+    """The order, lattice and module that enumerate_submodules records on
+    each subgroup of x equal those of a fresh lattice of the embedding
+    columns plus the relation basis, and of the preimage of the relations
+    on the embedding columns; the count of subgroups checked."""
     rel = x.relation_lattice()
     subs = enumerate_submodules(x)
     for w in subs:
-        assert w._order is not None and w._lattice is not None
-        fresh = la.ColumnEchelonLattice(x.gens, la.columns(w.embedding) + list(rel.basis))
+        assert w._order is not None and w._lattice is not None and w._module is not None
+        cols = la.columns(w.embedding)
+        fresh = la.ColumnEchelonLattice(x.gens, cols + list(rel.basis))
         assert (w.lattice.basis, w.lattice.pivots) == (fresh.basis, fresh.pivots), x
         assert w.order() == rel.determinant_index() // fresh.determinant_index(), x
+        preimage = PresentedModule(x.ring, len(cols), la.from_columns(
+            la.preimage(cols, rel.basis, x.gens), len(cols)))
+        assert w.as_module().relation_lattice().basis == preimage.relation_lattice().basis, x
     return len(subs)
 
 
@@ -625,23 +630,26 @@ def test_radical_and_axioms_decompose_each_matrix_once(monkeypatch):
 def test_radical_and_axioms_solve_no_kernel_for_subgroups_and_no_lattice_for_zero(monkeypatch):
     """A subobject table is built from the subgroup matrices: per class one
     join, one catalogue module and one lattice, and no kernel solved, however
-    many subgroups the class has.  The zero test and the zero subobject read
-    the ambient's relation lattice (built once per presentation, so not
-    counted) instead of building a lattice."""
-    from torsion_lab.engine import (AbelianHandle, torsion_radical_generated,
+    many subgroups the class has.  The unpruned torsion parts still
+    enumerate, and an enumerated subgroup comes presented, so its as_module
+    solves no kernel either.  The zero test and the zero subobject read the
+    ambient's relation lattice (built once per presentation, so not counted)
+    instead of building a lattice."""
+    from torsion_lab.engine import (AbelianHandle, torsion_parts, torsion_radical_generated,
                                     verify_torsion_pair_axioms)
     abelian._decompose.cache_clear()
     abelian._relation_lattice.cache_clear()
-    stack = []
+    stack, kept, enumerated = [], [], set()
     counts = dict.fromkeys(("subgroup_classes", "subgroups", "classes", "subobjects",
                             "modules", "lattices", "kernels", "is_zero", "zero",
-                            "relations", "zero_builds"), 0)
+                            "relations", "zero_builds", "as_module", "module_kernels"), 0)
 
-    def watch(label, fn):
-        # count the calls of fn, and mark them on the stack
+    def watch(label, fn, only=lambda self: True):
+        # count the calls of fn that `only` accepts, and mark them on the stack
         def watched(*args):
-            counts[label] += 1
-            stack.append(label)
+            active = only(args[0])
+            counts[label] += active
+            stack.append(label if active else None)
             try:
                 return fn(*args)
             finally:
@@ -660,19 +668,34 @@ def test_radical_and_axioms_solve_no_kernel_for_subgroups_and_no_lattice_for_zer
             return fn(*args)
         return counted
 
+    def enumerate_recording(module):
+        subs = real_enumerate(module)
+        kept.extend(subs)
+        enumerated.update(map(id, subs))
+        return subs
+
+    def kernel_counting(a):
+        counts["kernels"] += "subgroup_classes" in stack
+        counts["module_kernels"] += "as_module" in stack
+        return real_kernel(a)
+
     def init_counting(self, rows, cols):
         counts["lattices"] += "subgroup_classes" in stack
         counts["zero_builds"] += bool(stack) and stack[-1] in ("is_zero", "zero")
         real_init(self, rows, cols)
 
     real_classes, real_init = abelian.subgroup_classes, la.ColumnEchelonLattice.__init__
+    real_enumerate, real_kernel = abelian.enumerate_submodules, la.kernel_basis
+    monkeypatch.setattr(abelian, "enumerate_submodules", enumerate_recording)
     monkeypatch.setattr(abelian, "subgroup_classes",
                         watch("subgroup_classes", classes_counting))
     monkeypatch.setattr(Subobject, "__init__",
                         counting_in_tables("subobjects", Subobject.__init__))
     monkeypatch.setattr(PresentedModule, "__init__",
                         counting_in_tables("modules", PresentedModule.__init__))
-    monkeypatch.setattr(la, "kernel_basis", counting_in_tables("kernels", la.kernel_basis))
+    monkeypatch.setattr(la, "kernel_basis", kernel_counting)
+    monkeypatch.setattr(Subobject, "as_module", watch(
+        "as_module", Subobject.as_module, lambda w: id(w) in enumerated))
     monkeypatch.setattr(la.ColumnEchelonLattice, "__init__", init_counting)
     monkeypatch.setattr(abelian, "_relation_lattice",
                         watch("relations", abelian._relation_lattice))
@@ -690,6 +713,11 @@ def test_radical_and_axioms_solve_no_kernel_for_subgroups_and_no_lattice_for_zer
     assert counts["subobjects"] == counts["modules"] == counts["lattices"] == 20
     assert counts["kernels"] == 0 and counts["zero_builds"] == 0
     assert counts["is_zero"] and counts["zero"] and counts["relations"]
+    assert not kept
+    # the cli describes each unpruned part by its module
+    parts = torsion_parts(handle, x, prune=False).parts
+    assert [w.as_module() for w in parts] and kept
+    assert counts["as_module"] == len(parts) and counts["module_kernels"] == 0
 
 
 def test_hom_basis_is_the_basis_of_hom_group():
