@@ -21,12 +21,15 @@ Matrix = list[list[int]]
 
 
 def _integer_rows(rows, what: str) -> Matrix:
-    """rows as lists of ints; an entry that is not an integer (a float, a
-    numeric string) is refused, where int() would truncate or parse it."""
+    """rows as lists of ints of one length; an entry that is not an integer
+    (a float, a numeric string) is refused, where int() would truncate or parse it."""
     try:
-        return [list(map(operator.index, row)) for row in rows]
+        out = [list(map(operator.index, row)) for row in rows]
     except TypeError:
         raise InputError(f"{what} entries must be integers") from None
+    if len(set(map(len, out))) > 1:
+        raise InputError(f"{what} rows must have equal length")
+    return out
 
 
 def _divisors(n: int) -> list[int]:
@@ -66,7 +69,7 @@ class PrimeSet:
 # relation lattice, one process keeps.  An entry is a pure function of the
 # exact presentation and holds no verdict.  On a handful of generators it
 # takes about 1 KB, so the two caches stay under about 10 MB; the 656 items
-# of the gabriel-axioms benchmark fill 1,194 and 429 entries.
+# of the gabriel-axioms benchmark fill 1,101 and 283 entries.
 PRESENTATION_CACHE_SIZE = 4096
 
 
@@ -125,9 +128,6 @@ class PresentedModule:
         rels = _integer_rows(relations, "relation matrix")
         if len(rels) != gens:
             raise InputError(f"relation matrix must have {gens} rows, got {len(rels)}")
-        width = {len(r) for r in rels}
-        if len(width) > 1:
-            raise InputError("relation matrix rows must have equal length")
         if ring.n:
             rels = [[x % ring.n for x in row] for row in rels]
         self.ring = ring
@@ -163,15 +163,10 @@ class PresentedModule:
 
     # -- structure invariants --------------------------------------------------
 
-    def _invariants(self) -> tuple[int, tuple[int, ...]]:
-        """(free_rank, invariant factors) as the shared cached tuple."""
-        dec = self._decomposition()
-        return dec.free, dec.factors
-
     def canonical_decomposition(self) -> tuple[int, list[int]]:
         """(free_rank, invariant_factors) with 1 < d1 | d2 | ..."""
-        free, factors = self._invariants()
-        return free, list(factors)
+        dec = self._decomposition()
+        return dec.free, list(dec.factors)
 
     def is_finite(self) -> bool:
         return self._decomposition().free == 0
@@ -200,16 +195,18 @@ class PresentedModule:
 
     def __eq__(self, other) -> bool:
         # equality of modules, not of presentations
-        return (isinstance(other, PresentedModule)
-                and self.ring == other.ring
-                and self._invariants() == other._invariants())
+        if not isinstance(other, PresentedModule) or self.ring != other.ring:
+            return False
+        dec, other_dec = self._decomposition(), other._decomposition()
+        return (dec.free, dec.factors) == (other_dec.free, other_dec.factors)
 
     def __hash__(self):
-        return hash((self.ring, *self._invariants()))
+        dec = self._decomposition()
+        return hash((self.ring, dec.free, dec.factors))
 
     def describe(self) -> str:
-        free, factors = self._invariants()
-        parts = ["Z"] * free + ["Z/" + decimal(d) for d in factors]
+        dec = self._decomposition()
+        parts = ["Z"] * dec.free + ["Z/" + decimal(d) for d in dec.factors]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
@@ -456,10 +453,10 @@ def enumerate_submodules(module: PresentedModule) -> list[Subobject]:
     return subs
 
 
-def subgroup_classes(module: PresentedModule) -> tuple[int, list]:
-    """(count, [(join, rep)]): the number of submodules of the finite module,
-    and one entry per isomorphism class of them, in the order in which the
-    enumeration first meets the class.
+def subgroup_classes(module: PresentedModule) -> list:
+    """[(join, rep)], one entry per isomorphism class of the submodules of
+    the finite module, in the order in which the enumeration first meets the
+    class.
 
     One pass over the (T, S) that `enumerate_submodules` walks, building no
     Subobject, module or lattice per subgroup:
@@ -476,20 +473,18 @@ def subgroup_classes(module: PresentedModule) -> tuple[int, list]:
     deltas = _finite_deltas(module)
     ring, k, gens = module.ring, len(deltas), module.gens
     members: dict = {}
-    count = 0
     for t_mat, s_mat in _subgroup_matrices(deltas):
         if ring.n:
             s_mat = [[x % ring.n for x in row] for row in s_mat]
         factors = _decompose((ring, k, tuple(map(tuple, s_mat)))).factors
         members.setdefault(factors, set()).update(zip(*t_mat))
-        count += 1
     table = []
     for factors, cols in members.items():
         lattice = la.ColumnEchelonLattice(
             gens, [module.coords_to_generators(list(col)) for col in cols])
         table.append((Subobject(module, la.from_columns(lattice.basis, gens)),
                       _catalogue_module(ring, factors)))
-    return count, table
+    return table
 
 
 def _catalogue_module(ring: Ring, factors: tuple) -> PresentedModule:
@@ -615,11 +610,11 @@ def hom_group(src: PresentedModule, dst: PresentedModule):
 
 
 def associated_primes(module: PresentedModule) -> PrimeSet:
-    free, factors = module._invariants()
+    dec = module._decomposition()
     primes: set[int] = set()
-    for d in factors:
+    for d in dec.factors:
         primes.update(prime_divisors(d))
-    return PrimeSet(tuple(sorted(primes)), includes_zero=free > 0)
+    return PrimeSet(tuple(sorted(primes)), includes_zero=dec.free > 0)
 
 
 def primary_component(module: PresentedModule, p: int) -> Subobject:

@@ -115,33 +115,38 @@ class AxiomCheckResult:
 # ---------------------------------------------------------------------------
 
 
-# The most subobjects one handle's tables stand for in all, and the most
-# radicals its memo holds.  A table counts every subobject of its object but
-# keeps one (join, class) entry per class of them, which takes about 0.9 KB
-# (an abelian one: a Hermite basis on at most 5 generators and a catalogue
-# module) or 0.6 KB (a representation of dimension <= 2 per vertex), so the
-# tables stay under about 9 MB; a memo entry (key, radical and the lattice
-# and module its checks built) took 1.5 KB on average over a gabriel-axioms
-# round, so the memo stays under about 15 MB.
+# The most (join, class) entries one handle's tables hold in all, and the
+# most radicals its memo holds.  An entry takes about 0.9 KB (an abelian one:
+# a Hermite basis on at most 5 generators and a catalogue module) or 0.6 KB
+# (a representation of dimension <= 2 per vertex), so the tables stay under
+# about 9 MB; a memo entry (key, radical and the lattice and module its
+# checks built) took 1.5 KB on average over a gabriel-axioms round, so the
+# memo stays under about 15 MB.
 SUBOBJECT_TABLE_CAP = 10_000
+
+
+def _evict_oldest(memo: dict, held: int, weigh) -> int:
+    """Drop memo's oldest values, of weigh(value) entries each, until at most
+    SUBOBJECT_TABLE_CAP of its `held` entries are left; the entries left."""
+    while held > SUBOBJECT_TABLE_CAP:
+        held -= weigh(memo.pop(next(iter(memo))))
+    return held
 
 
 class _SubobjectTables:
     """The subobject tables and the radical memo of one handle.
 
     The table of x is [(join, rep)], one entry per class of the subobjects w
-    of x, as handle.subobject_classes(x) lists them with their count.  rep
-    is the object of the class, equal to sub_as_object(w): for modules in
-    the catalogue presentation that finite_abelian_modules gives, for
-    representations the identical one.  join is the sum of every w of that
-    class.  Any
-    subobject t of x holds every w of the class iff it holds their join, so
-    the table answers "is some w of this class outside t" with one
-    inclusion test.  Tables are keyed by handle.coordinates(x), never by
-    isomorphism class, and hold no verdict, so they serve every source set;
-    verify_torsion_pair_axioms reads them.  Once the tables count more than
-    SUBOBJECT_TABLE_CAP subobjects the oldest presentation goes first, and a
-    presentation with more subobjects than the cap is not kept.
+    of x, as handle.subobject_classes(x) lists them.  rep is the object of
+    the class, equal to sub_as_object(w): for modules in the catalogue
+    presentation that finite_abelian_modules gives, for representations the
+    identical one.  join is the sum of every w of that class.  Any subobject
+    t of x holds every w of the class iff it holds their join, so the table
+    answers "is some w of this class outside t" with one inclusion test.
+    Tables are keyed by handle.coordinates(x), never by isomorphism class,
+    and hold no verdict, so they serve every source set;
+    verify_torsion_pair_axioms reads them.  Once the tables hold more than
+    SUBOBJECT_TABLE_CAP entries the oldest presentation goes first.
 
     The radical memo maps (tuple(sources), handle.coordinates(x)) to the
     subobject t(x) that torsion_radical_generated's iterated trace stopped
@@ -152,27 +157,21 @@ class _SubobjectTables:
     presentation, so the subobjects of one class share an entry, and share
     it with the same group met as an object in its catalogue presentation.
     The memo holds at most SUBOBJECT_TABLE_CAP radicals and drops the oldest
-    first.  It saves only the loop: the checked postconditions run on every
-    call.
+    first.  It saves only the loop: torsion_radical_generated checks its
+    postconditions on every call.
     """
 
     def __init__(self):
-        # coordinates -> (subobject count, table)
         self.tables: dict = {}
-        self.size = 0
+        self.entries = 0
         self.radicals: dict = {}
 
     def get(self, handle, x) -> list:
         key = handle.coordinates(x)
-        entry = self.tables.get(key)
-        if entry is not None:
-            return entry[1]
-        count, table = handle.subobject_classes(x)
-        if count <= SUBOBJECT_TABLE_CAP:
-            while self.size + count > SUBOBJECT_TABLE_CAP:
-                self.size -= self.tables.pop(next(iter(self.tables)))[0]
-            self.tables[key] = (count, table)
-            self.size += count
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = handle.subobject_classes(x)
+            self.entries = _evict_oldest(self.tables, self.entries + len(table), len)
         return table
 
     def radical(self, handle, sources, x):
@@ -180,8 +179,7 @@ class _SubobjectTables:
         t = self.radicals.get(key)
         if t is None:
             t = self.radicals[key] = _iterated_trace(handle, sources, x)
-            while len(self.radicals) > SUBOBJECT_TABLE_CAP:
-                del self.radicals[next(iter(self.radicals))]
+            _evict_oldest(self.radicals, len(self.radicals), lambda _: 1)
         return t
 
 
@@ -297,7 +295,8 @@ class AbelianHandle:
 
 
 class QuiverHandle:
-    """Finite-dimensional representations of a fixed acyclic quiver over F_p."""
+    """Finite-dimensional representations of a fixed acyclic quiver over F_p;
+    each computation reads p from its representations, not from the handle."""
     criterion_name = "single-vertex-criterion"
 
     def __init__(self, quiver: qv.Quiver, p: int):
@@ -306,7 +305,6 @@ class QuiverHandle:
             from . import modlinalg as ml
             from . import quiver as qv
         self.quiver = quiver
-        self.p = p
         self._subobject_tables = _SubobjectTables()
 
     def coordinates(self, x):
@@ -325,12 +323,10 @@ class QuiverHandle:
         holds only its spaces, which `SubRep.sum` row-reduces, so it is kept
         as it is."""
         members: dict = {}
-        count = 0
         for w in qv.iter_subreps(x):
             members.setdefault(w.as_rep(), []).append(w)
-            count += 1
-        return count, [(functools.reduce(lambda a, b: a.sum(b), ws), rep)
-                       for rep, ws in members.items()]
+        return [(functools.reduce(lambda a, b: a.sum(b), ws), rep)
+                for rep, ws in members.items()]
 
     def part_candidates(self, x):
         """The subrepresentations whose dimension vector m can hold a part:
@@ -364,7 +360,7 @@ class QuiverHandle:
 
     def push_sub(self, f: Morph, w):
         return qv.SubRep(f.dst, [
-            ml.Subspace(self.p, d, [ml.mat_vec_mod(mat, vec, self.p) for vec in sp.rows])
+            ml.Subspace(f.dst.p, d, [ml.mat_vec_mod(mat, vec, f.dst.p) for vec in sp.rows])
             for d, mat, sp in zip(f.dst.dims, f.data, w.spaces)])
 
     def pull_sub(self, f: Morph, w):
@@ -415,11 +411,11 @@ class QuiverHandle:
             raise InputError(f"the sink witness of {self.describe(x)} outgrows its arrow maps")
         v = next(v for v in support
                  if all(t not in support for s, t in x.quiver.arrows if s == v))
-        return False, qv.SubRep(x, [(ml.Subspace.full if u == v else ml.Subspace.zero)(self.p, d)
+        return False, qv.SubRep(x, [(ml.Subspace.full if u == v else ml.Subspace.zero)(x.p, d)
                                     for u, d in enumerate(x.dims)]), None
 
     def describe(self, x) -> str:
-        return f"rep dims={list(x.dims)} over F_{self.p}"
+        return f"rep dims={list(x.dims)} over F_{x.p}"
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +474,21 @@ def is_torsion_simple(handle, x, method: str = "auto", prune: bool = True) -> Si
         raise InputError(f"the {method} method does not apply to {handle.describe(x)}: "
                          f"the criterion that applies to it is {handle.criterion_name}")
     verdict, witness, type_tag = handle.criterion(x)
-    if witness is not None:
-        q, _ = handle.quotient(x, witness)
-        if handle.hom_basis(handle.sub_as_object(witness), q):
-            raise ContradictionError(f"the {method} witness failed its hom-vanishing recheck")
+    if witness is not None and not _quotient_orthogonal(handle, x, witness)[1]:
+        raise ContradictionError(f"the {method} witness failed its hom-vanishing recheck")
     return SimplicityReport(verdict, method, witness, type_tag)
+
+
+def _quotient_orthogonal(handle, x, w):
+    """(x/w, whether Hom(w, x/w) = 0), the hom-vanishing test by hom basis."""
+    q, _ = handle.quotient(x, w)
+    return q, not handle.hom_basis(handle.sub_as_object(w), q)
+
+
+def _radical_axioms(handle, sources, x, t) -> tuple[bool, bool]:
+    """(Hom(t, x/t) = 0, t(x/t) = 0) for the radical t of x."""
+    q, orthogonal = _quotient_orthogonal(handle, x, t)
+    return orthogonal, trace(handle, sources, q).is_zero()
 
 
 def _instance(handle, sources, x) -> str:
@@ -499,19 +505,16 @@ def trace(handle, sources, x):
     return acc
 
 
-def torsion_radical_generated(handle, sources, x, check: bool = True):
+def torsion_radical_generated(handle, sources, x):
     """t(x) for the torsion pair generated by `sources`, by stabilising iterated
     trace, which runs once per source set and coordinates of x in the
-    handle's radical memo (see _SubobjectTables).  The checked postconditions
-    run on every call, a memo hit included."""
+    handle's radical memo (see _SubobjectTables).  Its postconditions
+    Hom(t(x), x/t(x)) = 0 and t(x/t(x)) = 0 run on every call, a memo hit included."""
     t = handle._subobject_tables.radical(handle, sources, x)
-    if check:
-        q, _ = handle.quotient(x, t)
-        if handle.hom_basis(handle.sub_as_object(t), q):
-            raise ContradictionError("radical postcondition Hom(t(x), x/t(x)) = 0 failed "
-                                     f"for {_instance(handle, sources, x)}")
-        if not trace(handle, sources, q).is_zero():
-            raise ContradictionError("radical postcondition t(x/t(x)) = 0 failed "
+    orthogonal, idempotent = _radical_axioms(handle, sources, x, t)
+    for holds, axiom in ((orthogonal, "Hom(t(x), x/t(x)) = 0"), (idempotent, "t(x/t(x)) = 0")):
+        if not holds:
+            raise ContradictionError(f"radical postcondition {axiom} failed "
                                      f"for {_instance(handle, sources, x)}")
     return t
 
@@ -611,6 +614,9 @@ def injective_criterion_check(handle, x, f: Morph) -> InjectiveCriterionReport:
 def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult]:
     """For each sample object: orthogonality, largest-subobject maximality, idempotence.
 
+    Orthogonality and idempotence are the postconditions that
+    torsion_radical_generated raises on, reported here.
+
     Maximality asks whether some subobject w of x is torsion (its own radical
     is all of w) without lying inside t = t(x).  A w with t.contains(w)
     cannot break maximality, so its radical is never asked.  Torsion classes
@@ -627,23 +633,21 @@ def verify_torsion_pair_axioms(handle, sources, sample) -> list[AxiomCheckResult
       It is keyed by presentation because subobjects are coordinates in it,
       and it holds no verdict, so each call still tests t.contains(join)
       for every class;
-    - the radical memo runs the iterated trace once per source set and
-      coordinates, across calls: t(x) is a hit when the caller already
-      asked for the radical of x, as the gabriel-split suite does.  The
+    - the radical memo, read directly for t = t(x) and for each class, runs
+      the iterated trace once per source set and coordinates, across calls:
+      t(x) is a hit when the caller already asked for the radical of x, as
+      the gabriel-split suite does.  The
       objects in a table are catalogue presentations, so for modules each
       isomorphism class of w costs one loop per source set; QuiverRep compares by
       (quiver, p, dims, maps), so only identical representations share an
       entry.
     """
+    tables = handle._subobject_tables
     results = []
     for x in sample:
-        t = torsion_radical_generated(handle, sources, x, check=False)
-        q, _ = handle.quotient(x, t)
-        orthogonal = not handle.hom_basis(handle.sub_as_object(t), q)
-        idempotent = trace(handle, sources, q).is_zero()
-        outside = [cls for join, cls in handle._subobject_tables.get(handle, x)
-                   if not t.contains(join)]
-        maximal = not any(torsion_radical_generated(handle, sources, cls, check=False).is_full()
-                          for cls in outside)
+        t = tables.radical(handle, sources, x)
+        orthogonal, idempotent = _radical_axioms(handle, sources, x, t)
+        outside = [cls for join, cls in tables.get(handle, x) if not t.contains(join)]
+        maximal = not any(tables.radical(handle, sources, cls).is_full() for cls in outside)
         results.append(AxiomCheckResult(handle.describe(x), orthogonal, maximal, idempotent))
     return results

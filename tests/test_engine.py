@@ -265,6 +265,17 @@ def test_radical_postconditions_name_the_object_and_sources(zero_on_call, failed
         torsion_radical_generated(AbelianHandle(Z), [cyclic_module(Z, 2)], cyclic_module(Z, 4))
 
 
+@pytest.mark.parametrize("zero_on_call, orthogonal, idempotent", [
+    (lambda k: k > 1, False, True), (lambda k: k == 1, True, False)])
+def test_axioms_report_what_the_radical_raises_on(zero_on_call, orthogonal, idempotent):
+    # the broken loops of the test above: the axioms report the failed
+    # postcondition instead of raising
+    with _broken_trace(zero_on_call):
+        [result] = verify_torsion_pair_axioms(AbelianHandle(Z), [cyclic_module(Z, 2)],
+                                              [cyclic_module(Z, 4)])
+    assert (result.orthogonal, result.idempotent) == (orthogonal, idempotent)
+
+
 def test_coradical_postcondition_names_the_object_and_sources():
     # coradicals take no trace: break the reject instead, so t(x) = x = Z/4
     with mock.patch.object(engine, "reject", lambda handle, sources, x: handle.full_sub(x)):
@@ -493,13 +504,16 @@ def test_simplicity_methods_agree_on_quiver():
 
 
 def _radical_zero_on(target):
-    """Patch in a broken radical: 0 on `target`, the true radical elsewhere."""
-    def broken(handle, sources, x, check=True):
+    """Patch in a broken radical memo read: 0 on `target`, the true radical
+    elsewhere."""
+    real = engine._SubobjectTables.radical
+
+    def broken(tables, handle, sources, x):
         if x is target:
             return handle.zero_sub(x)
-        return torsion_radical_generated(handle, sources, x, check=check)
+        return real(tables, handle, sources, x)
 
-    return mock.patch.object(engine, "torsion_radical_generated", broken)
+    return mock.patch.object(engine._SubobjectTables, "radical", broken)
 
 
 @pytest.mark.parametrize("handle, sources, sample", [
@@ -516,12 +530,13 @@ def test_axioms_detect_a_radical_that_is_too_small(handle, sources, sample):
 
 def test_axioms_compute_one_radical_per_iso_class(monkeypatch):
     calls = []
+    real = engine._SubobjectTables.radical
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return torsion_radical_generated(*args, **kwargs)
+    def counting(tables, handle, sources, x):
+        calls.append(x)
+        return real(tables, handle, sources, x)
 
-    monkeypatch.setattr(engine, "torsion_radical_generated", counting)
+    monkeypatch.setattr(engine._SubobjectTables, "radical", counting)
     x = direct_sum_module(Z, [2] * 5)
     [result] = verify_torsion_pair_axioms(H, [cyclic_module(Z, 3)], [x])
     assert result.passed
@@ -538,7 +553,7 @@ def _dense_presentation(rng, orders, ring=Z):
 
 def _unmemoised_maximal(sources, x, t):
     for w in H.subobjects(x):
-        if (torsion_radical_generated(H, sources, w.as_module(), check=False).is_full()
+        if (H._subobject_tables.radical(H, sources, w.as_module()).is_full()
                 and not t.contains(w)):
             return False
     return True
@@ -558,7 +573,7 @@ def test_memoised_maximality_matches_unmemoised_loop(orders, primes, seed, broke
     sources = [cyclic_module(Z, q) for q in primes]
     with _radical_zero_on(x if broken else None):
         [result] = verify_torsion_pair_axioms(H, sources, [x])
-    t = H.zero_sub(x) if broken else torsion_radical_generated(H, sources, x, check=False)
+    t = H.zero_sub(x) if broken else torsion_radical_generated(H, sources, x)
     assert result.maximal == _unmemoised_maximal(sources, x, t)
 
 
@@ -581,7 +596,7 @@ def test_table_maximality_matches_unmemoised_loop(orders, seeds, broken):
             with _radical_zero_on(x if i == broken else None):
                 [result] = verify_torsion_pair_axioms(_TABLE_HANDLE, sources, [x])
             t = (H.zero_sub(x) if i == broken
-                 else torsion_radical_generated(H, sources, x, check=False))
+                 else torsion_radical_generated(H, sources, x))
             assert result.maximal == _unmemoised_maximal(sources, x, t)
 
 
@@ -662,12 +677,12 @@ def test_tables_hold_one_module_per_class_and_no_lattices():
     x = direct_sum_module(Z, [2, 2, 4])
     verify_torsion_pair_axioms(handle, [cyclic_module(Z, 2)], [x])
     tables = handle._subobject_tables
-    count, table = tables.tables[x.presentation()]
+    table = tables.tables[x.presentation()]
     subs = handle.subobjects(x)
-    # the size counts every subgroup, the table holds one (join, class) entry
-    # per subgroup type: the 7 partitions inside (2, 1, 1)
-    assert count == tables.size == len(subs) == 27
-    assert len(table) == len({rep for _, rep in table}) == 7
+    # 27 subgroups, and the table holds one (join, class) entry per subgroup
+    # type, the 7 partitions inside (2, 1, 1)
+    assert len(subs) == 27
+    assert tables.entries == len(table) == len({rep for _, rep in table}) == 7
     assert {rep for _, rep in table} == {w.as_module() for w in subs}
     # each class is in its catalogue presentation
     catalogue = {m.presentation() for n in (1, 2, 4, 8, 16) for m in finite_abelian_modules(n)}
@@ -701,15 +716,27 @@ def test_tables_evict_the_oldest_presentation_past_the_cap(table_builds, monkeyp
     handle = AbelianHandle(Z)
     k4, z8, z4z2, z2z8 = (direct_sum_module(Z, orders)
                           for orders in ([2, 2], [8], [4, 2], [2, 8]))
-    assert [abelian.subgroup_classes(m)[0] for m in (k4, z8, z4z2, z2z8)] == [5, 4, 8, 11]
+    # the entries, one per class: z2z8 has 11 subgroups, more than the cap,
+    # in 7 classes
+    assert [len(abelian.subgroup_classes(m)) for m in (k4, z8, z4z2, z2z8)] == [3, 4, 5, 7]
     table_builds.clear()
     for sample in ([k4], [z8], [k4, z8], [z4z2], [z8], [k4], [z2z8], [z2z8]):
         verify_torsion_pair_axioms(handle, [cyclic_module(Z, 2)], sample)
-    # z4z2 evicts k4 and z8; z8 then evicts z4z2; z2z8 is too large to keep
-    assert table_builds == [k4, z8, z4z2, z8, k4, z2z8, z2z8]
+    # z4z2 evicts k4; k4 then evicts z8, and z2z8 evicts z4z2
+    assert table_builds == [k4, z8, z4z2, k4, z2z8]
     tables = handle._subobject_tables
-    # the kept tables are those of z8 and k4
-    assert tables.size == 9 and list(tables.tables) == [z8.presentation(), k4.presentation()]
+    assert tables.entries == 10 and list(tables.tables) == [k4.presentation(), z2z8.presentation()]
+
+
+def test_a_table_past_ten_thousand_subgroups_is_kept(table_builds):
+    """Z/2 + Z/2 + Z/4 + Z/8 + Z/16 has 18,600 subgroups in 56 classes: its
+    table holds 56 entries, so a second source set reads it again."""
+    handle = AbelianHandle(Z)
+    x = direct_sum_module(Z, [2, 2, 4, 8, 16])
+    for primes in ((2,), (3,)):
+        [result] = verify_torsion_pair_axioms(handle, [cyclic_module(Z, p) for p in primes], [x])
+        assert result.passed
+    assert table_builds == [x] and handle._subobject_tables.entries == 56
 
 
 def _reference_axioms(handle, sources, x, t, subs, torsion: dict):
@@ -833,6 +860,19 @@ def test_a_warm_radical_memo_answers_as_a_fresh_handle():
     assert warm._subobject_tables.radicals
 
 
+def test_quiver_handle_computes_over_the_objects_prime():
+    # a handle built with F_2 computes over the F_3 of its representations
+    handle = QuiverHandle(A2, 2)
+    x = QuiverRep(A2, 3, (1, 1), [[[2]]])
+    assert trace(handle, [QuiverRep(A2, 3, (1, 1), [[[1]]])], x).dims() == (1, 1)
+    assert handle.describe(x) == "rep dims=[1, 1] over F_3"
+    # the sink witness of a representation past the enumeration bound
+    big = QuiverRep(A2, 3, (5, 5), [[[2 * (i == j) for j in range(5)] for i in range(5)]])
+    report = is_torsion_simple(handle, big)
+    assert report.method == "single-vertex-criterion" and not report.verdict
+    assert [space.p for space in report.witness.spaces] == [3, 3]
+
+
 def test_a_warm_radical_memo_answers_as_a_fresh_quiver_handle():
     warm = QuiverHandle(A2, 2)
     reps = [QuiverRep(A2, 2, [a, b], [[[(i >> (r * a + c)) & 1 for c in range(a)]
@@ -855,7 +895,7 @@ def test_a_radical_memo_hit_runs_no_trace_loop():
     assert sources[0].presentation() != cyclic_module(Z, 2).presentation()
     again = direct_sum_module(Z, [2, 4, 3])
     with mock.patch.object(engine, "trace", wraps=trace) as traced:
-        assert torsion_radical_generated(handle, sources, again, check=False) is first
+        assert handle._subobject_tables.radical(handle, sources, again) is first
         assert traced.call_count == 0
         # the checked call runs its postcondition's one trace, and no loop
         assert torsion_radical_generated(handle, sources, again) is first
@@ -896,7 +936,7 @@ def test_the_radical_memo_evicts_the_oldest_past_the_cap(monkeypatch):
     # the subobject tables keep their own count under the same cap
     verify_torsion_pair_axioms(handle, sources, [direct_sum_module(Z, [2, 2, 2])])
     assert len(handle._subobject_tables.radicals) <= 3
-    assert handle._subobject_tables.size <= 3
+    assert handle._subobject_tables.entries <= 3
 
 
 @st.composite
